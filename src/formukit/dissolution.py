@@ -4,17 +4,21 @@ The shrinking-particle law used throughout is
 
     dx/dt = -(k * psi_A / (rho_s * psi_v)) * (C_sat - C_b),   k = Sh * D / x
 
-with the Sherwood correlation Sh = 2 + 0.52 * Re^0.52 * Sc^(1/3). The solver
-integrates the squared size y = x^2 per bin,
+with the Sherwood correlation Sh = 2 + 0.52 * Re^0.52 * Sc^(1/3). Re grows
+linearly with size, so Sh = 2 + b * x^0.52, and in the squared size y = x^2
 
-    dy/dt = -2 * Sh * D * (psi_A / psi_v) * (C_sat - C_b) / rho_s,
+    dy/dt = -A * (C_sat - C_b) * (2 + b * y^0.26),   A = 2 * D * psi_A / (psi_v * rho_s),
 
-which is regular at extinction (the 1/x factor cancels), and couples bins
-through the bulk concentration C_b = dissolved mass / medium volume. A bin
-whose remaining mass becomes negligible is clamped to zero size and leaves
-the active set (its rate is masked off inside the adaptive Runge-Kutta run);
-dissolved mass is always closed algebraically against the remaining sizes,
-so the mass balance holds exactly.
+which is regular at extinction (the 1/x factor cancels). Every bin sees the
+same driving force C_sat - C_b, so in the reduced time
+tau = integral of A * (C_sat - C_b) dt all bins follow one law,
+dy/dtau = -(2 + b * y^0.26), solved in closed form by
+y_i(tau) = G^-1(G(y0_i) - tau) with G from a hypergeometric function. Under
+sink conditions tau is linear in t; when the bulk C_b = dissolved mass /
+medium volume couples back, one scalar ODE for tau(t) remains. Bin i
+vanishes exactly at tau = G(y0_i) and stays at zero size; dissolved mass is
+closed algebraically against the remaining sizes, so the mass balance holds
+exactly.
 
 External units are um/mg/mL/hr; everything here converts to SI at entry.
 """
@@ -25,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.special import hyp2f1
 
 from .errors import DomainError, IntegrationError, SaturationError, SingularityError
 from .types import (
@@ -36,6 +42,16 @@ from .types import (
     SizeDistribution,
 )
 from .units import KG_M3_PER_G_ML, M2_KG_PER_M2_G, M_PER_UM, S_PER_HR
+
+#: Power of the squared size y = x^2 in Sh = 2 + b * y^0.26 (Re^0.52, Re ~ x).
+_SH_POWER = 0.26
+#: Relative tolerance of the scalar reduced-time ODE.
+_TAU_RTOL = 1e-9
+#: Knots of the per-call G^-1 table, log-spaced in squared size.
+_TABLE_POINTS = 129
+#: Bottom of that table relative to the smallest initial squared size; a bin
+#: this small holds under 1e-18 of its starting mass.
+_TABLE_FLOOR = 1e-12
 
 
 def sherwood(re, sc):
@@ -210,124 +226,139 @@ def _check_grid(output_grid_hr) -> np.ndarray:
     return grid
 
 
+def reduced_lifetime(y, b):
+    """Reduced time G(y) a bin of squared size y [m^2] takes to vanish [m^2].
+
+    In reduced time every bin obeys dy/dtau = -(2 + b * y^0.26), where
+    ``b = Sh(x = 1 m) - 2``, so G(y) is the integral of 1 / (2 + b * y'^0.26)
+    from 0 to y, in closed form (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2).
+    ``b = 0`` (no agitation) gives exactly y/2.
+    """
+    y = np.asarray(y, dtype=float)
+    a = 1.0 / _SH_POWER
+    return 0.5 * y * hyp2f1(1.0, a, 1.0 + a, -0.5 * b * y ** _SH_POWER)
+
+
+def _size_law(y0: np.ndarray, b: float):
+    """Per-bin lifetimes G(y0_i) and the map tau -> squared sizes G^-1(G(y0_i) - tau).
+
+    G^-1 comes from one cubic table of ln(y / G) against ln G, a slowly
+    varying function (exactly ln 2 at b = 0) that keeps round-off small,
+    shifted per bin so that tau = 0 returns y0 to rounding. Below the table's
+    floor y / G is held, and a bin whose lifetime has run out is exactly zero.
+    """
+    lifetime = reduced_lifetime(y0, b)
+    y_tab = np.geomspace(y0.min() * _TABLE_FLOOR, y0.max(), _TABLE_POINTS)
+    g_tab = reduced_lifetime(y_tab, b)
+    log_g = np.log(g_tab)
+    log_ratio = CubicSpline(log_g, np.log(y_tab / g_tab))
+    shift = np.log(y0 / lifetime) - log_ratio(np.log(lifetime))
+
+    def sizes(tau):
+        left = np.maximum(lifetime - np.asarray(tau, dtype=float)[..., None], 0.0)
+        v = np.log(left, out=np.full(left.shape, log_g[0]), where=left > 0.0)
+        return left * np.exp(log_ratio(np.maximum(v, log_g[0])) + shift)
+
+    return lifetime, sizes
+
+
 def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistribution,
              conditions: DissolutionConditions,
-             output_grid_hr=DEFAULT_OUTPUT_GRID_HR, *,
-             rtol: float = 1e-5, atol: float = 1e-16,
-             max_step: float = np.inf,
-             bin_mass_cutoff: float = 1e-8) -> SimulationResult:
-    """Integrate the shrinking-particle model over a size distribution.
+             output_grid_hr=DEFAULT_OUTPUT_GRID_HR) -> SimulationResult:
+    """Dissolve a size distribution on the reporting grid in reduced time.
+
+    Each squared size follows y_i(tau) = G^-1(G(y0_i) - tau) (see
+    :func:`reduced_lifetime`). Under sink conditions tau = A * C_sat * t and
+    no ODE is solved; when the bulk couples back, one scalar ODE for tau(t)
+    is integrated (RK45). Bin i vanishes exactly at tau = G(y0_i).
 
     Parameters
     ----------
     output_grid_hr : sequence of float
         Reporting times [hr]; must start at 0 and increase strictly.
-    rtol, atol, max_step :
-        Tolerances and maximum step [s] passed to the RK45 integrator. atol
-        applies to the squared size [m^2].
-    bin_mass_cutoff : float
-        A bin is retired once its remaining mass falls below this fraction of
-        the dose. The squared-size rate has unbounded curvature exactly at
-        extinction, which otherwise forces tiny steps; stopping a hair early
-        costs at most n_bins * cutoff of the dose in the mass balance.
 
     Returns
     -------
     SimulationResult
         Release profile on the grid plus per-bin extinction times and state
         snapshots at the grid points.
+
+    Raises
+    ------
+    IntegrationError
+        If the scalar reduced-time ODE fails.
     """
     grid_hr = _check_grid(output_grid_hr)
     grid_s = grid_hr * S_PER_HR
-
-    x0 = psd.sizes_um * M_PER_UM
-    y0_full = x0 ** 2
-    fractions = psd.fractions.copy()
-    n = psd.n_bins
+    t_end = float(grid_s[-1])
+    y0 = (psd.sizes_um * M_PER_UM) ** 2
 
     dose = conditions.dose_mg
-    volume_ml = conditions.medium_volume_ml
+    dose_over_v = dose / conditions.medium_volume_ml
     c_sat = drug.c_sat_mg_ml                                  # mg/mL == kg/m^3
     rho_s = drug.true_density_g_ml * KG_M3_PER_G_ML
-    diffusivity = drug.diffusivity_m2_s
-    psi_ratio = morph.surface_to_volume_ratio
     sink = conditions.sink_override
 
     # Sink override pins C_b to zero (continuously refreshed medium), so the
     # solubility capacity of the vessel no longer limits release.
-    cap_pct = 100.0 if sink else 100.0 * min(1.0, c_sat * volume_ml / dose)
+    cap_pct = 100.0 if sink else 100.0 * min(1.0, c_sat / dose_over_v)
 
-    u = conditions.slip_velocity_m_s
-    re_per_m = conditions.fluid_density_kg_m3 * u / conditions.fluid_viscosity_pa_s
-    sc = conditions.fluid_viscosity_pa_s / (conditions.fluid_density_kg_m3 * diffusivity)
-    sc_cbrt = sc ** (1.0 / 3.0)
+    # Re grows linearly with size, so Sh(x) = 2 + b * x^0.52 = 2 + b * y^0.26.
+    re_1m, sc = reynolds_schmidt(conditions, 1.0, drug.diffusivity_m2_s)
+    b = sherwood(re_1m, sc) - 2.0
+    rate_base = 2.0 * drug.diffusivity_m2_s * morph.surface_to_volume_ratio / rho_s
+    lifetime, sizes = _size_law(y0, b)
 
-    def bulk_concentration(diss_frac: float) -> float:
-        if sink:
-            return 0.0
-        return min(diss_frac * dose / volume_ml, c_sat)
+    mass_w = psd.fractions / y0 ** 1.5
 
-    # Retirement threshold: a bin whose remaining mass is below
-    # cutoff * dose is clamped to zero size and leaves the active set. In
-    # squared size that is y <= y0 * (cutoff / fraction)^(2/3).
-    with np.errstate(divide="ignore"):
-        y_retire = y0_full * np.minimum(
-            np.where(fractions > 0, bin_mass_cutoff / fractions, np.inf), 1.0) ** (2.0 / 3.0)
+    def tau_rate(t, tau):
+        c_b = np.minimum((1.0 - sizes(tau) ** 1.5 @ mass_w) * dose_over_v, c_sat)
+        return rate_base * (c_sat - c_b)
 
-    # dy/dt = -A * (C_sat - C_b) * (2 + B * y^0.26) on the active set; the
-    # y^0.26 factor is Re^0.52 evaluated through x = sqrt(y).
-    rate_base = 2.0 * diffusivity * psi_ratio / rho_s
-    sh_slope = 0.52 * re_per_m ** 0.52 * sc_cbrt
-    mass_w = fractions / y0_full ** 1.5
-    dose_over_v = dose / volume_ml
+    if sink or t_end == 0.0:                      # a zero-length run needs no ODE either
+        speed = rate_base * c_sat
+        tau_grid = speed * grid_s
+        extinction = np.where(lifetime <= speed * t_end, lifetime / speed, np.nan)
+    else:
+        # A saturating dose approaches C_b = C_sat only exponentially; rather
+        # than resolve that tail to the end of a long run, stop once the
+        # driving force is below the tolerance and hold tau from there.
+        def saturated(t, tau):
+            return tau_rate(t, tau)[0] - _TAU_RTOL * rate_base * c_sat
+        saturated.terminal = True
+        sol = solve_ivp(tau_rate, (0.0, t_end), [0.0], method="RK45",
+                        dense_output=True, rtol=_TAU_RTOL,
+                        atol=_TAU_RTOL * float(lifetime.max()),
+                        events=saturated if cap_pct < 100.0 else None)
+        if sol.status < 0:
+            raise IntegrationError(f"reduced-time integration failed: {sol.message}",
+                                   time_s=float(sol.t[-1]))
+        # The dense output can wiggle by a hair near saturation; tau never falls.
+        tau_grid = np.maximum.accumulate(sol.sol(np.minimum(grid_s, sol.sol.t_max))[0])
+        # Bin i vanishes when tau(t) = G(y0_i): a cubic Hermite guess for t(tau)
+        # between the solver's steps (dt/dtau = 1/rate), one Newton step, and
+        # a clip to the step that brackets G(y0_i).
+        extinction = np.full_like(lifetime, np.nan)
+        done = lifetime <= tau_grid[-1]
+        if np.any(done):
+            t_of = CubicHermiteSpline(sol.y[0], sol.t, 1.0 / tau_rate(None, sol.y[0]))
+            guess = t_of(lifetime[done])
+            step = (lifetime[done] - sol.sol(guess)[0]) / tau_rate(None, lifetime[done])
+            k = np.minimum(np.searchsorted(sol.y[0], lifetime[done]), sol.t.size - 1)
+            extinction[done] = np.clip(guess + step, sol.t[k - 1], sol.t[k])
 
-    def rhs(t, y):
-        y_alive = np.where(y > y_retire, y, 0.0)
-        if sink:
-            driving = c_sat
-        else:
-            remaining = y_alive ** 1.5 @ mass_w
-            c_b = min((1.0 - min(remaining, 1.0)) * dose_over_v, c_sat)
-            driving = c_sat - c_b
-        rates = (-rate_base * driving) * (2.0 + sh_slope * y_alive ** 0.26)
-        return np.where(y_alive > 0.0, rates, 0.0)
-
-    t_end = float(grid_s[-1])
-    if t_end == 0.0:
-        state = SimulationState(0.0, x0.copy(), 0.0, 0.0)
-        return SimulationResult(
-            profile=DissolutionProfile(grid_hr, np.zeros(1)),
-            extinction_times_s=np.full(n, np.nan),
-            released_cap_pct=cap_pct,
-            states=(state,),
-        )
-    sol = solve_ivp(
-        rhs, (0.0, t_end), y0_full, method="RK45", t_eval=grid_s,
-        dense_output=True, rtol=rtol, atol=atol, max_step=max_step,
-    )
-    if sol.status != 0:
-        worst = int(np.argmin(sol.sol(sol.t[-1]))) if sol.t.size else 0
-        raise IntegrationError(
-            f"integrator failed: {sol.message}",
-            time_s=float(sol.t[-1]) if sol.t.size else 0.0, bin_index=worst,
-        )
-
-    # Retired bins count as fully dissolved.
-    y_grid = np.clip(sol.y.T, 0.0, None)                      # (n_times, n)
-    y_grid[y_grid <= y_retire[None, :]] = 0.0
-    remaining = (y_grid / y0_full[None, :]) ** 1.5 @ fractions
-    released = 100.0 * np.clip(1.0 - remaining, 0.0, 1.0)
+    y_grid = sizes(tau_grid)                                  # (n_times, n)
+    released = 100.0 * np.clip(1.0 - y_grid ** 1.5 @ mass_w, 0.0, 1.0)
     released = np.minimum(np.maximum.accumulate(np.clip(released, 0.0, cap_pct)), cap_pct)
     released[0] = 0.0
-
-    extinction = _extinction_times(sol, y_retire, t_end)
+    c_b = np.zeros_like(released) if sink else np.minimum(released / 100.0 * dose_over_v, c_sat)
 
     states = tuple(
         SimulationState(
             time_s=float(ts),
             sizes_m=np.sqrt(y_grid[i]),
             dissolved_mass_mg=float(released[i] / 100.0 * dose),
-            bulk_concentration_mg_ml=bulk_concentration(released[i] / 100.0),
+            bulk_concentration_mg_ml=float(c_b[i]),
         )
         for i, ts in enumerate(grid_s)
     )
@@ -340,36 +371,9 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     )
 
 
-def _extinction_times(sol, y_retire: np.ndarray, t_end: float) -> np.ndarray:
-    """Per-bin times at which y first crossed its retirement threshold.
-
-    Scans the dense solution on a fine grid and sharpens each crossing by
-    linear interpolation; y is monotone decreasing so the first crossing is
-    the only one.
-    """
-    n = y_retire.size
-    t_fine = np.linspace(0.0, t_end, 2049)
-    y_fine = sol.sol(t_fine)                                   # (n, n_fine)
-    below = y_fine <= y_retire[:, None]
-    extinction = np.full(n, np.nan)
-    for i in range(n):
-        idx = np.argmax(below[i])
-        if not below[i, idx]:
-            continue
-        if idx == 0:
-            extinction[i] = 0.0
-            continue
-        t0, t1 = t_fine[idx - 1], t_fine[idx]
-        v0 = y_fine[i, idx - 1] - y_retire[i]
-        v1 = y_fine[i, idx] - y_retire[i]
-        extinction[i] = t0 if v0 == v1 else t0 + v0 * (t1 - t0) / (v0 - v1)
-    return extinction
-
-
 def simulate_dissolution(drug: DrugSubstance, morph: ParticleMorphology,
                          psd: SizeDistribution, conditions: DissolutionConditions,
-                         output_grid_hr=DEFAULT_OUTPUT_GRID_HR, **solver_options
-                         ) -> DissolutionProfile:
+                         output_grid_hr=DEFAULT_OUTPUT_GRID_HR) -> DissolutionProfile:
     """Release profile of a powder dose on the reporting grid.
 
     Convenience wrapper around :func:`simulate` returning only the profile;
@@ -377,4 +381,4 @@ def simulate_dissolution(drug: DrugSubstance, morph: ParticleMorphology,
     100 * min(1, saturation capacity / dose) when the bulk couples back (no
     cap under sink_override).
     """
-    return simulate(drug, morph, psd, conditions, output_grid_hr, **solver_options).profile
+    return simulate(drug, morph, psd, conditions, output_grid_hr).profile

@@ -41,10 +41,6 @@ CONVERGED_OBJECTIVE = 1e-3
 #: search is considered converged.
 CONVERGED_RELATIVE_DECREASE = 1e-6
 
-#: Solver settings used inside the objective; cheaper than the simulator
-#: defaults but far below the fit tolerances in error.
-FAST_SOLVER_OPTIONS = {"rtol": 1e-4, "atol": 1e-15, "bin_mass_cutoff": 1e-7}
-
 
 @dataclass(frozen=True)
 class LognormalParameterization:
@@ -98,7 +94,6 @@ class DesignSpec:
         default_factory=lambda: LognormalParameterization(100.0, 1.5))
     bounds: tuple | None = None              # per optimized parameter (lo, hi)
     regularization_weight: float = 1e-2      # roughness weight, free bins only
-    solver_options: dict = field(default_factory=lambda: dict(FAST_SOLVER_OPTIONS))
 
     def __post_init__(self):
         if self.target.n_points < 2:
@@ -130,9 +125,8 @@ def roughness(psd: SizeDistribution) -> float:
 
 def objective(psd: SizeDistribution, spec: DesignSpec) -> float:
     """Release-curve MSE against the target plus the roughness penalty."""
-    achieved = simulate_dissolution(
-        spec.drug, spec.morph, psd, spec.conditions,
-        output_grid_hr=spec.target.times_hr, **spec.solver_options)
+    achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
+                                    output_grid_hr=spec.target.times_hr)
     value = mse(align_profiles(spec.target, achieved))
     if not spec.is_lognormal:
         value += spec.regularization_weight * roughness(psd)
@@ -235,9 +229,8 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
     d50 = float(np.exp(z_best[0]))
     sigma = float(np.exp(z_best[1]))
     psd = psd_from_lognormal(d50, sigma, param.n_bins)
-    achieved = simulate_dissolution(
-        spec.drug, spec.morph, psd, spec.conditions,
-        output_grid_hr=spec.target.times_hr, **spec.solver_options)
+    achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
+                                    output_grid_hr=spec.target.times_hr)
     return DesignResult(
         psd=psd,
         achieved=achieved,
@@ -313,9 +306,8 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
     best_value, iterations, start_index, f_best, tracker = min(
         candidates, key=lambda c: (c[0], c[1], c[2]))
     psd = SizeDistribution(sizes, f_best)
-    achieved = simulate_dissolution(
-        spec.drug, spec.morph, psd, spec.conditions,
-        output_grid_hr=spec.target.times_hr, **spec.solver_options)
+    achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
+                                    output_grid_hr=spec.target.times_hr)
     return DesignResult(
         psd=psd,
         achieved=achieved,

@@ -324,14 +324,19 @@ def build_inverse_prompt(strategy: PromptStrategy, target: DissolutionProfile,
 
 
 def extract_section(rendered: str, header: str) -> str:
-    """Body of one "### Header: ###" section of a rendered prompt."""
+    """Body of one "### Header: ###" section of a rendered prompt.
+
+    The body runs to the next section header of :data:`SECTION_HEADERS` (or
+    the end), so "### ..." lines inside it, such as the example markers,
+    stay part of it.
+    """
     marker = f"### {header}: ###\n"
     start = rendered.find(marker)
     if start < 0:
         raise ParseError(f"prompt has no section {header!r}")
     body_start = start + len(marker)
-    nxt = rendered.find("\n### ", body_start)
-    return rendered[body_start:] if nxt < 0 else rendered[body_start:nxt]
+    ends = (rendered.find(f"\n\n### {name}: ###\n", body_start) for _, name in SECTION_HEADERS)
+    return rendered[body_start:min((e for e in ends if e >= 0), default=len(rendered))]
 
 
 def parse_input_block(text: str) -> FormulationInput:
@@ -374,10 +379,18 @@ class ParseReport:
         }
 
 
+_OBJECT_OPENING_RE = re.compile(r'\{\s*["}]')
+
+
 def _candidate_json_objects(text: str):
-    """Balanced {...} substrings, decoded; yields (dict, start_index)."""
-    depth = 0
-    start = None
+    """Balanced {...} blocks of ``text`` that decode to JSON objects, in order.
+
+    A block that is not valid JSON is searched inside, since a nested object
+    may be valid even when the outer block is not. Braces are paired in one
+    pass without recursion, so any nesting depth is safe.
+    """
+    pairs = []
+    open_at = []
     in_string = False
     escape = False
     for i, ch in enumerate(text):
@@ -388,29 +401,24 @@ def _candidate_json_objects(text: str):
                 escape = True
             elif ch == '"':
                 in_string = False
-            continue
-        if ch == '"':
+        elif ch == '"':
             in_string = True
         elif ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}":
-            if depth > 0:
-                depth -= 1
-                if depth == 0 and start is not None:
-                    candidate = text[start:i + 1]
-                    try:
-                        obj = json.loads(candidate)
-                    except json.JSONDecodeError:
-                        # Re-scan the interior: a nested object may be valid
-                        # JSON even when the outer block is not.
-                        yield from _candidate_json_objects(candidate[1:-1])
-                    else:
-                        if isinstance(obj, dict):
-                            yield obj, start
-                    start = None
-    return
+            open_at.append(i)
+        elif ch == "}" and open_at:
+            pairs.append((open_at.pop(), i))
+    covered = -1                              # end of the last object yielded
+    for start, stop in sorted(pairs):
+        # A JSON object opens with a key or closes at once; checking that
+        # first keeps runs of bare braces from costing a decode each.
+        if start < covered or not _OBJECT_OPENING_RE.match(text, start):
+            continue
+        try:
+            obj = json.loads(text[start:stop + 1])
+        except (ValueError, RecursionError):
+            continue
+        covered = stop
+        yield obj
 
 
 def parse_profile_response(text: str, full_output: bool = False):
@@ -427,7 +435,7 @@ def parse_profile_response(text: str, full_output: bool = False):
     """
     report = ParseReport()
     table = None
-    for obj, _ in _candidate_json_objects(text):
+    for obj in _candidate_json_objects(text):
         if "columns" in obj and "data" in obj:
             table = obj
             break
@@ -435,6 +443,8 @@ def parse_profile_response(text: str, full_output: bool = False):
         raise ParseError("no JSON object with 'columns' and 'data' keys found")
 
     columns = table.get("columns") or []
+    if not isinstance(columns, list):
+        raise ParseError(f"'columns' is not a list: {columns!r}")
     time_idx, value_idx = 0, 1
     for i, name in enumerate(columns):
         if isinstance(name, str) and "time" in name.lower():
@@ -459,7 +469,7 @@ def parse_profile_response(text: str, full_output: bool = False):
         try:
             t = float(row[time_idx])
             v = float(row[value_idx])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"non-numeric data row: {row!r}") from exc
         if minutes:
             t = t / 60.0

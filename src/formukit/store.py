@@ -23,22 +23,14 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConflictError, EmptyStoreError, ValidationError
+from .prompts import VERBATIM_KEYS
 from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 PROVENANCE_VALUES = ("experimental", "simulated")
 
 #: Mapping from the verbatim record keys used in published prompt blocks to
 #: canonical snake_case keys, for the import adapter.
-VERBATIM_TO_CANONICAL = {
-    "Mean Particle Size, D50": "d50_um",
-    "Aspect ratio": "aspect_ratio",
-    "Roundness": "roundness",
-    "solubility of drug (mg/mL)": "solubility_mg_ml",
-    "Diffusion coefficient of drug (m^2/s)": "diffusivity_m2_s",
-    "True Density of drug (g/mL)": "true_density_g_ml",
-    "Specific surface area (m^2/g)": "ssa_m2_g",
-    "volume-based equivalent particle size (micrometer)": "vol_eq_um",
-}
+VERBATIM_TO_CANONICAL = dict(VERBATIM_KEYS)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,19 @@ class TestEval:
         assert metrics["mse_pct2"] == 0.0
 
 
+    def test_deeply_nested_prediction_exit_4(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("time_hr,released_pct\n0,0\n1,50\n2,100\n")
+        pred = tmp_path / "nested.txt"
+        pred.write_text("{" * 1000 + "}" * 1000)
+        code = main(["eval", "--reference", str(ref), "--predicted", str(pred),
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "e"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, input_file):
         config = tmp_path / "app.json"

@@ -14,6 +14,7 @@ from formukit.prompts import (
     PromptStrategy,
     build_inverse_prompt,
     build_prompt,
+    extract_section,
     format_number,
     parse_input_block,
     parse_number,
@@ -110,6 +111,14 @@ class TestBuildPrompt:
         a = build_prompt(PromptStrategy.RAG, reference_input, examples=example_records)
         b = build_prompt(PromptStrategy.RAG, reference_input, examples=example_records)
         assert a.rendered == b.rendered
+
+    @pytest.mark.parametrize("strategy", [PromptStrategy.FS, PromptStrategy.RAG])
+    def test_extract_section_keeps_example_markers(self, strategy, reference_input,
+                                                   example_records):
+        bundle = build_prompt(strategy, reference_input, examples=example_records)
+        assert extract_section(bundle.rendered, "Examples") == bundle.section("examples")
+        assert extract_section(bundle.rendered, "Input Format") == \
+            bundle.section("input_format")
 
     def test_fs_without_examples_raises(self, reference_input):
         with pytest.raises(StrategyPreconditionError):
@@ -209,6 +218,24 @@ class TestParseProfileResponse:
                 '      "data": [[0, 0], [0.5, 40], [1, 80]]\n    }\n  }\n}')
         profile = parse_profile_response(text)
         assert profile.points() == [(0.0, 0.0), (0.5, 40.0), (1.0, 80.0)]
+
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    def test_deep_nesting_is_a_parse_error(self, depth):
+        with pytest.raises(ParseError):
+            parse_profile_response("{" * depth + "}" * depth)
+
+    def test_table_found_after_deep_nesting(self):
+        text = "{" * 5000 + "}" * 5000 + "\n" + REFERENCE_OUTPUT_JSON
+        assert parse_profile_response(text).n_points == 10
+
+    @pytest.mark.parametrize("body", [
+        '"columns": 5, "data": [[0, 0]]',
+        '"columns": {"time": 1}, "data": [[0, 0], [1, 1]]',
+        '"columns": ["t", "r"], "data": [[1' + "0" * 400 + ', 5]]',
+    ])
+    def test_odd_tables_are_parse_errors(self, body):
+        with pytest.raises(ParseError):
+            parse_profile_response("{" + body + "}")
 
     def test_render_parse_round_trip(self):
         rng = np.random.default_rng(23)
