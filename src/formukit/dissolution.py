@@ -28,9 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.special import hyp2f1
 
 from .errors import DomainError, IntegrationError, SaturationError, SingularityError
 from .types import (
@@ -234,6 +231,8 @@ def reduced_lifetime(y, b):
     from 0 to y, in closed form (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2).
     ``b = 0`` (no agitation) gives exactly y/2.
     """
+    from scipy.special import hyp2f1
+
     y = np.asarray(y, dtype=float)
     a = 1.0 / _SH_POWER
     return 0.5 * y * hyp2f1(1.0, a, 1.0 + a, -0.5 * b * y ** _SH_POWER)
@@ -247,6 +246,8 @@ def _size_law(y0: np.ndarray, b: float):
     shifted per bin so that tau = 0 returns y0 to rounding. Below the table's
     floor y / G is held, and a bin whose lifetime has run out is exactly zero.
     """
+    from scipy.interpolate import CubicSpline
+
     lifetime = reduced_lifetime(y0, b)
     y_tab = np.geomspace(y0.min() * _TABLE_FLOOR, y0.max(), _TABLE_POINTS)
     g_tab = reduced_lifetime(y_tab, b)
@@ -320,6 +321,9 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         tau_grid = speed * grid_s
         extinction = np.where(lifetime <= speed * t_end, lifetime / speed, np.nan)
     else:
+        from scipy.integrate import solve_ivp
+        from scipy.interpolate import CubicHermiteSpline
+
         # A saturating dose approaches C_b = C_sat only exponentially; rather
         # than resolve that tail to the end of a long run, stop once the
         # driving force is below the tolerance and hold tau from there.

@@ -170,8 +170,13 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
     ``n_examples`` by id); RAG retrieves from ``store`` (defaulting to the
     dataset itself), always excluding the record under evaluation. Parse
     failures are counted per strategy; a strategy whose parses all fail is
-    reported as unevaluable rather than raising.
+    reported as unevaluable rather than raising; any other error cancels
+    the calls not yet started and is re-raised. Up to
+    ``client.config.max_inflight`` model calls run at once, so transcript
+    lines come in completion order; the report does not depend on it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .errors import StrategyPreconditionError
     from .prompts import PromptStrategy, build_prompt, parse_profile_response
     from .store import RecordStore
@@ -190,42 +195,55 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
     predictions: dict[str, dict[str, DissolutionProfile]] = {s: {} for s in order}
     references = {rec.id: rec.profile for rec in records}
 
+    # strategy -> [(record, completion future, or None if no prompt was built)]
+    calls: dict[str, list] = {s: [] for s in order}
     rows = []
-    for name in order:
-        strategy = PromptStrategy[name]
-        per_record = []
-        failures = 0
-        notes = set()
-        for rec in records:
-            if strategy.needs_examples:
-                if strategy is PromptStrategy.RAG:
-                    hits = store.retrieve(rec.features, k=retrieve_k + 1)
-                    examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
+    pool = ThreadPoolExecutor(max_workers=client.config.max_inflight)
+    try:
+        for name in order:
+            strategy = PromptStrategy[name]
+            for rec in records:
+                if strategy.needs_examples:
+                    if strategy is PromptStrategy.RAG:
+                        hits = store.retrieve(rec.features, k=retrieve_k + 1)
+                        examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
+                    else:
+                        examples = [r for r in records if r.id != rec.id][:n_examples]
                 else:
-                    examples = [r for r in records if r.id != rec.id][:n_examples]
+                    examples = None
+                try:
+                    prompt = build_prompt(strategy, rec.features, examples=examples)
+                except StrategyPreconditionError:
+                    calls[name].append((rec, None))
+                    continue
+                calls[name].append((rec, pool.submit(client.complete, prompt)))
+
+        for name in order:
+            per_record = []
+            failures = 0
+            notes = set()
+            for rec, future in calls[name]:
+                if future is None:
+                    failures += 1
+                    notes.add("no disjoint examples available")
+                    continue
+                try:
+                    predicted = parse_profile_response(future.result().text)
+                    m, r2 = profile_metrics(rec.profile, predicted)
+                except (ParseError, AlignmentError, DegenerateReferenceError):
+                    failures += 1
+                    notes.add("parse failure(s) excluded")
+                    continue
+                predictions[name][rec.id] = predicted
+                per_record.append((m, r2))
+            if per_record:
+                mean_mse = float(np.mean([m for m, _ in per_record]))
+                mean_r2 = float(np.mean([r for _, r in per_record]))
+                note = "" if failures == 0 else f"{failures} record(s) skipped: " + "; ".join(sorted(notes))
+                rows.append(EvalRow(name, mean_mse, mean_r2, len(per_record), failures, note))
             else:
-                examples = None
-            try:
-                prompt = build_prompt(strategy, rec.features, examples=examples)
-                response = client.complete(prompt).text
-                predicted = parse_profile_response(response)
-                m, r2 = profile_metrics(rec.profile, predicted)
-            except StrategyPreconditionError:
-                failures += 1
-                notes.add("no disjoint examples available")
-                continue
-            except (ParseError, AlignmentError, DegenerateReferenceError):
-                failures += 1
-                notes.add("parse failure(s) excluded")
-                continue
-            predictions[name][rec.id] = predicted
-            per_record.append((m, r2))
-        if per_record:
-            mean_mse = float(np.mean([m for m, _ in per_record]))
-            mean_r2 = float(np.mean([r for _, r in per_record]))
-            note = "" if failures == 0 else f"{failures} record(s) skipped: " + "; ".join(sorted(notes))
-            rows.append(EvalRow(name, mean_mse, mean_r2, len(per_record), failures, note))
-        else:
-            rows.append(EvalRow(name, None, None, 0, failures,
-                                "unevaluable: " + "; ".join(sorted(notes) or ["no records"])))
+                rows.append(EvalRow(name, None, None, 0, failures,
+                                    "unevaluable: " + "; ".join(sorted(notes) or ["no records"])))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return BenchmarkResult(EvalReport(tuple(rows)), predictions, references)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
 from .errors import ConfigurationError, ValidationError
@@ -176,6 +175,8 @@ class _AcceptTracker:
 
 def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
                       max_evals_per_start: int) -> DesignResult:
+    from scipy.optimize import Bounds, minimize
+
     param = spec.parameterization
     (d50_lo, d50_hi), (sig_lo, sig_hi) = spec.bounds
     if sig_lo < 1.0:

@@ -231,8 +231,8 @@ class LLMClient:
 
     Retries only transient transport failures, with exponential backoff
     (base 1 s, factor 2, multiplicative jitter); at most ``max_inflight``
-    requests run concurrently. The sleep function and jitter seed are
-    injectable for tests.
+    requests run concurrently, as many as ``run_benchmark`` sends at once.
+    The sleep function and jitter seed are injectable for tests.
     """
 
     def __init__(self, config: LLMConfig | None = None, backend=None,

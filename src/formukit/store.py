@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConflictError, EmptyStoreError, ValidationError
 from .prompts import VERBATIM_KEYS
@@ -149,6 +148,7 @@ class RecordStore:
         self.path = Path(path) if path is not None else None
         self._records: dict[str, FormulationRecord] = {}
         self._order: list[str] = []
+        self._matrix = self._weights = None     # retrieval state: built on use, reset by ingest
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -188,13 +188,18 @@ class RecordStore:
         if record.id not in self._records:
             self._order.append(record.id)
         self._records[record.id] = record
+        self._matrix = self._weights = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record.to_dict()) + "\n")
 
     def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features.feature_vector() for r in self.records])
+        """Feature vectors of the records in store order (read-only, cached)."""
+        if self._matrix is None:
+            self._matrix = np.array([r.features.feature_vector() for r in self.records])
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def adapt_weights(self) -> RetrievalWeights:
         """Data-driven retrieval weights for the current store contents.
@@ -202,23 +207,22 @@ class RecordStore:
         Scale: per-feature MAD, floored at 1e-12. Weight: proportional to
         |Spearman correlation| between the feature and the record's release
         at 1 hr; uniform over varying features when the store is small
-        (< 5 records) or no correlation is measurable.
+        (< 5 records) or no correlation is measurable. Computed once per
+        store contents; callers share the returned weights.
         """
         if len(self) == 0:
             raise EmptyStoreError("cannot adapt weights on an empty store")
+        if self._weights is not None:
+            return self._weights
         matrix = self.feature_matrix()
         med = np.median(matrix, axis=0)
         mad = np.median(np.abs(matrix - med), axis=0)
         varying = mad > 0.0
         scales = np.maximum(mad, 1e-12)
-        if not np.any(varying):
-            # Degenerate store (e.g. a single record): uniform weights keep
-            # retrieval well-defined; exact matches still score 1.
-            n = len(FEATURE_NAMES)
-            return RetrievalWeights(FEATURE_NAMES, np.full(n, 1.0 / n), scales)
-
         raw = np.zeros(len(FEATURE_NAMES))
-        if len(self) >= 5:
+        if len(self) >= 5 and np.any(varying):
+            from scipy import stats
+
             release_1hr = np.array([r.profile.released_at(1.0) for r in self.records])
             for j in range(len(FEATURE_NAMES)):
                 if not varying[j]:
@@ -227,8 +231,12 @@ class RecordStore:
                 if np.isfinite(rho):
                     raw[j] = abs(rho)
         if raw.sum() == 0.0:
-            raw = varying.astype(float)
-        return RetrievalWeights(FEATURE_NAMES, raw / raw.sum(), scales)
+            # Uniform over the varying features, or over all of them in a
+            # degenerate store (e.g. one record): exact matches still score 1.
+            raw = varying.astype(float) if np.any(varying) else np.ones(len(FEATURE_NAMES))
+        self._weights = RetrievalWeights(FEATURE_NAMES, raw / raw.sum(), scales)
+        self._weights.weights.flags.writeable = self._weights.scales.flags.writeable = False
+        return self._weights
 
     def retrieve(self, query: FormulationInput, k: int,
                  weights: RetrievalWeights | None = None,
@@ -261,15 +269,10 @@ class RecordStore:
                                    for name in weights.names])
             weights = RetrievalWeights(weights.names, masked / masked.sum(),
                                        weights.scales)
-        q = query.feature_vector()
-        scored = []
-        for record in self.records:
-            distance = np.sum(
-                weights.weights * np.abs(q - record.features.feature_vector())
-                / weights.scales)
-            scored.append((record, float(np.exp(-distance))))
-        scored.sort(key=lambda pair: (-pair[1], pair[0].id))
-        return scored[:k]
+        diff = np.abs(query.feature_vector() - self.feature_matrix())
+        scores = np.exp(-np.sum(weights.weights * diff / weights.scales, axis=1))
+        top = np.lexsort((np.array(self._order), -scores))[:k]
+        return [(self._records[self._order[i]], float(scores[i])) for i in top]
 
 
 def to_examples(records) -> str:

@@ -208,9 +208,10 @@ class DissolutionProfile:
     """Percent drug released over time.
 
     Points are sorted by time on construction; duplicate times raise.
-    Values must lie in [0, 100]. The (0, 0) start is an output guarantee of
-    the simulator, not a type constraint: parsed LLM responses may violate it
-    and ``validate_profile`` reports that as a finding.
+    Times and values must be finite, and values must lie in [0, 100]. The
+    (0, 0) start is an output guarantee of the simulator, not a type
+    constraint: parsed LLM responses may violate it and ``validate_profile``
+    reports that as a finding.
     """
 
     times_hr: np.ndarray
@@ -221,6 +222,8 @@ class DissolutionProfile:
         r = np.asarray(self.released_pct, dtype=float)
         if t.ndim != 1 or r.shape != t.shape or t.size == 0:
             raise ValidationError("times and released values must be matching non-empty 1-D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+            raise DomainError("times and released values must be finite")
         order = np.argsort(t, kind="stable")
         t = t[order]
         r = r[order]

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+import formukit
 from formukit.cli import main
 
 SEED_FILE = str(files("formukit") / "data" / "seed_records.json")
@@ -335,3 +339,16 @@ class TestConfigFile:
         help_text = capsys.readouterr().out
         for unit in ("um", "mg/mL", "m^2/s", "g/mL", "m^2/g", "hr"):
             assert unit in help_text
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used, so commands that need none of it
+    # start fast.
+    src = str(Path(formukit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, formukit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

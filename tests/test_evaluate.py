@@ -1,8 +1,13 @@
+import json
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from formukit.dissolution import psd_from_lognormal, simulate_dissolution
-from formukit.errors import AlignmentError, DegenerateReferenceError
+from formukit.errors import AlignmentError, DegenerateReferenceError, RequestError
 from formukit.evaluate import (
     STRATEGY_ORDER,
     align_profiles,
@@ -11,7 +16,14 @@ from formukit.evaluate import (
     r_squared,
     run_benchmark,
 )
-from formukit.llm import LLMClient, MockBackend, ReplayBackend, TranscriptRecorder
+from formukit.llm import (
+    LiveBackend,
+    LLMClient,
+    LLMConfig,
+    MockBackend,
+    ReplayBackend,
+    TranscriptRecorder,
+)
 from formukit.store import FormulationRecord
 from formukit.types import DissolutionProfile, FormulationInput
 
@@ -203,3 +215,77 @@ class TestBenchmark:
         assert not result.report.row("FS").evaluable
         assert not result.report.row("RAG").evaluable
         assert "no disjoint examples" in result.report.row("FS").notes
+
+
+class FakeTransport:
+    """In-process chat-completions endpoint: answers with the mock oracle's
+    response after a fixed latency and counts concurrent calls."""
+
+    def __init__(self, status=200, latency_s=0.02):
+        self.status = status
+        self.latency_s = latency_s
+        self.calls = 0
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+        self._oracle = MockBackend()
+
+    def __call__(self, url, headers, payload, timeout):
+        with self._lock:
+            self.calls += 1
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.latency_s)
+            if self.status != 200:
+                return self.status, "bad request"
+            prompt = SimpleNamespace(rendered=payload["messages"][0]["content"])
+            text, _ = self._oracle.respond(prompt)
+            return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+class TestConcurrentBenchmark:
+    API_KEY_ENV = "FORMUKIT_TEST_KEY"
+
+    def _run(self, dataset, transport, max_inflight, recorder=None):
+        config = LLMConfig(max_inflight=max_inflight, api_key_env=self.API_KEY_ENV,
+                           max_retries=0)
+        client = LLMClient(config=config, backend=LiveBackend(config, transport=transport),
+                           recorder=recorder, sleep=lambda s: None)
+        return run_benchmark(dataset, client=client)
+
+    def test_reports_identical_across_max_inflight(self, drug, sphere, conditions,
+                                                   monkeypatch):
+        monkeypatch.setenv(self.API_KEY_ENV, "offline")
+        dataset = simulated_dataset(drug, sphere, conditions)
+        closure = run_benchmark(dataset, client=LLMClient(backend=MockBackend(),
+                                                          sleep=lambda s: None))
+        results = {}
+        for max_inflight in (1, 4):
+            transport = FakeTransport()
+            recorder = TranscriptRecorder()
+            results[max_inflight] = self._run(dataset, transport, max_inflight, recorder)
+            assert transport.calls == len(recorder.records) == len(STRATEGY_ORDER) * len(dataset)
+            if max_inflight == 1:
+                assert transport.peak == 1
+            else:
+                assert 1 < transport.peak <= 4
+        for result in results.values():
+            assert result.report.to_json() == closure.report.to_json()
+            assert result.report.to_csv() == closure.report.to_csv()
+            assert result.residuals_csv() == closure.residuals_csv()
+
+    def test_request_error_propagates_and_stops_calls(self, drug, sphere, conditions,
+                                                      monkeypatch):
+        monkeypatch.setenv(self.API_KEY_ENV, "offline")
+        dataset = simulated_dataset(drug, sphere, conditions)
+        transport = FakeTransport(status=400)
+        with pytest.raises(RequestError):
+            self._run(dataset, transport, 4)
+        calls = transport.calls
+        assert transport.active == 0
+        time.sleep(0.1)
+        assert transport.calls == calls

@@ -1,7 +1,9 @@
-"""Property tests: the response parser fails only with ParseError."""
+"""Property tests: the response parser fails only with ParseError and
+returns only finite profiles."""
 
 import json
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,6 +30,8 @@ _TEXTS = (
 @given(_TEXTS)
 def test_any_text_parses_or_raises_parse_error(text):
     try:
-        parse_profile_response(text)
+        profile = parse_profile_response(text)
     except ParseError:
-        pass
+        return
+    assert np.all(np.isfinite(profile.times_hr))
+    assert np.all(np.isfinite(profile.released_pct))

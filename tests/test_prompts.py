@@ -232,6 +232,9 @@ class TestParseProfileResponse:
         '"columns": 5, "data": [[0, 0]]',
         '"columns": {"time": 1}, "data": [[0, 0], [1, 1]]',
         '"columns": ["t", "r"], "data": [[1' + "0" * 400 + ', 5]]',
+        pytest.param('"columns": ["t", "r"], "data": [[0, 0], [1, "nan"]]', id="nan-value"),
+        pytest.param('"columns": ["t", "r"], "data": [[0, 0], [Infinity, 5]]',
+                     id="infinite-time"),
     ])
     def test_odd_tables_are_parse_errors(self, body):
         with pytest.raises(ParseError):

@@ -236,6 +236,39 @@ class TestRetrieve:
         with pytest.raises(EmptyStoreError):
             RecordStore().retrieve(FormulationInput(d50_um=50.0), k=1)
 
+    def test_matches_per_record_loop(self):
+        # Reference: score each record on its own and sort on (-score, id).
+        # Three copies of one record tie exactly and must come back by id.
+        records = _synthetic_records(n=60)
+        twin = records[17]
+        records += [FormulationRecord(f"{twin.id}-{c}", twin.features, twin.profile)
+                    for c in ("b", "a")]
+        store = _store_with(records)
+        weights = store.adapt_weights()
+        for query in [twin.features] + [r.features for r in records[::7]]:
+            scored = []
+            for rec in records:
+                distance = np.sum(weights.weights
+                                  * np.abs(query.feature_vector() - rec.features.feature_vector())
+                                  / weights.scales)
+                scored.append((rec.id, float(np.exp(-distance))))
+            scored.sort(key=lambda pair: (-pair[1], pair[0]))
+            got = [(r.id, s) for r, s in store.retrieve(query, k=8)]
+            assert got == scored[:8]
+
+    def test_ingest_resets_cached_state(self):
+        records = _synthetic_records(n=20)
+        store = _store_with(records[:-1])
+        query = records[-1].features
+        before = store.adapt_weights()
+        assert store.adapt_weights() is before
+        assert not store.feature_matrix().flags.writeable
+        assert store.retrieve(query, k=1)[0][0].id != records[-1].id
+        store.ingest(records[-1])
+        assert store.feature_matrix().shape == (20, len(FEATURE_NAMES))
+        assert store.adapt_weights() is not before
+        assert store.retrieve(query, k=1)[0][0].id == records[-1].id
+
 
 class TestToExamples:
     def test_single_record_matches_golden_fragment(self, example_records):
