@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -85,11 +86,19 @@ class AppConfig:
 
 
 def _run_dir(config: AppConfig, args) -> Path:
+    """A fresh run directory: --run-id must not name a non-empty one, and a
+    taken default (timestamp) id gets a numeric suffix."""
     base = Path(args.output_dir or config.output_dir)
     stamp = args.run_id or time.strftime("run-%Y%m%d-%H%M%S", time.gmtime())
     path = base / stamp
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    if args.run_id and path.is_dir() and any(path.iterdir()):
+        raise ValidationError(f"run directory {path} is not empty; pick another --run-id")
+    for suffix in itertools.count(1):
+        try:
+            path.mkdir(parents=True, exist_ok=bool(args.run_id))
+            return path
+        except FileExistsError:
+            path = base / f"{stamp}-{suffix}"
 
 
 def _load_features(args) -> FormulationInput:

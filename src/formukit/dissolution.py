@@ -15,10 +15,10 @@ tau = integral of A * (C_sat - C_b) dt all bins follow one law,
 dy/dtau = -(2 + b * y^0.26), solved in closed form by
 y_i(tau) = G^-1(G(y0_i) - tau) with G from a hypergeometric function. Under
 sink conditions tau is linear in t; when the bulk C_b = dissolved mass /
-medium volume couples back, one scalar ODE for tau(t) remains. Bin i
-vanishes exactly at tau = G(y0_i) and stays at zero size; dissolved mass is
-closed algebraically against the remaining sizes, so the mass balance holds
-exactly.
+medium volume couples back, t(tau) is a quadrature of 1 / (dtau/dt), with the
+saturating tail integrated in log form. Bin i vanishes exactly at
+tau = G(y0_i) and stays at zero size; dissolved mass is closed algebraically
+against the remaining sizes, so the mass balance holds exactly.
 
 External units are um/mg/mL/hr; everything here converts to SI at entry.
 """
@@ -42,8 +42,23 @@ from .units import KG_M3_PER_G_ML, M2_KG_PER_M2_G, M_PER_UM, S_PER_HR
 
 #: Power of the squared size y = x^2 in Sh = 2 + b * y^0.26 (Re^0.52, Re ~ x).
 _SH_POWER = 0.26
-#: Relative tolerance of the scalar reduced-time ODE.
+#: Share of tau_end left where the clock quadrature stops; tau then runs on at its last rate.
 _TAU_RTOL = 1e-9
+#: Gauss-Legendre nodes on [-1, 1] for each panel of the clock quadrature (the
+#: roots of P_8), and the monomial coefficients of the Lagrange polynomial of
+#: each node, in rows.
+_GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+                      0.9602898564975362])
+_GL_NODES = np.concatenate((-_GL_NODES[::-1], _GL_NODES))
+_GL_LAGRANGE = np.array([np.poly(np.delete(_GL_NODES, i))[::-1]
+                         / np.prod(_GL_NODES[i] - np.delete(_GL_NODES, i))
+                         for i in range(_GL_NODES.size)])
+#: Most bin lifetimes used as panel edges; more are thinned to this many.
+_MAX_EDGES = 32
+#: Widest panel in the log variable of the clock quadrature.
+_MAX_PANEL_U = 1.0
+#: Sizes evaluated at once by the clock quadrature.
+_CHUNK = 8192
 #: Knots of the per-call G^-1 table, log-spaced in squared size.
 _TABLE_POINTS = 129
 #: Bottom of that table relative to the smallest initial squared size; a bin
@@ -269,9 +284,10 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     """Dissolve a size distribution on the reporting grid in reduced time.
 
     Each squared size follows y_i(tau) = G^-1(G(y0_i) - tau) (see
-    :func:`reduced_lifetime`). Under sink conditions tau = A * C_sat * t and
-    no ODE is solved; when the bulk couples back, one scalar ODE for tau(t)
-    is integrated (RK45). Bin i vanishes exactly at tau = G(y0_i).
+    :func:`reduced_lifetime`). Under sink conditions tau = A * C_sat * t;
+    when the bulk couples back, t(tau) is a quadrature of dtau / (dtau/dt)
+    in a log variable in which the saturating tail is linear, inverted on
+    the grid. Bin i vanishes exactly at tau = G(y0_i).
 
     Parameters
     ----------
@@ -287,7 +303,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     Raises
     ------
     IntegrationError
-        If the scalar reduced-time ODE fails.
+        If rounding swamps the driving force (a dose ~1e16 x the capacity).
     """
     grid_hr = _check_grid(output_grid_hr)
     grid_s = grid_hr * S_PER_HR
@@ -312,44 +328,75 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
 
     mass_w = psd.fractions / y0 ** 1.5
 
-    def tau_rate(t, tau):
-        c_b = np.minimum((1.0 - sizes(tau) ** 1.5 @ mass_w) * dose_over_v, c_sat)
-        return rate_base * (c_sat - c_b)
+    excess = c_sat - dose_over_v                              # < 0 past the capacity
 
-    if sink or t_end == 0.0:                      # a zero-length run needs no ODE either
+    def driving(tau):                                         # C_sat - C_b, unclamped
+        return excess + dose_over_v * (sizes(tau) ** 1.5 @ mass_w)
+
+    if sink or t_end == 0.0:                      # a zero-length run needs no clock either
         speed = rate_base * c_sat
         tau_grid = speed * grid_s
         extinction = np.where(lifetime <= speed * t_end, lifetime / speed, np.nan)
     else:
-        from scipy.integrate import solve_ivp
-        from scipy.interpolate import CubicHermiteSpline
+        # dtau/dt = rate_base * driving(tau), so t(tau) is an integral, taken
+        # in u = -ln(1 - tau / tau_end): tau_end is the last lifetime or, past
+        # the capacity, the root where C_b = C_sat, and in u the approach to it
+        # is smooth. Past u_cut tau runs on at the last rate (holds, saturated).
+        late_rate = rate_base * max(excess, 0.0)
+        tau_end = float(lifetime.max())
+        if late_rate == 0.0:
+            from scipy.optimize import brentq
 
-        # A saturating dose approaches C_b = C_sat only exponentially; rather
-        # than resolve that tail to the end of a long run, stop once the
-        # driving force is below the tolerance and hold tau from there.
-        def saturated(t, tau):
-            return tau_rate(t, tau)[0] - _TAU_RTOL * rate_base * c_sat
-        saturated.terminal = True
-        sol = solve_ivp(tau_rate, (0.0, t_end), [0.0], method="RK45",
-                        dense_output=True, rtol=_TAU_RTOL,
-                        atol=_TAU_RTOL * float(lifetime.max()),
-                        events=saturated if cap_pct < 100.0 else None)
-        if sol.status < 0:
-            raise IntegrationError(f"reduced-time integration failed: {sol.message}",
-                                   time_s=float(sol.t[-1]))
-        # The dense output can wiggle by a hair near saturation; tau never falls.
-        tau_grid = np.maximum.accumulate(sol.sol(np.minimum(grid_s, sol.sol.t_max))[0])
-        # Bin i vanishes when tau(t) = G(y0_i): a cubic Hermite guess for t(tau)
-        # between the solver's steps (dt/dtau = 1/rate), one Newton step, and
-        # a clip to the step that brackets G(y0_i).
+            if driving(0.0) <= 0.0:
+                raise IntegrationError("dose too far past the capacity to resolve", time_s=0.0)
+            tau_end = brentq(driving, 0.0, tau_end, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        u_cut, tau_cut = -np.log(_TAU_RTOL), tau_end * (1.0 - _TAU_RTOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_life = -np.log1p(-lifetime / tau_end)
+        # Panel edges at the lifetimes, where the rate has kinks (thinned to
+        # _MAX_EDGES), and every _MAX_PANEL_U.
+        kinks = np.sort(u_life[u_life < u_cut])
+        kinks = kinks[np.linspace(0, kinks.size - 1, min(kinks.size, _MAX_EDGES)).astype(int)]
+        edges = np.union1d(kinks, np.linspace(0.0, u_cut, int(np.ceil(u_cut / _MAX_PANEL_U)) + 1))
+        half = np.diff(edges) / 2.0
+        gap = tau_end * np.exp(-(edges[:-1, None] + half[:, None] * (_GL_NODES + 1.0)))
+        # At the nodes, tau_end - tau and the driving force, taken in slices
+        # of about _CHUNK sizes to keep temporaries small; its floor binds
+        # only where rounding swamps it.
+        taus = np.array_split((tau_end - gap).ravel(), -(-gap.size * y0.size // _CHUNK))
+        force = np.maximum(np.concatenate([driving(part) for part in taus]).reshape(gap.shape),
+                           _TAU_RTOL * c_sat * gap / tau_end)
+        # dt/ds on each panel, s in [-1, 1], as the polynomial through its nodes
+        # (einsum, not a BLAS matrix product, whose work buffer costs memory).
+        coef = np.einsum("pk,kj->pj", half[:, None] * gap / (rate_base * force), _GL_LAGRANGE)
+        k = np.arange(_GL_NODES.size)
+        t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
+        t_cut = t_edges[-1]
+
+        def clock(p, s):
+            """t and dt/ds at s on panels p."""
+            power = s[:, None] ** k
+            rise = (power * s[:, None] - (-1.0) ** (k + 1)) / (k + 1)
+            return t_edges[p] + np.sum(coef[p] * rise, axis=1), np.sum(coef[p] * power, axis=1)
+
+        # tau on the grid: t inverted within each panel by four Newton steps.
+        early, late = grid_s[grid_s <= t_cut], grid_s[grid_s > t_cut]
+        p = np.minimum(np.searchsorted(t_edges, early, side="right") - 1, half.size - 1)
+        s = 2.0 * (early - t_edges[p]) / (t_edges[p + 1] - t_edges[p]) - 1.0
+        for _ in range(4):
+            t, slope = clock(p, s)
+            s = np.clip(s - (t - early) / slope, -1.0, 1.0)
+        tau_late = (tau_cut + (late - t_cut) * late_rate if late_rate
+                    else np.full(late.shape, tau_end))
+        tau_grid = np.concatenate((-tau_end * np.expm1(-edges[p] - half[p] * (s + 1.0)), tau_late))
+        # Bin i vanishes at t(G(y0_i)), read off the same panels.
         extinction = np.full_like(lifetime, np.nan)
         done = lifetime <= tau_grid[-1]
-        if np.any(done):
-            t_of = CubicHermiteSpline(sol.y[0], sol.t, 1.0 / tau_rate(None, sol.y[0]))
-            guess = t_of(lifetime[done])
-            step = (lifetime[done] - sol.sol(guess)[0]) / tau_rate(None, lifetime[done])
-            k = np.minimum(np.searchsorted(sol.y[0], lifetime[done]), sol.t.size - 1)
-            extinction[done] = np.clip(guess + step, sol.t[k - 1], sol.t[k])
+        u_done = np.minimum(u_life[done], u_cut)
+        p = np.minimum(np.searchsorted(edges, u_done, side="right") - 1, half.size - 1)
+        t_done = clock(p, (u_done - edges[p]) / half[p] - 1.0)[0]
+        late_t = np.maximum(lifetime[done] - tau_cut, 0.0) / late_rate if late_rate else 0.0
+        extinction[done] = np.minimum(t_done + late_t, t_end)
 
     y_grid = sizes(tau_grid)                                  # (n_times, n)
     released = 100.0 * np.clip(1.0 - y_grid ** 1.5 @ mass_w, 0.0, 1.0)

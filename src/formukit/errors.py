@@ -23,7 +23,7 @@ class SaturationError(DomainError):
 
 
 class IntegrationError(FormukitError, RuntimeError):
-    """The ODE solver failed to converge; carries step/bin diagnostics."""
+    """The dissolution solver failed; carries time/bin diagnostics."""
 
     def __init__(self, message: str, time_s: float | None = None, bin_index: int | None = None):
         super().__init__(message)

@@ -142,6 +142,7 @@ class DesignResult:
     parameters: dict
     objective_history: tuple[float, ...]     # accepted (non-increasing) values
     start_index: int = 0
+    evaluations: int = 0                     # simulations run, probes and final included
 
 
 class _AcceptTracker:
@@ -154,12 +155,16 @@ class _AcceptTracker:
         self.evals = 0
 
     def __call__(self, x):
-        value = self.fun(x)
-        self.evals += 1
+        value = self.probe(x)
         if not self.accepted or value < self.accepted[-1]:
             self.accepted.append(value)
             self.best_args = np.array(x, dtype=float)
         return value
+
+    def probe(self, x):
+        """Evaluate and count, without entering the accepted sequence."""
+        self.evals += 1
+        return self.fun(x)
 
     @property
     def converged(self) -> bool:
@@ -184,9 +189,13 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
     lb = np.log([d50_lo, sig_lo])
     ub = np.log([d50_hi, sig_hi])
 
-    def eval_z(z):
+    def lognormal(z):
         d50, sigma = float(np.exp(z[0])), float(np.exp(z[1]))
-        return objective(psd_from_lognormal(d50, sigma, param.n_bins), spec)
+        return (psd_from_lognormal(d50, sigma, param.n_bins),
+                {"d50_um": d50, "geo_sigma": sigma, "n_bins": param.n_bins})
+
+    def eval_z(z):
+        return objective(lognormal(z)[0], spec)
 
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
@@ -225,23 +234,7 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
             # remaining starts.
             break
 
-    best_value, iterations, start_index, z_best, tracker = min(
-        candidates, key=lambda c: (c[0], c[1], c[2]))
-    d50 = float(np.exp(z_best[0]))
-    sigma = float(np.exp(z_best[1]))
-    psd = psd_from_lognormal(d50, sigma, param.n_bins)
-    achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
-                                    output_grid_hr=spec.target.times_hr)
-    return DesignResult(
-        psd=psd,
-        achieved=achieved,
-        residual_mse=mse(align_profiles(spec.target, achieved)),
-        iterations=iterations,
-        converged=tracker.converged,
-        parameters={"d50_um": d50, "geo_sigma": sigma, "n_bins": param.n_bins},
-        objective_history=tuple(tracker.accepted),
-        start_index=start_index,
-    )
+    return _best_result(spec, candidates, lognormal)
 
 
 def _project(fractions: np.ndarray, bounds) -> np.ndarray:
@@ -287,7 +280,7 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
             for j in range(n):
                 bumped = current.copy()
                 bumped[j] += fd_step
-                grad[j] = (eval_f(_project(bumped, spec.bounds)) - value) / fd_step
+                grad[j] = (tracker.probe(_project(bumped, spec.bounds)) - value) / fd_step
             improved = False
             while step > 1e-6:
                 candidate = _project(current - step * grad, spec.bounds)
@@ -304,21 +297,22 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
         if value < CONVERGED_OBJECTIVE:
             break
 
-    best_value, iterations, start_index, f_best, tracker = min(
-        candidates, key=lambda c: (c[0], c[1], c[2]))
-    psd = SizeDistribution(sizes, f_best)
+    return _best_result(spec, candidates, lambda f: (
+        SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}))
+
+
+def _best_result(spec: DesignSpec, candidates, make_psd) -> DesignResult:
+    """The best candidate (value, accepted steps, start index, args, tracker):
+    lowest value, then fewest iterations, then lowest start index."""
+    _, iterations, start_index, best_args, tracker = min(candidates, key=lambda c: c[:3])
+    psd, parameters = make_psd(best_args)
     achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
                                     output_grid_hr=spec.target.times_hr)
     return DesignResult(
-        psd=psd,
-        achieved=achieved,
-        residual_mse=mse(align_profiles(spec.target, achieved)),
-        iterations=iterations,
-        converged=tracker.converged,
-        parameters={"sizes_um": sizes.tolist(), "fractions": f_best.tolist()},
-        objective_history=tuple(tracker.accepted),
-        start_index=start_index,
-    )
+        psd=psd, achieved=achieved, residual_mse=mse(align_profiles(spec.target, achieved)),
+        iterations=iterations, converged=tracker.converged, parameters=parameters,
+        objective_history=tuple(tracker.accepted), start_index=start_index,
+        evaluations=sum(c[-1].evals for c in candidates) + 1)
 
 
 def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,

@@ -2,7 +2,9 @@
 
 Records live in an append-only JSONL file (one object per line, canonical
 snake_case keys) with an in-memory index; reloading keeps the last version
-of each id. Retrieval scores records with an exponential weighted-L1 kernel
+of each id, and skips a truncated final line (an append cut short), which
+the next ingest cuts off. Retrieval scores records with an exponential
+weighted-L1 kernel
 
     score(q, r) = exp(-sum_j w_j * |q_j - r_j| / s_j)
 
@@ -149,18 +151,26 @@ class RecordStore:
         self._records: dict[str, FormulationRecord] = {}
         self._order: list[str] = []
         self._matrix = self._weights = None     # retrieval state: built on use, reset by ingest
+        self._torn_bytes = 0                    # size of a truncated final line, dropped on ingest
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self):
         with open(self.path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
                 if not line:
                     continue
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
+                    if not raw.endswith("\n"):        # a final append cut short
+                        import logging
+
+                        logging.getLogger(__name__).warning(
+                            "%s:%d: skipped a truncated final line", self.path, line_no)
+                        self._torn_bytes = len(raw.encode("utf-8"))
+                        break
                     raise ValidationError(
                         f"{self.path}:{line_no}: invalid JSON line") from exc
                 record = FormulationRecord.from_dict(row)
@@ -192,6 +202,9 @@ class RecordStore:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._torn_bytes:
+                    fh.truncate(fh.tell() - self._torn_bytes)
+                    self._torn_bytes = 0
                 fh.write(json.dumps(record.to_dict()) + "\n")
 
     def feature_matrix(self) -> np.ndarray:

@@ -165,6 +165,15 @@ class TestStore:
         assert "salish-d50-45" in lines[0]
         assert "salish-d50-97p5" in lines[1]
 
+    def test_list_skips_torn_final_line(self, tmp_path, capsys, caplog):
+        store = tmp_path / "store.jsonl"
+        assert main(["store", "ingest", "--file", SEED_FILE, "--store", str(store)]) == 0
+        assert "3 record(s)" in capsys.readouterr().out
+        store.write_text(store.read_text()[:-40])
+        assert main(["store", "list", "--store", str(store)]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "2 record(s)"
+        assert f"{store}:3: skipped a truncated final line" in caplog.text
+
     def test_list_empty_store(self, tmp_path, capsys):
         code = main(["store", "list", "--store", str(tmp_path / "nothing.jsonl"),
                      "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
@@ -226,6 +235,17 @@ class TestBench:
         assert r1 == r2
         assert (_out(tmp_path, "r1") / "report.csv").read_text() == \
             (_out(tmp_path, "r2") / "report.csv").read_text()
+
+    def test_reused_run_id_exit_2_keeps_first_run(self, tmp_path, capsys):
+        args = ["bench", "--dataset", SEED_FILE, "--backend", "mock",
+                "--output-dir", str(tmp_path / "out"), "--run-id", "same"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "not empty" in err and len(err.strip().splitlines()) == 1
+        transcript = _out(tmp_path, "same") / "transcripts.jsonl"
+        assert len(transcript.read_text().splitlines()) == 15
 
     def test_live_without_key_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FORMU_API_KEY", raising=False)
@@ -292,6 +312,18 @@ class TestEval:
         metrics = json.loads((_out(tmp_path, "e") / "eval.json").read_text())
         assert metrics["mse_pct2"] == pytest.approx(100 / 3)
         assert metrics["r_squared"] == pytest.approx(0.98)
+
+    def test_taken_default_run_id_gets_a_suffix(self, tmp_path, monkeypatch):
+        import formukit.cli as cli
+
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt, t: "run-fixed")
+        ref = tmp_path / "ref.csv"
+        ref.write_text("time_hr,released_pct\n0,0\n1,50\n2,100\n")
+        for _ in range(2):
+            assert main(["eval", "--reference", str(ref), "--predicted", str(ref),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        runs = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert runs == ["run-fixed", "run-fixed-1"]
 
     def test_json_profile_input(self, tmp_path):
         ref = tmp_path / "ref.csv"

@@ -188,9 +188,20 @@ class TestDerivedMetrics:
         assert reference_input.vol_eq_um == 1.85
 
 
-def _n_bin_reference(drug, morph, psd, cond, grid_hr):
-    """Released % from n coupled squared-size ODEs: RK45 at rtol 1e-10 and
-    atol 1e-22 [m^2], with no bin retirement; written apart from the solver."""
+#: Runs of _n_bin_run, by their inputs: the released-% and the extinction
+#: tests below share each tight reference.
+_REFERENCE_RUNS = {}
+
+
+def _n_bin_run(drug, morph, psd, cond, grid_hr):
+    """n coupled squared-size ODEs: RK45 at rtol 1e-10 and atol 1e-22 [m^2],
+    no bin retirement, one event per bin at y_i = 0; written apart from the
+    solver. Returns released % on the grid and each bin's vanishing time [s]
+    (nan if it outlives the run)."""
+    key = (repr(drug), repr(morph), repr(cond), tuple(grid_hr),
+           psd.sizes_um.tobytes(), psd.fractions.tobytes())
+    if key in _REFERENCE_RUNS:
+        return _REFERENCE_RUNS[key]
     y0 = (psd.sizes_um * 1e-6) ** 2
     rho_s = drug.true_density_g_ml * 1000.0
     d = drug.diffusivity_m2_s
@@ -206,11 +217,32 @@ def _n_bin_reference(drug, morph, psd, cond, grid_hr):
         c_b = min((1.0 - remaining) * cond.dose_mg / cond.medium_volume_ml, c_sat)
         return np.where(y > 0.0, -a * (c_sat - c_b) * (2.0 + slope * y ** 0.26), 0.0)
 
+    def vanishes(i):
+        def event(t, y):
+            return y[i]
+        event.direction = -1.0
+        return event
+
     grid_s = np.asarray(grid_hr) * 3600.0
-    sol = solve_ivp(rhs, (0.0, grid_s[-1]), y0, t_eval=grid_s, rtol=1e-10, atol=1e-22)
+    sol = solve_ivp(rhs, (0.0, grid_s[-1]), y0, t_eval=grid_s, rtol=1e-10, atol=1e-22,
+                    events=[vanishes(i) for i in range(y0.size)])
     assert sol.success
     y = np.clip(sol.y.T, 0.0, None)
-    return 100.0 * (1.0 - (y / y0) ** 1.5 @ psd.fractions)
+    released = 100.0 * (1.0 - (y / y0) ** 1.5 @ psd.fractions)
+    extinction = np.array([t[0] if t.size else np.nan for t in sol.t_events])
+    _REFERENCE_RUNS[key] = released, extinction
+    return released, extinction
+
+
+def _n_bin_reference(drug, morph, psd, cond, grid_hr):
+    """Released % on the grid from the tight n-bin reference (_n_bin_run)."""
+    return _n_bin_run(drug, morph, psd, cond, grid_hr)[0]
+
+
+_TIGHT_CASES = pytest.mark.parametrize("dose_mg, grid_hr", [
+    pytest.param(10.0, (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0), id="coupled"),
+    pytest.param(600.0, (0.0, 0.25, 0.5, 1.0, 2.0, 6.0, 12.0, 24.0, 48.0), id="saturating"),
+])
 
 
 class TestSimulate:
@@ -292,6 +324,18 @@ class TestSimulate:
         expected = np.minimum(_n_bin_reference(drug, sphere, psd, cond, grid_hr),
                               result.released_cap_pct)
         assert np.max(np.abs(result.profile.released_pct - expected)) <= 1e-4
+
+    @pytest.mark.parametrize("n_bins", [1, 50, 200])
+    @_TIGHT_CASES
+    def test_extinction_matches_tight_n_bin_reference(self, drug, sphere, n_bins, dose_mg,
+                                                      grid_hr):
+        psd = psd_from_lognormal(120.0, 1.5, n_bins)
+        cond = DissolutionConditions(dose_mg=dose_mg)
+        got = simulate(drug, sphere, psd, cond, grid_hr).extinction_times_s
+        _, expected = _n_bin_run(drug, sphere, psd, cond, grid_hr)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        done = ~np.isnan(expected)
+        assert np.all(np.abs(got[done] / expected[done] - 1.0) <= 1e-6)
 
     def test_bins_freeze_at_zero(self, drug, sphere, conditions, grid):
         psd = psd_from_lognormal(45.0, 1.3, 10)

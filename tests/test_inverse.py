@@ -173,6 +173,32 @@ class TestDesignFreeBins:
         assert a.objective_history == b.objective_history
 
 
+class TestEvaluationCount:
+    @pytest.mark.parametrize("param, kwargs", [
+        pytest.param(LognormalParameterization(300.0, 1.2, n_bins=12),
+                     dict(n_starts=2, max_evals_per_start=12), id="lognormal"),
+        pytest.param(FreeBinsParameterization.geometric(6, 30.0, 300.0),
+                     dict(n_starts=2, max_iter_free=2), id="free_bins"),
+    ])
+    def test_counts_every_simulation(self, drug, sphere, conditions, round_trip_target,
+                                     monkeypatch, param, kwargs):
+        import formukit.inverse as inverse
+
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return simulate_dissolution(*args, **kw)
+
+        monkeypatch.setattr(inverse, "simulate_dissolution", counting)
+        spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
+                          conditions=conditions, parameterization=param)
+        result = design_psd(spec, seed=0, **kwargs)
+        assert result.evaluations == len(calls)
+        # Probes are counted but never accepted: the history stays shorter.
+        assert len(result.objective_history) < result.evaluations
+
+
 class TestDesignReport:
     def test_report_contents(self, drug, sphere, conditions, round_trip_target):
         spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,

@@ -112,6 +112,32 @@ class TestPersistence:
             assert name in row
 
 
+    def test_torn_final_line_skipped_then_dropped_on_ingest(self, tmp_path, example_records,
+                                                            caplog):
+        path = tmp_path / "store.jsonl"
+        store = RecordStore(path)
+        for rec in example_records[:2]:
+            store.ingest(rec)
+        path.write_text(path.read_text()[:-40])
+        with caplog.at_level("WARNING", logger="formukit.store"):
+            torn = RecordStore(path)
+        assert [r.id for r in torn.records] == [example_records[0].id]
+        assert f"{path}:2: skipped a truncated final line" in caplog.text
+        torn.ingest(example_records[2])
+        again = RecordStore(path)
+        assert [r.id for r in again.records] == [example_records[0].id, example_records[2].id]
+
+    def test_invalid_line_before_the_last_raises(self, tmp_path, example_records):
+        path = tmp_path / "store.jsonl"
+        store = RecordStore(path)
+        for rec in example_records[:2]:
+            store.ingest(rec)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0][:-40] + "\n" + lines[1])
+        with pytest.raises(ValidationError, match=":1: invalid JSON line"):
+            RecordStore(path)
+
+
 class TestVerbatimImport:
     def test_seed_file(self):
         records = import_verbatim_file(SEED_FILE)
