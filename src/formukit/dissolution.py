@@ -166,8 +166,8 @@ def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDist
 
     Bins are geometrically spaced over +-3 log standard deviations around
     d50; mass fractions follow the log-normal mass density and are
-    renormalized to sum to 1. ``geo_sigma = 1`` (or ``n_bins = 1``)
-    degenerates to a single bin at d50.
+    renormalized to sum to 1. ``n_bins = 1``, or a ``geo_sigma`` so close to
+    1 that the bin sizes round together, degenerates to a single bin at d50.
     """
     if d50_um <= 0:
         raise DomainError("d50 must be > 0")
@@ -175,11 +175,10 @@ def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDist
         raise DomainError("geo_sigma must be >= 1")
     if n_bins < 1:
         raise DomainError("n_bins must be >= 1")
-    if geo_sigma == 1.0 or n_bins == 1:
-        return SizeDistribution(np.array([d50_um]), np.array([1.0]))
-    sigma_ln = np.log(geo_sigma)
     u = np.linspace(-3.0, 3.0, n_bins)
-    sizes = d50_um * np.exp(sigma_ln * u)
+    sizes = d50_um * np.exp(np.log(geo_sigma) * u)
+    if n_bins == 1 or np.any(np.diff(sizes) <= 0.0):
+        return SizeDistribution(np.array([d50_um]), np.array([1.0]))
     fractions = np.exp(-0.5 * u ** 2)
     fractions /= fractions.sum()
     return SizeDistribution(sizes, fractions)
@@ -336,7 +335,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     if sink or t_end == 0.0:                      # a zero-length run needs no clock either
         speed = rate_base * c_sat
         tau_grid = speed * grid_s
-        extinction = np.where(lifetime <= speed * t_end, lifetime / speed, np.nan)
+        extinction = np.where(lifetime <= speed * t_end, np.minimum(lifetime / speed, t_end), np.nan)
     else:
         # dtau/dt = rate_base * driving(tau), so t(tau) is an integral, taken
         # in u = -ln(1 - tau / tau_end): tau_end is the last lifetime or, past

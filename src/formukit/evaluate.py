@@ -170,12 +170,14 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
     ``n_examples`` by id); RAG retrieves from ``store`` (defaulting to the
     dataset itself), always excluding the record under evaluation. Parse
     failures are counted per strategy; a strategy whose parses all fail is
-    reported as unevaluable rather than raising; any other error cancels
-    the calls not yet started and is re-raised. Up to
+    reported as unevaluable rather than raising; any other error stops
+    further prompts and calls and is re-raised. Up to
     ``client.config.max_inflight`` model calls run at once, so transcript
     lines come in completion order; the report does not depend on it.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
+    from concurrent.futures import CancelledError, ThreadPoolExecutor
+    from itertools import product
 
     from .errors import StrategyPreconditionError
     from .prompts import PromptStrategy, build_prompt, parse_profile_response
@@ -198,25 +200,39 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
     # strategy -> [(record, completion future, or None if no prompt was built)]
     calls: dict[str, list] = {s: [] for s in order}
     rows = []
+    aborted = threading.Event()         # a call failed other than by parsing
+
+    def complete(prompt):
+        if aborted.is_set():
+            raise CancelledError
+        try:
+            return client.complete(prompt)
+        except ParseError:
+            raise
+        except Exception:
+            aborted.set()
+            raise
+
     pool = ThreadPoolExecutor(max_workers=client.config.max_inflight)
     try:
-        for name in order:
+        for name, rec in product(order, records):
+            if aborted.is_set():
+                break
             strategy = PromptStrategy[name]
-            for rec in records:
-                if strategy.needs_examples:
-                    if strategy is PromptStrategy.RAG:
-                        hits = store.retrieve(rec.features, k=retrieve_k + 1)
-                        examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
-                    else:
-                        examples = [r for r in records if r.id != rec.id][:n_examples]
+            if strategy.needs_examples:
+                if strategy is PromptStrategy.RAG:
+                    hits = store.retrieve(rec.features, k=retrieve_k + 1)
+                    examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
                 else:
-                    examples = None
-                try:
-                    prompt = build_prompt(strategy, rec.features, examples=examples)
-                except StrategyPreconditionError:
-                    calls[name].append((rec, None))
-                    continue
-                calls[name].append((rec, pool.submit(client.complete, prompt)))
+                    examples = [r for r in records if r.id != rec.id][:n_examples]
+            else:
+                examples = None
+            try:
+                prompt = build_prompt(strategy, rec.features, examples=examples)
+            except StrategyPreconditionError:
+                calls[name].append((rec, None))
+                continue
+            calls[name].append((rec, pool.submit(complete, prompt)))
 
         for name in order:
             per_record = []

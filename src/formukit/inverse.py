@@ -9,9 +9,12 @@ Two parameterizations are supported:
 * log-normal (d50, geo_sigma): bounded Nelder-Mead over the log-transformed
   parameters; the parameterization's own values double as the starting
   point, and additional seeded starts guard against local minima.
-* free bins on a fixed geometric size grid: projected finite-difference
-  gradient descent with backtracking; fractions are clipped to bounds and
-  renormalized to sum to 1 after every step.
+* free bins on a fixed geometric size grid: a damped fixed point. With the
+  reduced-time clock of the last run held, released % is 100 (1 - R f) with
+  R[k, i] = (x_i(t_k) / x0_i)^3, so the fit is one bounded linear
+  least-squares solve; each round steps toward its solution, halving the
+  step until the true objective falls. Fractions are clipped to bounds and
+  renormalized to sum to 1.
 
 Every accepted iterate has a non-increasing objective, and identical specs
 plus seed give bit-identical results.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
+from .dissolution import derived_metrics, psd_from_lognormal, simulate, simulate_dissolution
 from .errors import ConfigurationError, ValidationError
 from .evaluate import align_profiles, mse
 from .types import (
@@ -39,6 +42,10 @@ CONVERGED_OBJECTIVE = 1e-3
 #: Relative improvement over the last 5 accepted iterates below which the
 #: search is considered converged.
 CONVERGED_RELATIVE_DECREASE = 1e-6
+#: Weight of the least-squares row that holds the free-bin fractions' sum at 1.
+_SUM_WEIGHT = 1e3
+#: Steps toward a round's least-squares solution, as shares of the way, tried in turn.
+_STEPS = 0.5 ** np.arange(7)
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,10 @@ def objective(psd: SizeDistribution, spec: DesignSpec) -> float:
     """Release-curve MSE against the target plus the roughness penalty."""
     achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
                                     output_grid_hr=spec.target.times_hr)
+    return _misfit(psd, spec, achieved)
+
+
+def _misfit(psd: SizeDistribution, spec: DesignSpec, achieved: DissolutionProfile) -> float:
     value = mse(align_profiles(spec.target, achieved))
     if not spec.is_lognormal:
         value += spec.regularization_weight * roughness(psd)
@@ -142,7 +153,7 @@ class DesignResult:
     parameters: dict
     objective_history: tuple[float, ...]     # accepted (non-increasing) values
     start_index: int = 0
-    evaluations: int = 0                     # simulations run, probes and final included
+    evaluations: int = 0                     # simulations run, rejected steps and final included
 
 
 class _AcceptTracker:
@@ -155,16 +166,12 @@ class _AcceptTracker:
         self.evals = 0
 
     def __call__(self, x):
-        value = self.probe(x)
+        self.evals += 1
+        value = self.fun(x)
         if not self.accepted or value < self.accepted[-1]:
             self.accepted.append(value)
             self.best_args = np.array(x, dtype=float)
         return value
-
-    def probe(self, x):
-        """Evaluate and count, without entering the accepted sequence."""
-        self.evals += 1
-        return self.fun(x)
 
     @property
     def converged(self) -> bool:
@@ -203,13 +210,7 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
     for _ in range(n_starts - 1):
         starts.append(rng.uniform(lb, ub))
 
-    candidates = []
-    for idx, start in enumerate(starts):
-        tracker = _AcceptTracker(eval_z)
-        first = tracker(start)
-        if first < CONVERGED_OBJECTIVE:
-            candidates.append((first, 0, idx, start, tracker))
-            break
+    def nelder_mead(tracker, start):
         simplex = [np.array(start, dtype=float)]
         for dim, step in enumerate((0.4, 0.2)):
             vertex = np.array(start, dtype=float)
@@ -226,15 +227,8 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
             options={"maxfev": max_evals_per_start, "xatol": 1e-4,
                      "fatol": 1e-8, "initial_simplex": np.array(simplex)},
         )
-        best = tracker.accepted[-1]
-        iterations = len(tracker.accepted) - 1
-        candidates.append((best, iterations, idx, tracker.best_args, tracker))
-        if best < CONVERGED_OBJECTIVE:
-            # A numerically perfect fit cannot be beaten materially; skip the
-            # remaining starts.
-            break
 
-    return _best_result(spec, candidates, lognormal)
+    return _multi_start(spec, eval_z, starts, nelder_mead, lognormal)
 
 
 def _project(fractions: np.ndarray, bounds) -> np.ndarray:
@@ -248,71 +242,83 @@ def _project(fractions: np.ndarray, bounds) -> np.ndarray:
 
 
 def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
-                      max_iter: int) -> DesignResult:
+                      max_rounds: int) -> DesignResult:
+    from scipy.optimize import lsq_linear
+
     param = spec.parameterization
     sizes = param.sizes_um
     n = param.n
+    # Release rows, then the roughness rows and one row holding the sum at 1.
+    scale = 1.0 / np.sqrt(spec.target.n_points)
+    penalty = np.vstack((np.sqrt(spec.regularization_weight) * np.diff(np.eye(n), n=2, axis=0),
+                         np.full((1, n), _SUM_WEIGHT)))
+    rhs = np.concatenate(((spec.target.released_pct - 100.0) * scale,
+                          np.zeros(len(penalty) - 1), [_SUM_WEIGHT]))
+    remaining = None                  # mass share left per time and bin, of the last run
 
     def eval_f(fractions):
-        return objective(SizeDistribution(sizes, fractions), spec)
+        nonlocal remaining
+        psd = SizeDistribution(sizes, fractions)
+        run = simulate(spec.drug, spec.morph, psd, spec.conditions,
+                       output_grid_hr=spec.target.times_hr)
+        x = np.array([state.sizes_m for state in run.states])
+        remaining = (x / x[0]) ** 3
+        return _misfit(psd, spec, run.profile)
 
     rng = np.random.default_rng(seed)
-    if param.fractions is not None:
-        f0 = _project(param.fractions, spec.bounds)
-    else:
-        f0 = _project(np.full(n, 1.0 / n), spec.bounds)
-    starts = [f0]
-    for _ in range(n_starts - 1):
-        starts.append(_project(rng.dirichlet(np.ones(n)), spec.bounds))
+    f0 = param.fractions if param.fractions is not None else np.full(n, 1.0 / n)
+    starts = [_project(f, spec.bounds)
+              for f in [f0] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
 
-    candidates = []
-    fd_step = 1e-3
-    for idx, start in enumerate(starts):
-        tracker = _AcceptTracker(eval_f)
-        current = start.copy()
-        value = tracker(current)
-        if value < CONVERGED_OBJECTIVE:
-            candidates.append((value, 0, idx, current, tracker))
-            break
-        step = 0.5
-        for _ in range(max_iter):
-            grad = np.zeros(n)
-            for j in range(n):
-                bumped = current.copy()
-                bumped[j] += fd_step
-                grad[j] = (tracker.probe(_project(bumped, spec.bounds)) - value) / fd_step
-            improved = False
-            while step > 1e-6:
-                candidate = _project(current - step * grad, spec.bounds)
+    def fixed_point(tracker, current):
+        value = tracker.accepted[-1]
+        for _ in range(max_rounds):
+            if tracker.converged:
+                return
+            # With the clock of the current run held, released % is
+            # 100 (1 - remaining @ f): the fit is linear in f.
+            matrix = np.vstack((-100.0 * scale * remaining, penalty))
+            solution = _project(lsq_linear(matrix, rhs, bounds=np.array(spec.bounds).T,
+                                           method="bvls").x, spec.bounds)
+            # The clock moves with f, so step toward the solution only as far
+            # as the true objective falls.
+            for step in _STEPS:
+                candidate = current + step * (solution - current)
                 cand_value = tracker(candidate)
                 if cand_value < value:
                     current, value = candidate, cand_value
-                    improved = True
-                    step = min(step * 2.0, 1.0)
                     break
-                step *= 0.5
-            if not improved or tracker.converged:
-                break
-        candidates.append((value, len(tracker.accepted) - 1, idx, current, tracker))
-        if value < CONVERGED_OBJECTIVE:
-            break
+            else:
+                return
 
-    return _best_result(spec, candidates, lambda f: (
+    return _multi_start(spec, eval_f, starts, fixed_point, lambda f: (
         SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}))
 
 
-def _best_result(spec: DesignSpec, candidates, make_psd) -> DesignResult:
-    """The best candidate (value, accepted steps, start index, args, tracker):
-    lowest value, then fewest iterations, then lowest start index."""
-    _, iterations, start_index, best_args, tracker = min(candidates, key=lambda c: c[:3])
-    psd, parameters = make_psd(best_args)
+def _multi_start(spec: DesignSpec, fun, starts, search, make_psd) -> DesignResult:
+    """Run ``search(tracker, start)`` from each start in turn, skipping the
+    rest after a numerically perfect fit, which cannot be beaten materially.
+    The best start has the lowest value, then the fewest accepted steps, then
+    the lowest index."""
+    trackers = []
+    for start in starts:
+        tracker = _AcceptTracker(fun)
+        trackers.append(tracker)
+        if tracker(start) >= CONVERGED_OBJECTIVE:
+            search(tracker, start)
+        if tracker.accepted[-1] < CONVERGED_OBJECTIVE:
+            break
+    start_index = min(range(len(trackers)), key=lambda i: (
+        trackers[i].accepted[-1], len(trackers[i].accepted), i))
+    tracker = trackers[start_index]
+    psd, parameters = make_psd(tracker.best_args)
     achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
                                     output_grid_hr=spec.target.times_hr)
     return DesignResult(
         psd=psd, achieved=achieved, residual_mse=mse(align_profiles(spec.target, achieved)),
-        iterations=iterations, converged=tracker.converged, parameters=parameters,
-        objective_history=tuple(tracker.accepted), start_index=start_index,
-        evaluations=sum(c[-1].evals for c in candidates) + 1)
+        iterations=len(tracker.accepted) - 1, converged=tracker.converged,
+        parameters=parameters, objective_history=tuple(tracker.accepted),
+        start_index=start_index, evaluations=sum(t.evals for t in trackers) + 1)
 
 
 def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
@@ -322,8 +328,10 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
 
     Multi-start local search (``n_starts`` seeded starts, the first being the
     parameterization's own values); the best residual wins, ties broken by
-    fewer iterations then lower start index. Hitting the evaluation cap
-    without meeting the convergence rule returns the best-so-far result with
+    fewer iterations then lower start index. ``max_evals_per_start`` caps
+    the simulations of each log-normal start; ``max_iter_free`` caps the
+    least-squares rounds of each free-bin start. Hitting a cap without
+    meeting the convergence rule returns the best-so-far result with
     ``converged=False`` rather than raising.
     """
     if n_starts < 1:

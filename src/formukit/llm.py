@@ -23,10 +23,10 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigurationError, MockParseError, RequestError, TransportError
+from .errors import ConfigurationError, MockParseError, RequestError, TransportError, ValidationError
 from .prompts import PromptBundle, extract_section, parse_input_block, render_profile_json
 
 DEFAULT_API_KEY_ENV = "FORMU_API_KEY"
@@ -77,17 +77,7 @@ class Transcript:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "prompt_sha256": self.prompt_sha256,
-            "prompt": self.prompt,
-            "response": self.response,
-            "model": self.model,
-            "backend": self.backend,
-            "started_at": self.started_at,
-            "elapsed_s": self.elapsed_s,
-            "usage": self.usage,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 class TranscriptRecorder:
@@ -201,15 +191,15 @@ class ReplayBackend:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
-        responses: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if row.get("response") is not None:
-                    responses[row["prompt_sha256"]] = row["response"]
+        """Responses from a transcript file; a torn final line is skipped."""
+        from .store import JsonlReader
+
+        responses = {}
+        for row in JsonlReader(path):
+            if not isinstance(row, dict) or not isinstance(row.get("prompt_sha256"), str):
+                raise ValidationError(f"{path}: a line is not a transcript record")
+            if row.get("response") is not None:
+                responses[row["prompt_sha256"]] = row["response"]
         return cls(responses)
 
     def respond(self, prompt: PromptBundle) -> tuple[str, None]:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (
-    DuplicateTimeError,
     DomainError,
     EmptyProfileError,
     ParseError,
@@ -371,15 +370,13 @@ class ParseReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "converted_from_minutes": self.converted_from_minutes,
-            "clamped_points": [[t, v] for t, v in self.clamped_points],
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 _OBJECT_OPENING_RE = re.compile(r'\{\s*["}]')
+#: Deepest nesting decoded, well inside the decoder's recursion limit; a
+#: deeper block is only searched inside.
+_MAX_DEPTH = 500
 
 
 def _candidate_json_objects(text: str):
@@ -387,10 +384,13 @@ def _candidate_json_objects(text: str):
 
     A block that is not valid JSON is searched inside, since a nested object
     may be valid even when the outer block is not. Braces are paired in one
-    pass without recursion, so any nesting depth is safe.
+    pass without recursion, and a block that spans the point where an
+    enclosing decode failed is skipped, as it would fail there too; so the
+    decoding stays linear in the length of the text at any nesting depth.
     """
     pairs = []
-    open_at = []
+    open_at = []                      # [start, level, deepest level inside] per open brace
+    level = 0
     in_string = False
     escape = False
     for i, ch in enumerate(text):
@@ -403,18 +403,31 @@ def _candidate_json_objects(text: str):
                 in_string = False
         elif ch == '"':
             in_string = True
-        elif ch == "{":
-            open_at.append(i)
-        elif ch == "}" and open_at:
-            pairs.append((open_at.pop(), i))
-    covered = -1                              # end of the last object yielded
-    for start, stop in sorted(pairs):
+        elif ch in "{[":
+            level += 1
+            if ch == "{":
+                open_at.append([i, level, level])
+            elif open_at:
+                open_at[-1][2] = max(open_at[-1][2], level)
+        elif ch in "}]":
+            level -= 1
+            if ch == "}" and open_at:
+                start, base, deepest = open_at.pop()
+                pairs.append((start, i, deepest - base))
+                if open_at:
+                    open_at[-1][2] = max(open_at[-1][2], deepest)
+    covered = failed_at = -1          # end of the last object yielded; last failure point
+    for start, stop, depth in sorted(pairs):
         # A JSON object opens with a key or closes at once; checking that
         # first keeps runs of bare braces from costing a decode each.
-        if start < covered or not _OBJECT_OPENING_RE.match(text, start):
+        if (start < covered or start < failed_at <= stop or depth > _MAX_DEPTH
+                or not _OBJECT_OPENING_RE.match(text, start)):
             continue
         try:
             obj = json.loads(text[start:stop + 1])
+        except json.JSONDecodeError as exc:
+            failed_at = start + exc.pos
+            continue
         except (ValueError, RecursionError):
             continue
         covered = stop
@@ -484,8 +497,6 @@ def parse_profile_response(text: str, full_output: bool = False):
 
     try:
         profile = DissolutionProfile(np.asarray(times), np.asarray(released))
-    except DuplicateTimeError:
-        raise
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     return (profile, report) if full_output else profile

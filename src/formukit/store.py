@@ -139,6 +139,36 @@ class RetrievalWeights:
         return float(self.weights[self.names.index(name)])
 
 
+class JsonlReader:
+    """Rows of an append-only JSONL file, read as iterated. A final line cut
+    short (invalid, no newline) is skipped with a logged warning and its size
+    in bytes kept in ``torn_bytes``; any other invalid line raises ValidationError."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.torn_bytes = 0
+
+    def __iter__(self):
+        with open(self.path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if not raw.endswith("\n"):
+                        import logging
+
+                        logging.getLogger(__name__).warning(
+                            "%s:%d: skipped a truncated final line", self.path, line_no)
+                        self.torn_bytes = len(raw.encode("utf-8"))
+                        return
+                    raise ValidationError(
+                        f"{self.path}:{line_no}: invalid JSON line") from exc
+                yield row
+
+
 class RecordStore:
     """Append-only JSONL store with deterministic top-k retrieval.
 
@@ -156,27 +186,13 @@ class RecordStore:
             self._load()
 
     def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if not raw.endswith("\n"):        # a final append cut short
-                        import logging
-
-                        logging.getLogger(__name__).warning(
-                            "%s:%d: skipped a truncated final line", self.path, line_no)
-                        self._torn_bytes = len(raw.encode("utf-8"))
-                        break
-                    raise ValidationError(
-                        f"{self.path}:{line_no}: invalid JSON line") from exc
-                record = FormulationRecord.from_dict(row)
-                if record.id not in self._records:
-                    self._order.append(record.id)
-                self._records[record.id] = record
+        rows = JsonlReader(self.path)
+        for row in rows:
+            record = FormulationRecord.from_dict(row)
+            if record.id not in self._records:
+                self._order.append(record.id)
+            self._records[record.id] = record
+        self._torn_bytes = rows.torn_bytes
 
     def __len__(self) -> int:
         return len(self._records)

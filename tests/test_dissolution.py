@@ -15,7 +15,12 @@ from formukit.dissolution import (
     simulate_dissolution,
 )
 from formukit.errors import DomainError, SaturationError, SingularityError
-from formukit.types import DissolutionConditions, ParticleMorphology, SizeDistribution
+from formukit.types import (
+    DissolutionConditions,
+    DrugSubstance,
+    ParticleMorphology,
+    SizeDistribution,
+)
 
 from conftest import analytic_release_pct
 
@@ -138,6 +143,12 @@ class TestLognormalPsd:
         assert psd.n_bins == 1
         assert psd.sizes_um[0] == 97.5
         assert psd.fractions[0] == 1.0
+
+    def test_sigma_within_rounding_of_one(self):
+        # The geometric bins collapse onto d50, as at geo_sigma = 1 exactly.
+        psd = psd_from_lognormal(5.0, 1.0000000000000002, 8)
+        assert psd.n_bins == 1
+        assert psd.sizes_um[0] == 5.0
 
     def test_reference_case(self):
         psd = psd_from_lognormal(97.5, 1.5, 50)
@@ -344,6 +355,19 @@ class TestSimulate:
         assert result.profile.released_pct[-1] == pytest.approx(100.0, abs=1e-6)
         final_sizes = result.states[-1].sizes_m
         assert np.all(final_sizes == 0.0)
+
+    def test_sink_extinction_at_run_end_stays_in_the_run(self, sphere):
+        # The run ends at the stagnant lifetime of the one bin, and
+        # lifetime / speed rounds one ulp past it.
+        drug = DrugSubstance(name="slow", c_sat_mg_ml=1.0, diffusivity_m2_s=float(np.exp(-23.0)),
+                             true_density_g_ml=1.75)
+        d50 = float(np.exp(3.5))
+        t_d = (d50 * 1e-6) ** 2 * drug.true_density_g_ml * 1e3 / (24.0 * drug.diffusivity_m2_s)
+        grid_hr = t_d / 3600.0 * np.array([0.0, 0.3, 1.0])
+        cond = DissolutionConditions(medium_volume_ml=50.0, paddle_rpm=0.0, sink_override=True,
+                                     dose_mg=50.0)
+        result = simulate(drug, sphere, psd_from_lognormal(d50, 1.0, 1), cond, grid_hr)
+        assert result.extinction_times_s[0] <= grid_hr[-1] * 3600.0
 
     def test_grid_validation(self, drug, sphere, conditions):
         psd = psd_from_lognormal(97.5, 1.5, 10)

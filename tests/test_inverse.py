@@ -163,6 +163,21 @@ class TestDesignFreeBins:
         assert np.all(result.psd.fractions >= 0.0)
         assert np.all(result.psd.fractions <= 1.0)
 
+    @pytest.mark.parametrize("d50, bound", [(200.0, 1e-2), (300.0, 0.05)])
+    def test_saturating_dose_converges(self, drug, sphere, d50, bound):
+        # At 600 mg the bulk saturates, so the clock depends strongly on the
+        # fractions. At d50 300 um, taking only full steps toward each
+        # solution stalls near 0.07 %^2; the halved steps reach about 0.02.
+        saturating = DissolutionConditions(dose_mg=600.0)
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(d50, 1.6, 12), saturating)
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=saturating,
+                          parameterization=FreeBinsParameterization.geometric(12, 40.0, 1500.0))
+        result = design_psd(spec, seed=0, n_starts=1)
+        history = np.array(result.objective_history)
+        assert np.all(np.diff(history) <= 0.0)
+        assert history[-1] < bound
+        assert result.residual_mse < bound
+
     def test_determinism(self, drug, sphere, conditions, small_target):
         param = FreeBinsParameterization.geometric(8, 30.0, 300.0)
         spec = DesignSpec(target=small_target, drug=drug, morph=sphere,
@@ -186,16 +201,21 @@ class TestEvaluationCount:
 
         calls = []
 
-        def counting(*args, **kw):
-            calls.append(1)
-            return simulate_dissolution(*args, **kw)
+        def counting(solver):
+            def run(*args, **kw):
+                calls.append(1)
+                return solver(*args, **kw)
+            return run
 
-        monkeypatch.setattr(inverse, "simulate_dissolution", counting)
+        # Objectives go through simulate_dissolution, free-bin rounds through simulate.
+        for name in ("simulate_dissolution", "simulate"):
+            monkeypatch.setattr(inverse, name, counting(getattr(inverse, name)))
         spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                           conditions=conditions, parameterization=param)
         result = design_psd(spec, seed=0, **kwargs)
         assert result.evaluations == len(calls)
-        # Probes are counted but never accepted: the history stays shorter.
+        # Rejected steps and the final run are counted but never accepted:
+        # the history stays shorter.
         assert len(result.objective_history) < result.evaluations
 
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from formukit.dissolution import psd_from_lognormal, simulate_dissolution
-from formukit.errors import ConfigurationError, MockParseError, RequestError, TransportError
+from formukit.errors import (
+    ConfigurationError,
+    MockParseError,
+    RequestError,
+    TransportError,
+    ValidationError,
+)
 from formukit.llm import (
     LiveBackend,
     LLMClient,
@@ -153,6 +159,26 @@ class TestReplay:
         replay_result = _client(replay).complete(prompt)
         assert replay_result.text == live_result.text
         assert replay_result.transcript.backend == "replay"
+
+    def test_torn_final_line_is_skipped(self, tmp_path, reference_input, caplog):
+        path = tmp_path / "transcripts.jsonl"
+        client = _client(MockBackend(), recorder=TranscriptRecorder(path))
+        strategies = (PromptStrategy.ZS, PromptStrategy.ZS_CoT)
+        prompts = [build_prompt(s, reference_input) for s in strategies]
+        texts = [client.complete(p).text for p in prompts]
+        path.write_bytes(path.read_bytes()[:-40])       # the last append cut short
+        replay = ReplayBackend.from_jsonl(path)
+        assert "truncated final line" in caplog.text
+        assert _client(replay).complete(prompts[0]).text == texts[0]
+        with pytest.raises(ConfigurationError):
+            _client(replay).complete(prompts[1])
+
+    @pytest.mark.parametrize("line", ['[1]', '{"response": "x"}', '{"prompt_sha256": 5}'])
+    def test_non_transcript_line_is_a_validation_error(self, tmp_path, line):
+        path = tmp_path / "transcripts.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError):
+            ReplayBackend.from_jsonl(path)
 
     def test_missing_transcript(self, reference_input):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)

@@ -35,3 +35,47 @@ def test_any_text_parses_or_raises_parse_error(text):
         return
     assert np.all(np.isfinite(profile.times_hr))
     assert np.all(np.isfinite(profile.released_pct))
+
+
+def _decodable_blocks(text):
+    """Reference for the scanner: decode every balanced {...} block outside
+    the objects already found, outermost first."""
+    pairs, open_at, in_string, escape = [], [], False, False
+    for i, ch in enumerate(text):
+        if in_string:
+            if escape:
+                escape = False
+            elif ch == "\\":
+                escape = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "{":
+            open_at.append(i)
+        elif ch == "}" and open_at:
+            pairs.append((open_at.pop(), i))
+    found, covered = [], -1
+    for start, stop in sorted(pairs):
+        if start < covered:
+            continue
+        try:
+            obj = json.loads(text[start:stop + 1])
+        except (ValueError, RecursionError):
+            continue
+        found.append(obj)
+        covered = stop
+    return found
+
+
+_FRAGMENTS = st.lists(st.sampled_from(
+    ['{', '}', '[', ']', '"a":', '"b"', '1', ',', ' ', 'x', '"', '\\', '{}',
+     '{"columns": [], "data": [[0, 0]]}']), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS | _FRAGMENTS)
+def test_scanner_finds_every_decodable_block(text):
+    from formukit.prompts import _candidate_json_objects
+
+    assert list(_candidate_json_objects(text)) == _decodable_blocks(text)

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,22 @@ class TestParseProfileResponse:
     def test_deep_nesting_is_a_parse_error(self, depth):
         with pytest.raises(ParseError):
             parse_profile_response("{" * depth + "}" * depth)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"a":' * 20000 + '}' * 20000, id="deep"),
+        pytest.param('{"a":' * 400 + '[' + '1,' * 100_000 + 'x]' + '}' * 400, id="late-failure"),
+    ])
+    def test_key_opened_nesting_is_linear(self, text):
+        # Every level opens like an object, so each one is a decode candidate;
+        # decoding them all would cost time quadratic in the depth.
+        started = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_profile_response(text)
+        assert time.perf_counter() - started < 1.0
+
+    def test_table_where_the_enclosing_decode_fails(self):
+        # The outer block fails exactly where the table opens.
+        assert parse_profile_response('{"table" ' + REFERENCE_OUTPUT_JSON + '}').n_points == 10
 
     def test_table_found_after_deep_nesting(self):
         text = "{" * 5000 + "}" * 5000 + "\n" + REFERENCE_OUTPUT_JSON
