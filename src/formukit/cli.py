@@ -17,7 +17,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import evaluate as ev
@@ -29,7 +29,13 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .inverse import DesignSpec, LognormalParameterization, design_psd, design_report
+from .inverse import (
+    DEFAULT_LOGNORMAL_BOUNDS,
+    DesignSpec,
+    LognormalParameterization,
+    design_psd,
+    design_report,
+)
 from .llm import LLMClient, LLMConfig, TranscriptRecorder, make_backend
 from .prompts import (
     STRATEGY_ALIASES,
@@ -73,8 +79,8 @@ class AppConfig:
             return cls()
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        known_cond = {f for f in DissolutionConditions.__dataclass_fields__}
-        cond_kwargs = {k: v for k, v in obj.get("conditions", {}).items() if k in known_cond}
+        cond_kwargs = {k: v for k, v in obj.get("conditions", {}).items()
+                       if k in DissolutionConditions.__dataclass_fields__}
         return cls(
             llm=LLMConfig.from_dict(obj.get("llm", {})),
             conditions=DissolutionConditions(**cond_kwargs),
@@ -101,6 +107,12 @@ def _run_dir(config: AppConfig, args) -> Path:
             path = base / f"{stamp}-{suffix}"
 
 
+def _given(args, flags) -> dict:
+    """{name: value} for each (flag, name) pair whose flag was given."""
+    return {name: getattr(args, flag) for flag, name in flags
+            if getattr(args, flag, None) is not None}
+
+
 def _load_features(args) -> FormulationInput:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
@@ -119,32 +131,18 @@ def _load_features(args) -> FormulationInput:
         return FormulationInput(**canonical)
     if args.d50 is None:
         raise ValidationError("provide --input FILE or --d50 (required field: d50_um)")
-    kwargs = {"d50_um": args.d50}
-    for flag, name in (("aspect_ratio", "aspect_ratio"), ("roundness", "roundness"),
-                       ("solubility", "solubility_mg_ml"), ("diffusivity", "diffusivity_m2_s"),
-                       ("density", "true_density_g_ml"), ("ssa", "ssa_m2_g"),
-                       ("vol_eq", "vol_eq_um")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[name] = value
-    return FormulationInput(**kwargs)
+    return FormulationInput(d50_um=args.d50, **_given(args, (
+        ("aspect_ratio", "aspect_ratio"), ("roundness", "roundness"),
+        ("solubility", "solubility_mg_ml"), ("diffusivity", "diffusivity_m2_s"),
+        ("density", "true_density_g_ml"), ("ssa", "ssa_m2_g"), ("vol_eq", "vol_eq_um"))))
 
 
 def _conditions_with_overrides(config: AppConfig, args) -> DissolutionConditions:
-    overrides = {}
-    for flag, name in (("medium_volume", "medium_volume_ml"), ("dose", "dose_mg"),
-                       ("rpm", "paddle_rpm"), ("velocity_factor", "velocity_factor")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = _given(args, (("medium_volume", "medium_volume_ml"), ("dose", "dose_mg"),
+                              ("rpm", "paddle_rpm"), ("velocity_factor", "velocity_factor")))
     if getattr(args, "sink", False):
         overrides["sink_override"] = True
-    if not overrides:
-        return config.conditions
-    base = {f: getattr(config.conditions, f)
-            for f in DissolutionConditions.__dataclass_fields__}
-    base.update(overrides)
-    return DissolutionConditions(**base)
+    return replace(config.conditions, **overrides)
 
 
 def _parse_grid(text: str | None):
@@ -172,10 +170,15 @@ def _read_profile_file(path: str) -> DissolutionProfile:
     return parse_profile_response(text)
 
 
-def _write_profile_json(path: Path, profile: DissolutionProfile) -> None:
+def _emit_profile(out: Path, profile: DissolutionProfile) -> None:
+    """Write profile.csv and profile.json to ``out`` and print the table."""
     from .prompts import render_profile_json
 
-    path.write_text(render_profile_json(profile) + "\n", encoding="utf-8")
+    _write_profile_csv(out / "profile.csv", profile)
+    (out / "profile.json").write_text(render_profile_json(profile) + "\n", encoding="utf-8")
+    print("time_hr,released_pct")
+    for t, v in profile.points():
+        print(f"{t:g},{v:.4f}")
 
 
 def _open_store(config: AppConfig, args) -> RecordStore:
@@ -196,8 +199,6 @@ def cmd_simulate(config: AppConfig, args) -> int:
     profile = simulate_dissolution(features.drug(), features.morphology(), psd,
                                    conditions, grid)
     out = _run_dir(config, args)
-    _write_profile_csv(out / "profile.csv", profile)
-    _write_profile_json(out / "profile.json", profile)
     if args.svg:
         (out / "profile.svg").write_text(
             profile_overlay_svg(None, {"simulated": profile}), encoding="utf-8")
@@ -205,23 +206,16 @@ def cmd_simulate(config: AppConfig, args) -> int:
     print(f"simulated release for d50={features.d50_um:g} um "
           f"(geo_sigma={args.geo_sigma:g}, {args.n_bins} bins); "
           f"derived SSA {ssa:.4g} m^2/g, vol-eq size {vol_eq:.4g} um")
-    print("time_hr,released_pct")
-    for t, v in profile.points():
-        print(f"{t:g},{v:.4f}")
+    _emit_profile(out, profile)
     print(f"outputs: {out}")
     return EXIT_OK
 
 
 def cmd_design(config: AppConfig, args) -> int:
     target = _read_profile_file(args.target)
-    if args.d50_bounds:
-        lo, hi = (float(x) for x in args.d50_bounds.split(","))
-    else:
-        lo, hi = 5.0, 1000.0
-    if args.sigma_bounds:
-        slo, shi = (float(x) for x in args.sigma_bounds.split(","))
-    else:
-        slo, shi = 1.01, 3.0
+    bounds = [tuple(float(x) for x in given.split(",")) if given else default
+              for given, default in zip((args.d50_bounds, args.sigma_bounds),
+                                        DEFAULT_LOGNORMAL_BOUNDS)]
     features = _load_features(args) if (args.input or args.d50 is not None) else \
         FormulationInput(d50_um=args.start_d50)
     spec = DesignSpec(
@@ -231,7 +225,7 @@ def cmd_design(config: AppConfig, args) -> int:
         conditions=_conditions_with_overrides(config, args),
         parameterization=LognormalParameterization(args.start_d50, args.start_sigma,
                                                    n_bins=args.n_bins),
-        bounds=((lo, hi), (slo, shi)),
+        bounds=tuple(bounds),
     )
     result = design_psd(spec, seed=args.seed if args.seed is not None else config.seed,
                         n_starts=args.n_starts)
@@ -287,8 +281,6 @@ def cmd_predict(config: AppConfig, args) -> int:
     client = _build_client(config, args, recorder)
     result = client.complete(prompt)
     profile, report = parse_profile_response(result.text, full_output=True)
-    _write_profile_csv(out / "profile.csv", profile)
-    _write_profile_json(out / "profile.json", profile)
     findings = validate_profile(profile)
     (out / "parse_report.json").write_text(json.dumps({
         "parse": report.to_dict(),
@@ -296,9 +288,7 @@ def cmd_predict(config: AppConfig, args) -> int:
                           for f in findings],
     }, indent=2) + "\n", encoding="utf-8")
     print(f"strategy {strategy.value} via {args.backend} backend")
-    print("time_hr,released_pct")
-    for t, v in profile.points():
-        print(f"{t:g},{v:.4f}")
+    _emit_profile(out, profile)
     for finding in findings:
         print(f"[{finding.severity}] {finding.rule}: {finding.message}")
     print(f"outputs: {out}")
@@ -306,8 +296,8 @@ def cmd_predict(config: AppConfig, args) -> int:
 
 
 def cmd_store(config: AppConfig, args) -> int:
+    store = _open_store(config, args)
     if args.store_cmd == "ingest":
-        store = _open_store(config, args)
         records = _load_dataset(args.file)
         for record in records:
             store.ingest(record, overwrite=args.overwrite)
@@ -315,7 +305,6 @@ def cmd_store(config: AppConfig, args) -> int:
               f"(store size {len(store)})")
         return EXIT_OK
     if args.store_cmd == "list":
-        store = _open_store(config, args)
         print(f"{'id':<20} {'d50_um':>8} {'ssa_m2_g':>9} {'provenance':>12}  source")
         for record in store.records:
             print(f"{record.id:<20} {record.features.d50_um:>8g} "
@@ -323,13 +312,9 @@ def cmd_store(config: AppConfig, args) -> int:
         print(f"{len(store)} record(s)")
         return EXIT_OK
     if args.store_cmd == "retrieve":
-        store = _open_store(config, args)
-        query_fields = {"d50_um": args.d50}
-        for flag, name in (("ssa", "ssa_m2_g"), ("vol_eq", "vol_eq_um"),
-                           ("aspect_ratio", "aspect_ratio"), ("roundness", "roundness")):
-            value = getattr(args, flag, None)
-            if value is not None:
-                query_fields[name] = value
+        query_fields = {"d50_um": args.d50, **_given(args, (
+            ("ssa", "ssa_m2_g"), ("vol_eq", "vol_eq_um"),
+            ("aspect_ratio", "aspect_ratio"), ("roundness", "roundness")))}
         query = FormulationInput(**query_fields)
         hits = store.retrieve(query, k=args.k, feature_subset=tuple(query_fields))
         print(f"{'rank':<5} {'id':<20} {'score':>10} {'d50_um':>8}")

@@ -23,12 +23,11 @@ class SaturationError(DomainError):
 
 
 class IntegrationError(FormukitError, RuntimeError):
-    """The dissolution solver failed; carries time/bin diagnostics."""
+    """The dissolution solver failed; carries the simulated time it failed at."""
 
-    def __init__(self, message: str, time_s: float | None = None, bin_index: int | None = None):
+    def __init__(self, message: str, time_s: float | None = None):
         super().__init__(message)
         self.time_s = time_s
-        self.bin_index = bin_index
 
 
 class ConfigurationError(FormukitError, ValueError):

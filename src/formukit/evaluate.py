@@ -207,10 +207,9 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
             raise CancelledError
         try:
             return client.complete(prompt)
-        except ParseError:
-            raise
-        except Exception:
-            aborted.set()
+        except Exception as exc:
+            if not isinstance(exc, ParseError):
+                aborted.set()
             raise
 
     pool = ThreadPoolExecutor(max_workers=client.config.max_inflight)
@@ -219,14 +218,12 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
             if aborted.is_set():
                 break
             strategy = PromptStrategy[name]
-            if strategy.needs_examples:
-                if strategy is PromptStrategy.RAG:
-                    hits = store.retrieve(rec.features, k=retrieve_k + 1)
-                    examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
-                else:
-                    examples = [r for r in records if r.id != rec.id][:n_examples]
-            else:
-                examples = None
+            examples = None
+            if strategy is PromptStrategy.RAG:
+                hits = store.retrieve(rec.features, k=retrieve_k + 1)
+                examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
+            elif strategy.needs_examples:
+                examples = [r for r in records if r.id != rec.id][:n_examples]
             try:
                 prompt = build_prompt(strategy, rec.features, examples=examples)
             except StrategyPreconditionError:

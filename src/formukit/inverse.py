@@ -13,8 +13,10 @@ Two parameterizations are supported:
   reduced-time clock of the last run held, released % is 100 (1 - R f) with
   R[k, i] = (x_i(t_k) / x0_i)^3, so the fit is one bounded linear
   least-squares solve; each round steps toward its solution, halving the
-  step until the true objective falls. Fractions are clipped to bounds and
-  renormalized to sum to 1.
+  step until the true objective falls. Once no step falls (a saturating
+  dose, where the clock moves strongly with f), the rounds linearize with a
+  finite-difference Jacobian instead (Gauss-Newton). Fractions are clipped
+  to bounds and renormalized to sum to 1.
 
 Every accepted iterate has a non-increasing objective, and identical specs
 plus seed give bit-identical results.
@@ -46,6 +48,8 @@ CONVERGED_RELATIVE_DECREASE = 1e-6
 _SUM_WEIGHT = 1e3
 #: Steps toward a round's least-squares solution, as shares of the way, tried in turn.
 _STEPS = 0.5 ** np.arange(7)
+#: Finite-difference step on the free-bin fractions, once the held clock stalls.
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -206,9 +210,7 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
 
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
-    starts = [z0]
-    for _ in range(n_starts - 1):
-        starts.append(rng.uniform(lb, ub))
+    starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
 
     def nelder_mead(tracker, start):
         simplex = [np.array(start, dtype=float)]
@@ -232,8 +234,7 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
 
 
 def _project(fractions: np.ndarray, bounds) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=float).T
     clipped = np.clip(fractions, np.maximum(lo, 0.0), hi)
     total = clipped.sum()
     if total <= 0:
@@ -248,22 +249,21 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
     param = spec.parameterization
     sizes = param.sizes_um
     n = param.n
-    # Release rows, then the roughness rows and one row holding the sum at 1.
+    # Release rows go on top of the roughness rows and one row holding the sum at 1.
     scale = 1.0 / np.sqrt(spec.target.n_points)
     penalty = np.vstack((np.sqrt(spec.regularization_weight) * np.diff(np.eye(n), n=2, axis=0),
                          np.full((1, n), _SUM_WEIGHT)))
-    rhs = np.concatenate(((spec.target.released_pct - 100.0) * scale,
-                          np.zeros(len(penalty) - 1), [_SUM_WEIGHT]))
-    remaining = None                  # mass share left per time and bin, of the last run
+    penalty_rhs = np.append(np.zeros(len(penalty) - 1), _SUM_WEIGHT)
+    released = remaining = None       # of the last run: released %, mass share left per bin
 
-    def eval_f(fractions):
-        nonlocal remaining
+    def run(fractions):
+        nonlocal released, remaining
         psd = SizeDistribution(sizes, fractions)
-        run = simulate(spec.drug, spec.morph, psd, spec.conditions,
-                       output_grid_hr=spec.target.times_hr)
-        x = np.array([state.sizes_m for state in run.states])
-        remaining = (x / x[0]) ** 3
-        return _misfit(psd, spec, run.profile)
+        result = simulate(spec.drug, spec.morph, psd, spec.conditions,
+                          output_grid_hr=spec.target.times_hr)
+        x = np.array([state.sizes_m for state in result.states])
+        released, remaining = result.profile.released_pct, (x / x[0]) ** 3
+        return _misfit(psd, spec, result.profile)
 
     rng = np.random.default_rng(seed)
     f0 = param.fractions if param.fractions is not None else np.full(n, 1.0 / n)
@@ -271,27 +271,42 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
               for f in [f0] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
 
     def fixed_point(tracker, current):
-        value = tracker.accepted[-1]
+        value, base = tracker.accepted[-1], released
+        exact = False                 # set once the held clock stalls
         for _ in range(max_rounds):
             if tracker.converged:
                 return
-            # With the clock of the current run held, released % is
-            # 100 (1 - remaining @ f): the fit is linear in f.
-            matrix = np.vstack((-100.0 * scale * remaining, penalty))
-            solution = _project(lsq_linear(matrix, rhs, bounds=np.array(spec.bounds).T,
-                                           method="bvls").x, spec.bounds)
+            # Each round fits released % ~ offset + jac @ f. With the clock of
+            # the current run held, that is 100 - 100 remaining @ f. Once that
+            # stops giving a descent step, the clock's response is taken too:
+            # on the simplex f' - f = sum_j f'_j (e_j - f), so the columns are
+            # finite differences along e_j - f (a Gauss-Newton step).
+            if exact:
+                offset, jac = base, np.empty((base.size, n))
+                for j in range(n):
+                    tracker.evals += 1
+                    run((current + _FD_STEP * np.eye(n)[j]) / (1.0 + _FD_STEP))
+                    jac[:, j] = (released - base) * (1.0 + _FD_STEP) / _FD_STEP
+            else:
+                offset, jac = 100.0, -100.0 * remaining
+            solution = _project(lsq_linear(
+                np.vstack((scale * jac, penalty)),
+                np.concatenate(((spec.target.released_pct - offset) * scale, penalty_rhs)),
+                bounds=np.array(spec.bounds).T, method="bvls").x, spec.bounds)
             # The clock moves with f, so step toward the solution only as far
             # as the true objective falls.
             for step in _STEPS:
                 candidate = current + step * (solution - current)
                 cand_value = tracker(candidate)
                 if cand_value < value:
-                    current, value = candidate, cand_value
+                    current, value, base = candidate, cand_value, released
                     break
             else:
-                return
+                if exact:
+                    return
+                exact = True
 
-    return _multi_start(spec, eval_f, starts, fixed_point, lambda f: (
+    return _multi_start(spec, run, starts, fixed_point, lambda f: (
         SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}))
 
 
@@ -330,7 +345,8 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
     parameterization's own values); the best residual wins, ties broken by
     fewer iterations then lower start index. ``max_evals_per_start`` caps
     the simulations of each log-normal start; ``max_iter_free`` caps the
-    least-squares rounds of each free-bin start. Hitting a cap without
+    least-squares rounds of each free-bin start (held-clock and
+    finite-difference rounds alike). Hitting a cap without
     meeting the convergence rule returns the best-so-far result with
     ``converged=False`` rather than raising.
     """

@@ -23,7 +23,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, MockParseError, RequestError, TransportError, ValidationError
@@ -53,8 +53,7 @@ class LLMConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LLMConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        return cls(**{k: v for k, v in obj.items() if k in cls.__dataclass_fields__})
 
 
 def prompt_sha256(prompt: PromptBundle | str) -> str:
@@ -77,7 +76,17 @@ class Transcript:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "prompt_sha256": self.prompt_sha256,
+            "prompt": self.prompt,
+            "response": self.response,
+            "model": self.model,
+            "backend": self.backend,
+            "started_at": self.started_at,
+            "elapsed_s": self.elapsed_s,
+            "usage": self.usage,
+            "error": self.error,
+        }
 
 
 class TranscriptRecorder:
@@ -192,10 +201,10 @@ class ReplayBackend:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
         """Responses from a transcript file; a torn final line is skipped."""
-        from .store import JsonlReader
+        from .store import read_jsonl
 
         responses = {}
-        for row in JsonlReader(path):
+        for row in read_jsonl(path)[0]:
             if not isinstance(row, dict) or not isinstance(row.get("prompt_sha256"), str):
                 raise ValidationError(f"{path}: a line is not a transcript record")
             if row.get("response") is not None:

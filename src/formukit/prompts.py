@@ -19,11 +19,13 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DuplicateTimeError,
     DomainError,
     EmptyProfileError,
     ParseError,
@@ -46,14 +48,6 @@ class PromptStrategy(enum.Enum):
     @property
     def needs_examples(self) -> bool:
         return self in (PromptStrategy.FS, PromptStrategy.FS_CoT, PromptStrategy.RAG)
-
-    @property
-    def base(self) -> "PromptStrategy":
-        if self is PromptStrategy.ZS_CoT:
-            return PromptStrategy.ZS
-        if self is PromptStrategy.FS_CoT:
-            return PromptStrategy.FS
-        return self
 
 
 #: CLI-facing spellings.
@@ -249,22 +243,23 @@ class PromptBundle:
         raise KeyError(name)
 
 
-def _render(sections: dict[str, str], strategy: PromptStrategy) -> PromptBundle:
-    ordered = tuple((key, sections[key]) for key, _ in SECTION_HEADERS)
-    parts = [f"### {header}: ###\n{sections[key]}" for key, header in SECTION_HEADERS]
-    rendered = "\n\n".join(parts)
+def _render(strategy: PromptStrategy, request: str, input_format: str, output_format: str,
+            examples, constraints: str | None) -> PromptBundle:
+    """The seven sections in :data:`SECTION_HEADERS` order, rendered."""
+    if not strategy.needs_examples:
+        examples_body = NO_EXAMPLES_TEXT
+    elif examples is None or (not isinstance(examples, str) and not list(examples)):
+        raise StrategyPreconditionError(f"{strategy.value} requires at least one example record")
+    else:
+        examples_body = examples if isinstance(examples, str) else render_example_blocks(examples)
+    bodies = (_ROLE_BODY, _BACKGROUND_BODY, request, input_format, output_format, examples_body,
+              constraints if constraints is not None else _CONSTRAINTS_BODY)
+    sections = tuple((key, body) for (key, _), body in zip(SECTION_HEADERS, bodies))
+    rendered = "\n\n".join(f"### {header}: ###\n{body}"
+                           for (_, header), body in zip(SECTION_HEADERS, bodies))
     if strategy.is_cot:
         rendered += "\n" + COT_INSTRUCTION
-    return PromptBundle(sections=ordered, rendered=rendered, strategy=strategy)
-
-
-def _examples_body(strategy: PromptStrategy, examples) -> str:
-    if strategy.needs_examples:
-        if examples is None or (not isinstance(examples, str) and not list(examples)):
-            raise StrategyPreconditionError(
-                f"{strategy.value} requires at least one example record")
-        return examples if isinstance(examples, str) else render_example_blocks(examples)
-    return NO_EXAMPLES_TEXT
+    return PromptBundle(sections=sections, rendered=rendered, strategy=strategy)
 
 
 def build_prompt(strategy: PromptStrategy, features: FormulationInput,
@@ -281,16 +276,8 @@ def build_prompt(strategy: PromptStrategy, features: FormulationInput,
         Replaces the standard Constraints body (the kinetic model block and
         the USP rule) when given.
     """
-    sections = {
-        "role": _ROLE_BODY,
-        "background": _BACKGROUND_BODY,
-        "request": _FORWARD_REQUEST_BODY,
-        "input_format": render_input_block(features),
-        "output_format": _FORWARD_OUTPUT_BODY,
-        "examples": _examples_body(strategy, examples),
-        "constraints": constraints if constraints is not None else _CONSTRAINTS_BODY,
-    }
-    return _render(sections, strategy)
+    return _render(strategy, _FORWARD_REQUEST_BODY, render_input_block(features),
+                   _FORWARD_OUTPUT_BODY, examples, constraints)
 
 
 def build_inverse_prompt(strategy: PromptStrategy, target: DissolutionProfile,
@@ -310,16 +297,8 @@ def build_inverse_prompt(strategy: PromptStrategy, target: DissolutionProfile,
     input_lines.append(render_profile_json(target, indent="    ") + ",")
     input_lines.append("  }")
     input_lines.append("}")
-    sections = {
-        "role": _ROLE_BODY,
-        "background": _BACKGROUND_BODY,
-        "request": _INVERSE_REQUEST_BODY,
-        "input_format": "\n".join(input_lines),
-        "output_format": _INVERSE_OUTPUT_BODY,
-        "examples": _examples_body(strategy, examples),
-        "constraints": constraints if constraints is not None else _CONSTRAINTS_BODY,
-    }
-    return _render(sections, strategy)
+    return _render(strategy, _INVERSE_REQUEST_BODY, "\n".join(input_lines),
+                   _INVERSE_OUTPUT_BODY, examples, constraints)
 
 
 def extract_section(rendered: str, header: str) -> str:
@@ -370,13 +349,15 @@ class ParseReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "unit": self.unit,
+            "converted_from_minutes": self.converted_from_minutes,
+            "clamped_points": [[t, v] for t, v in self.clamped_points],
+            "notes": list(self.notes),
+        }
 
 
 _OBJECT_OPENING_RE = re.compile(r'\{\s*["}]')
-#: Deepest nesting decoded, well inside the decoder's recursion limit; a
-#: deeper block is only searched inside.
-_MAX_DEPTH = 500
 
 
 def _candidate_json_objects(text: str):
@@ -384,13 +365,13 @@ def _candidate_json_objects(text: str):
 
     A block that is not valid JSON is searched inside, since a nested object
     may be valid even when the outer block is not. Braces are paired in one
-    pass without recursion, and a block that spans the point where an
-    enclosing decode failed is skipped, as it would fail there too; so the
-    decoding stays linear in the length of the text at any nesting depth.
+    pass without recursion. A block that spans the point where an enclosing
+    decode failed, or holds braces nested deeper than the recursion limit,
+    is skipped, as its decode would fail too; so the decoding stays linear
+    in the length of the text at any nesting depth.
     """
     pairs = []
-    open_at = []                      # [start, level, deepest level inside] per open brace
-    level = 0
+    open_at = []                      # [start, depth of the braces inside] per open brace
     in_string = False
     escape = False
     for i, ch in enumerate(text):
@@ -403,24 +384,18 @@ def _candidate_json_objects(text: str):
                 in_string = False
         elif ch == '"':
             in_string = True
-        elif ch in "{[":
-            level += 1
-            if ch == "{":
-                open_at.append([i, level, level])
-            elif open_at:
-                open_at[-1][2] = max(open_at[-1][2], level)
-        elif ch in "}]":
-            level -= 1
-            if ch == "}" and open_at:
-                start, base, deepest = open_at.pop()
-                pairs.append((start, i, deepest - base))
-                if open_at:
-                    open_at[-1][2] = max(open_at[-1][2], deepest)
+        elif ch == "{":
+            open_at.append([i, 0])
+        elif ch == "}" and open_at:
+            start, depth = open_at.pop()
+            pairs.append((start, i, depth))
+            if open_at:
+                open_at[-1][1] = max(open_at[-1][1], depth + 1)
     covered = failed_at = -1          # end of the last object yielded; last failure point
     for start, stop, depth in sorted(pairs):
         # A JSON object opens with a key or closes at once; checking that
         # first keeps runs of bare braces from costing a decode each.
-        if (start < covered or start < failed_at <= stop or depth > _MAX_DEPTH
+        if (start < covered or start < failed_at <= stop or depth > sys.getrecursionlimit()
                 or not _OBJECT_OPENING_RE.match(text, start)):
             continue
         try:
@@ -497,6 +472,8 @@ def parse_profile_response(text: str, full_output: bool = False):
 
     try:
         profile = DissolutionProfile(np.asarray(times), np.asarray(released))
+    except DuplicateTimeError:
+        raise
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     return (profile, report) if full_output else profile

@@ -18,6 +18,7 @@ features that actually vary.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,34 +140,23 @@ class RetrievalWeights:
         return float(self.weights[self.names.index(name)])
 
 
-class JsonlReader:
-    """Rows of an append-only JSONL file, read as iterated. A final line cut
-    short (invalid, no newline) is skipped with a logged warning and its size
-    in bytes kept in ``torn_bytes``; any other invalid line raises ValidationError."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.torn_bytes = 0
-
-    def __iter__(self):
-        with open(self.path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if not raw.endswith("\n"):
-                        import logging
-
-                        logging.getLogger(__name__).warning(
-                            "%s:%d: skipped a truncated final line", self.path, line_no)
-                        self.torn_bytes = len(raw.encode("utf-8"))
-                        return
-                    raise ValidationError(
-                        f"{self.path}:{line_no}: invalid JSON line") from exc
-                yield row
+def read_jsonl(path: str | Path) -> tuple[list, int]:
+    """Rows of an append-only JSONL file, and the size in bytes of a final
+    line cut short (invalid, no newline), which is skipped with a logged
+    warning; any other invalid line raises ValidationError."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                if raw.strip():
+                    rows.append(json.loads(raw))
+            except json.JSONDecodeError as exc:
+                if raw.endswith("\n"):
+                    raise ValidationError(f"{path}:{line_no}: invalid JSON line") from exc
+                logging.getLogger(__name__).warning(
+                    "%s:%d: skipped a truncated final line", path, line_no)
+                return rows, len(raw.encode("utf-8"))
+    return rows, 0
 
 
 class RecordStore:
@@ -186,13 +176,12 @@ class RecordStore:
             self._load()
 
     def _load(self):
-        rows = JsonlReader(self.path)
+        rows, self._torn_bytes = read_jsonl(self.path)
         for row in rows:
             record = FormulationRecord.from_dict(row)
             if record.id not in self._records:
                 self._order.append(record.id)
             self._records[record.id] = record
-        self._torn_bytes = rows.torn_bytes
 
     def __len__(self) -> int:
         return len(self._records)
@@ -253,9 +242,7 @@ class RecordStore:
             from scipy import stats
 
             release_1hr = np.array([r.profile.released_at(1.0) for r in self.records])
-            for j in range(len(FEATURE_NAMES)):
-                if not varying[j]:
-                    continue
+            for j in np.flatnonzero(varying):
                 rho = stats.spearmanr(matrix[:, j], release_1hr).statistic
                 if np.isfinite(rho):
                     raw[j] = abs(rho)
@@ -288,14 +275,12 @@ class RecordStore:
             unknown = subset - set(FEATURE_NAMES)
             if unknown:
                 raise ValidationError(f"unknown feature(s): {sorted(unknown)}")
-            masked = np.array([
-                w if name in subset else 0.0
-                for name, w in zip(weights.names, weights.weights)])
+            in_subset = np.array([name in subset for name in weights.names])
+            masked = np.where(in_subset, weights.weights, 0.0)
             if masked.sum() == 0.0:
                 # none of the requested features carries weight; fall back to
                 # uniform over the subset
-                masked = np.array([1.0 if name in subset else 0.0
-                                   for name in weights.names])
+                masked = in_subset.astype(float)
             weights = RetrievalWeights(weights.names, masked / masked.sum(),
                                        weights.scales)
         diff = np.abs(query.feature_vector() - self.feature_matrix())
@@ -327,8 +312,5 @@ def import_verbatim_file(path: str | Path) -> list[FormulationRecord]:
     entries = payload.get("records", payload) if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise ValidationError("verbatim import expects a list of records")
-    records = []
-    for i, entry in enumerate(entries):
-        record_id = entry.get("id", f"record-{i + 1}")
-        records.append(record_from_verbatim(entry, record_id))
-    return records
+    return [record_from_verbatim(entry, entry.get("id", f"record-{i + 1}"))
+            for i, entry in enumerate(entries)]

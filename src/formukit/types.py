@@ -105,9 +105,6 @@ class ParticleMorphology:
         return self.psi_a_effective / self.psi_v
 
 
-SPHERE = ParticleMorphology()
-
-
 @dataclass(frozen=True)
 class SizeDistribution:
     """Binned particle size distribution by mass.

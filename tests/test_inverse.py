@@ -163,13 +163,17 @@ class TestDesignFreeBins:
         assert np.all(result.psd.fractions >= 0.0)
         assert np.all(result.psd.fractions <= 1.0)
 
-    @pytest.mark.parametrize("d50, bound", [(200.0, 1e-2), (300.0, 0.05)])
-    def test_saturating_dose_converges(self, drug, sphere, d50, bound):
-        # At 600 mg the bulk saturates, so the clock depends strongly on the
-        # fractions. At d50 300 um, taking only full steps toward each
-        # solution stalls near 0.07 %^2; the halved steps reach about 0.02.
-        saturating = DissolutionConditions(dose_mg=600.0)
-        target = simulate_dissolution(drug, sphere, psd_from_lognormal(d50, 1.6, 12), saturating)
+    @pytest.mark.parametrize("dose, d50, sigma, bound", [
+        (600.0, 200.0, 1.6, 1e-2), (600.0, 300.0, 1.6, 5e-3), (1000.0, 300.0, 1.3, 5e-3)])
+    def test_saturating_dose_converges(self, drug, sphere, dose, d50, sigma, bound):
+        # Past the capacity the clock depends strongly on the fractions. At
+        # 600 mg and d50 300 um, full steps toward each held-clock solution
+        # stall near 0.07 %^2; at 1000 mg no step of the held-clock solution
+        # improves at all, and only the finite-difference rounds get there.
+        # The old projected descent ended at 0.0093 and 0.043 %^2.
+        saturating = DissolutionConditions(dose_mg=dose)
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(d50, sigma, 12),
+                                      saturating)
         spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=saturating,
                           parameterization=FreeBinsParameterization.geometric(12, 40.0, 1500.0))
         result = design_psd(spec, seed=0, n_starts=1)
@@ -189,16 +193,24 @@ class TestDesignFreeBins:
 
 
 class TestEvaluationCount:
-    @pytest.mark.parametrize("param, kwargs", [
+    @pytest.mark.parametrize("param, kwargs, dose", [
         pytest.param(LognormalParameterization(300.0, 1.2, n_bins=12),
-                     dict(n_starts=2, max_evals_per_start=12), id="lognormal"),
+                     dict(n_starts=2, max_evals_per_start=12), None, id="lognormal"),
         pytest.param(FreeBinsParameterization.geometric(6, 30.0, 300.0),
-                     dict(n_starts=2, max_iter_free=2), id="free_bins"),
+                     dict(n_starts=2, max_iter_free=2), None, id="free_bins"),
+        # At 1000 mg the held clock stalls at once, so finite-difference rounds run.
+        pytest.param(FreeBinsParameterization.geometric(12, 40.0, 1500.0),
+                     dict(n_starts=1, max_iter_free=3), 1000.0, id="free_bins_saturating"),
     ])
     def test_counts_every_simulation(self, drug, sphere, conditions, round_trip_target,
-                                     monkeypatch, param, kwargs):
+                                     monkeypatch, param, kwargs, dose):
         import formukit.inverse as inverse
 
+        target = round_trip_target
+        if dose is not None:
+            conditions = DissolutionConditions(dose_mg=dose)
+            target = simulate_dissolution(drug, sphere, psd_from_lognormal(300.0, 1.3, 12),
+                                          conditions)
         calls = []
 
         def counting(solver):
@@ -210,11 +222,12 @@ class TestEvaluationCount:
         # Objectives go through simulate_dissolution, free-bin rounds through simulate.
         for name in ("simulate_dissolution", "simulate"):
             monkeypatch.setattr(inverse, name, counting(getattr(inverse, name)))
-        spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
+        spec = DesignSpec(target=target, drug=drug, morph=sphere,
                           conditions=conditions, parameterization=param)
         result = design_psd(spec, seed=0, **kwargs)
         assert result.evaluations == len(calls)
-        # Rejected steps and the final run are counted but never accepted:
+        # Rejected steps, finite-difference runs and the final run are
+        # counted but never accepted:
         # the history stays shorter.
         assert len(result.objective_history) < result.evaluations
 

@@ -79,3 +79,15 @@ def test_scanner_finds_every_decodable_block(text):
     from formukit.prompts import _candidate_json_objects
 
     assert list(_candidate_json_objects(text)) == _decodable_blocks(text)
+
+
+@pytest.mark.parametrize("depth", [600, 990, 1000, 1100])
+@pytest.mark.parametrize("opener", ['{"a":', '{"a":['])
+def test_scanner_matches_reference_near_the_recursion_limit(depth, opener):
+    # Blocks nested deeper than the recursion limit are skipped without a
+    # decode; the blocks found must still be those the decoder accepts.
+    from formukit.prompts import _candidate_json_objects
+
+    closer = "]}" if opener.endswith("[") else "}"
+    text = opener * depth + "1" + closer * depth
+    assert list(_candidate_json_objects(text)) == _decodable_blocks(text)

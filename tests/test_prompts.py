@@ -227,6 +227,7 @@ class TestParseProfileResponse:
 
     @pytest.mark.parametrize("text", [
         pytest.param('{"a":' * 20000 + '}' * 20000, id="deep"),
+        pytest.param('{"a":[' * 20000 + ']}' * 20000, id="deep-bracketed"),
         pytest.param('{"a":' * 400 + '[' + '1,' * 100_000 + 'x]' + '}' * 400, id="late-failure"),
     ])
     def test_key_opened_nesting_is_linear(self, text):
