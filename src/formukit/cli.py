@@ -124,10 +124,9 @@ def _load_features(args) -> FormulationInput:
             name = VERBATIM_TO_CANONICAL.get(key, key)
             if name in FEATURE_NAMES:
                 canonical[name] = float(value)
-        missing = [n for n in ("d50_um",) if n not in canonical]
-        if missing:
+        if "d50_um" not in canonical:
             raise ValidationError(
-                f"input file {args.input} is missing required field(s): {', '.join(missing)}")
+                f"input file {args.input} is missing required field(s): d50_um")
         return FormulationInput(**canonical)
     if args.d50 is None:
         raise ValidationError("provide --input FILE or --d50 (required field: d50_um)")
@@ -256,8 +255,7 @@ def _build_client(config: AppConfig, args, recorder: TranscriptRecorder) -> LLMC
                      seed=args.seed if args.seed is not None else config.seed)
 
 
-def _examples_for_predict(config: AppConfig, args, features: FormulationInput):
-    strategy = STRATEGY_ALIASES[args.strategy]
+def _examples_for_predict(config: AppConfig, args, strategy, features: FormulationInput):
     if not strategy.needs_examples:
         return None
     if strategy.name == "RAG":
@@ -274,7 +272,7 @@ def cmd_predict(config: AppConfig, args) -> int:
         raise ValidationError(f"unknown strategy {args.strategy!r}")
     features = _load_features(args)
     strategy = STRATEGY_ALIASES[args.strategy]
-    examples = _examples_for_predict(config, args, features)
+    examples = _examples_for_predict(config, args, strategy, features)
     prompt = build_prompt(strategy, features, examples=examples)
     out = _run_dir(config, args)
     recorder = TranscriptRecorder(out / "transcript.jsonl")

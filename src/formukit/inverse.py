@@ -346,8 +346,8 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
     fewer iterations then lower start index. ``max_evals_per_start`` caps
     the simulations of each log-normal start; ``max_iter_free`` caps the
     least-squares rounds of each free-bin start (held-clock and
-    finite-difference rounds alike). Hitting a cap without
-    meeting the convergence rule returns the best-so-far result with
+    finite-difference rounds alike). Hitting a cap without meeting the
+    convergence rule returns the best-so-far result with
     ``converged=False`` rather than raising.
     """
     if n_starts < 1:

@@ -201,10 +201,10 @@ class ReplayBackend:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
         """Responses from a transcript file; a torn final line is skipped."""
-        from .store import read_jsonl
+        from .store import JsonlRows
 
         responses = {}
-        for row in read_jsonl(path)[0]:
+        for row in JsonlRows(path):
             if not isinstance(row, dict) or not isinstance(row.get("prompt_sha256"), str):
                 raise ValidationError(f"{path}: a line is not a transcript record")
             if row.get("response") is not None:

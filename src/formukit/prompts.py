@@ -237,10 +237,7 @@ class PromptBundle:
     strategy: PromptStrategy
 
     def section(self, name: str) -> str:
-        for key, body in self.sections:
-            if key == name:
-                return body
-        raise KeyError(name)
+        return dict(self.sections)[name]
 
 
 def _render(strategy: PromptStrategy, request: str, input_format: str, output_format: str,

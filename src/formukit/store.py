@@ -140,23 +140,28 @@ class RetrievalWeights:
         return float(self.weights[self.names.index(name)])
 
 
-def read_jsonl(path: str | Path) -> tuple[list, int]:
-    """Rows of an append-only JSONL file, and the size in bytes of a final
-    line cut short (invalid, no newline), which is skipped with a logged
-    warning; any other invalid line raises ValidationError."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                if raw.strip():
-                    rows.append(json.loads(raw))
-            except json.JSONDecodeError as exc:
-                if raw.endswith("\n"):
-                    raise ValidationError(f"{path}:{line_no}: invalid JSON line") from exc
-                logging.getLogger(__name__).warning(
-                    "%s:%d: skipped a truncated final line", path, line_no)
-                return rows, len(raw.encode("utf-8"))
-    return rows, 0
+class JsonlRows:
+    """The rows of an append-only JSONL file, read one at a time as iterated.
+    A final line cut short (invalid, no newline) is skipped with a logged
+    warning and its size in bytes kept in ``torn_bytes``; any other invalid
+    line raises ValidationError."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.torn_bytes = 0
+
+    def __iter__(self):
+        with open(self.path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    if raw.strip():
+                        yield json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    if raw.endswith("\n"):
+                        raise ValidationError(f"{self.path}:{line_no}: invalid JSON line") from exc
+                    logging.getLogger(__name__).warning(
+                        "%s:%d: skipped a truncated final line", self.path, line_no)
+                    self.torn_bytes = len(raw.encode("utf-8"))
 
 
 class RecordStore:
@@ -176,12 +181,13 @@ class RecordStore:
             self._load()
 
     def _load(self):
-        rows, self._torn_bytes = read_jsonl(self.path)
+        rows = JsonlRows(self.path)
         for row in rows:
             record = FormulationRecord.from_dict(row)
             if record.id not in self._records:
                 self._order.append(record.id)
             self._records[record.id] = record
+        self._torn_bytes = rows.torn_bytes
 
     def __len__(self) -> int:
         return len(self._records)

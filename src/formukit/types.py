@@ -40,12 +40,9 @@ class DrugSubstance:
     true_density_g_ml: float
 
     def __post_init__(self):
-        if self.c_sat_mg_ml <= 0:
-            raise DomainError("c_sat_mg_ml must be > 0")
-        if self.diffusivity_m2_s <= 0:
-            raise DomainError("diffusivity_m2_s must be > 0")
-        if self.true_density_g_ml <= 0:
-            raise DomainError("true_density_g_ml must be > 0")
+        for name in ("c_sat_mg_ml", "diffusivity_m2_s", "true_density_g_ml"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be > 0")
 
 
 #: Diuretic powder used throughout the bundled example data.
