@@ -164,13 +164,15 @@ class TestDesignFreeBins:
         assert np.all(result.psd.fractions <= 1.0)
 
     @pytest.mark.parametrize("dose, d50, sigma, bound", [
-        (600.0, 200.0, 1.6, 1e-2), (600.0, 300.0, 1.6, 5e-3), (1000.0, 300.0, 1.3, 5e-3)])
+        (600.0, 200.0, 1.6, 1e-2), (600.0, 300.0, 1.6, 5e-3), (1000.0, 300.0, 1.3, 5e-3),
+        (1500.0, 500.0, 1.5, 2e-3)])
     def test_saturating_dose_converges(self, drug, sphere, dose, d50, sigma, bound):
         # Past the capacity the clock depends strongly on the fractions. At
-        # 600 mg and d50 300 um, full steps toward each held-clock solution
-        # stall near 0.07 %^2; at 1000 mg no step of the held-clock solution
-        # improves at all, and only the finite-difference rounds get there.
-        # The old projected descent ended at 0.0093 and 0.043 %^2.
+        # 1000 mg no step toward the held-clock solution improves at all, so
+        # only the finite-difference rounds get there; at 1500 mg full steps
+        # alone stop near 6 %^2, so the halving is needed too. The old
+        # projected descent ended at 0.0093, 0.043 and 0.0032 %^2 on the
+        # last three.
         saturating = DissolutionConditions(dose_mg=dose)
         target = simulate_dissolution(drug, sphere, psd_from_lognormal(d50, sigma, 12),
                                       saturating)
