@@ -10,11 +10,9 @@ from .dissolution import (
     SimulationResult,
     SimulationState,
     derived_metrics,
-    mass_transfer_coefficient,
     psd_from_lognormal,
     reynolds_schmidt,
     sherwood,
-    shrink_rate,
     simulate,
     simulate_dissolution,
 )
@@ -90,8 +88,8 @@ __all__ = [
     "SimulationResult", "SimulationState", "SizeDistribution", "Transcript",
     "TranscriptRecorder", "align_profiles", "build_inverse_prompt", "build_prompt",
     "derived_metrics", "design_psd", "design_report", "import_verbatim_file",
-    "load_records", "make_backend", "mass_transfer_coefficient", "mse", "objective",
-    "parse_profile_response", "profile_metrics", "prompt_sha256", "psd_from_lognormal",
-    "r_squared", "record_from_verbatim", "reynolds_schmidt", "run_benchmark", "sherwood",
-    "shrink_rate", "simulate", "simulate_dissolution", "to_examples", "validate_profile",
+    "load_records", "make_backend", "mse", "objective", "parse_profile_response",
+    "profile_metrics", "prompt_sha256", "psd_from_lognormal", "r_squared",
+    "record_from_verbatim", "reynolds_schmidt", "run_benchmark", "sherwood", "simulate",
+    "simulate_dissolution", "to_examples", "validate_profile",
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, SaturationError, SingularityError
+from .errors import DomainError, IntegrationError
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
     DissolutionConditions,
@@ -91,29 +91,6 @@ def sherwood(re, sc):
     return float(sh) if sh.ndim == 0 else sh
 
 
-def mass_transfer_coefficient(sh, diffusivity, x):
-    """Film mass-transfer coefficient k = Sh * D / x [m/s].
-
-    Parameters
-    ----------
-    sh : float or ndarray
-        Sherwood number, > 0.
-    diffusivity : float
-        Molecular diffusivity [m^2/s], > 0.
-    x : float or ndarray
-        Particle size [m], > 0. Fully dissolved bins must be removed by the
-        caller before evaluating k.
-    """
-    sh = np.asarray(sh, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0):
-        raise SingularityError("k = Sh*D/x is singular at x = 0")
-    if np.any(sh <= 0) or diffusivity <= 0 or np.any(x < 0):
-        raise DomainError("sh, diffusivity and x must be > 0")
-    k = sh * diffusivity / x
-    return float(k) if k.ndim == 0 else k
-
-
 def reynolds_schmidt(conditions: DissolutionConditions, x, diffusivity: float):
     """Particle Reynolds and Schmidt numbers for the vessel conditions.
 
@@ -130,35 +107,6 @@ def reynolds_schmidt(conditions: DissolutionConditions, x, diffusivity: float):
     sc = conditions.fluid_viscosity_pa_s / (conditions.fluid_density_kg_m3 * diffusivity)
     re = float(re) if re.ndim == 0 else re
     return re, float(sc)
-
-
-def shrink_rate(x, k, morph: ParticleMorphology, drug: DrugSubstance, c_b):
-    """Size shrink rate dx/dt [m/s] of the film model; always <= 0.
-
-    Parameters
-    ----------
-    x : float or ndarray
-        Current particle size [m], > 0 (used only for domain checking; the
-        size dependence is carried by k).
-    k : float or ndarray
-        Mass-transfer coefficient [m/s].
-    c_b : float
-        Bulk concentration [mg/mL]; must not exceed the drug's solubility.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("particle size must be > 0")
-    c_b = np.asarray(c_b, dtype=float)
-    if np.any(c_b < 0):
-        raise DomainError("bulk concentration must be >= 0")
-    if np.any(c_b > drug.c_sat_mg_ml):
-        raise SaturationError(
-            f"bulk concentration {float(np.max(c_b))!r} exceeds solubility {drug.c_sat_mg_ml!r}"
-        )
-    rho_s = drug.true_density_g_ml * KG_M3_PER_G_ML          # kg/m^3
-    driving = drug.c_sat_mg_ml - c_b                          # mg/mL == kg/m^3
-    rate = -np.asarray(k, dtype=float) * morph.surface_to_volume_ratio * driving / rho_s
-    return float(rate) if rate.ndim == 0 else rate
 
 
 def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDistribution:

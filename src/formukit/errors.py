@@ -14,14 +14,6 @@ class DomainError(FormukitError, ValueError):
     """An input is outside the physical or mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """A quantity that must be strictly positive (e.g. particle size) is zero."""
-
-
-class SaturationError(DomainError):
-    """Bulk concentration exceeds solubility."""
-
-
 class IntegrationError(FormukitError, RuntimeError):
     """The dissolution solver failed; carries the simulated time it failed at."""
 

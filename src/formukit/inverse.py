@@ -6,9 +6,10 @@ the ill-posedness (many distributions produce near-identical curves).
 
 Two parameterizations are supported:
 
-* log-normal (d50, geo_sigma): bounded Nelder-Mead over the log-transformed
-  parameters; the parameterization's own values double as the starting
-  point, and additional seeded starts guard against local minima.
+* log-normal (d50, geo_sigma): bounded nonlinear least squares (trust-region
+  reflective, finite-difference Jacobian) on the release residuals over the
+  log-transformed parameters; the parameterization's own values double as
+  the starting point, and additional seeded starts guard against local minima.
 * free bins on a fixed geometric size grid: a damped fixed point. With the
   reduced-time clock of the last run held, released % is 100 (1 - R f) with
   R[k, i] = (x_i(t_k) / x0_i)^3, so the fit is one bounded linear
@@ -41,8 +42,8 @@ from .types import (
 
 #: Objective level treated as a perfect fit [%^2].
 CONVERGED_OBJECTIVE = 1e-3
-#: Relative improvement over the last 5 accepted iterates below which the
-#: search is considered converged.
+#: Relative improvement over the last 5 accepted iterates below which a
+#: free-bin search is considered converged.
 CONVERGED_RELATIVE_DECREASE = 1e-6
 #: Weight of the least-squares row that holds the free-bin fractions' sum at 1.
 _SUM_WEIGHT = 1e3
@@ -50,6 +51,15 @@ _SUM_WEIGHT = 1e3
 _STEPS = 0.5 ** np.arange(7)
 #: Finite-difference step on the free-bin fractions, once the held clock stalls.
 _FD_STEP = 1e-4
+#: Relative finite-difference step on the log-normal's log parameters.
+_DIFF_STEP = 1e-7
+#: ftol, xtol and gtol of the log-normal least-squares solve; this tight, an
+#: exact target is recovered to rounding for about three more simulations.
+_TOL = 1e-12
+
+
+class _OutOfRuns(Exception):
+    """A log-normal start has used its ``max_evals_per_start`` simulations."""
 
 
 @dataclass(frozen=True)
@@ -191,7 +201,7 @@ class _AcceptTracker:
 
 def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
                       max_evals_per_start: int) -> DesignResult:
-    from scipy.optimize import Bounds, minimize
+    from scipy.optimize import least_squares
 
     param = spec.parameterization
     (d50_lo, d50_hi), (sig_lo, sig_hi) = spec.bounds
@@ -199,38 +209,44 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
         raise ConfigurationError("geo_sigma lower bound must be >= 1")
     lb = np.log([d50_lo, sig_lo])
     ub = np.log([d50_hi, sig_hi])
+    scale = 1.0 / np.sqrt(spec.target.n_points)
+    residual = None           # of the last run; its sum of squares is the MSE
 
     def lognormal(z):
         d50, sigma = float(np.exp(z[0])), float(np.exp(z[1]))
         return (psd_from_lognormal(d50, sigma, param.n_bins),
                 {"d50_um": d50, "geo_sigma": sigma, "n_bins": param.n_bins})
 
-    def eval_z(z):
-        return objective(lognormal(z)[0], spec)
+    def run(z):
+        nonlocal residual
+        psd = lognormal(z)[0]
+        achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
+                                        output_grid_hr=spec.target.times_hr)
+        residual = scale * (achieved.released_pct - spec.target.released_pct)
+        return _misfit(psd, spec, achieved)
 
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
     starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
 
-    def nelder_mead(tracker, start):
-        simplex = [np.array(start, dtype=float)]
-        for dim, step in enumerate((0.4, 0.2)):
-            vertex = np.array(start, dtype=float)
-            vertex[dim] = vertex[dim] + step if vertex[dim] + step <= ub[dim] \
-                else vertex[dim] - step
-            vertex[dim] = float(np.clip(vertex[dim], lb[dim], ub[dim]))
-            if vertex[dim] == start[dim]:
-                # bounds narrower than the step; keep the simplex non-degenerate
-                vertex[dim] = 0.5 * (lb[dim] + ub[dim])
-            simplex.append(vertex)
-        minimize(
-            tracker, start, method="Nelder-Mead",
-            bounds=Bounds(lb, ub),
-            options={"maxfev": max_evals_per_start, "xatol": 1e-4,
-                     "fatol": 1e-8, "initial_simplex": np.array(simplex)},
-        )
+    def trust_region(tracker, start):
+        start_residual = residual             # the tracker has just run the start
 
-    return _multi_start(spec, eval_z, starts, nelder_mead, lognormal)
+        def residuals(z):
+            if np.array_equal(z, start):      # least_squares evaluates its x0 again
+                return start_residual
+            if tracker.evals >= max_evals_per_start:     # Jacobian runs count too
+                raise _OutOfRuns
+            tracker(z)
+            return residual
+
+        try:
+            return least_squares(residuals, start, bounds=(lb, ub), method="trf",
+                                 diff_step=_DIFF_STEP, ftol=_TOL, xtol=_TOL, gtol=_TOL).status > 0
+        except _OutOfRuns:
+            return False
+
+    return _multi_start(spec, run, starts, trust_region, lognormal)
 
 
 def _project(fractions: np.ndarray, bounds) -> np.ndarray:
@@ -275,7 +291,7 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
         exact = False                 # set once the held clock stalls
         for _ in range(max_rounds):
             if tracker.converged:
-                return
+                break
             # Each round fits released % ~ offset + jac @ f. With the clock of
             # the current run held, that is 100 - 100 remaining @ f. Once that
             # stops giving a descent step, the clock's response is taken too:
@@ -303,24 +319,24 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
                     break
             else:
                 if exact:
-                    return
+                    break
                 exact = True
+        return tracker.converged
 
     return _multi_start(spec, run, starts, fixed_point, lambda f: (
         SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}))
 
 
 def _multi_start(spec: DesignSpec, fun, starts, search, make_psd) -> DesignResult:
-    """Run ``search(tracker, start)`` from each start in turn, skipping the
-    rest after a numerically perfect fit, which cannot be beaten materially.
-    The best start has the lowest value, then the fewest accepted steps, then
-    the lowest index."""
-    trackers = []
+    """Run ``search(tracker, start)``, which returns whether it converged,
+    from each start in turn, skipping the rest after a numerically perfect
+    fit, which cannot be beaten materially. The best start has the lowest
+    value, then the fewest accepted steps, then the lowest index."""
+    trackers, converged = [], []
     for start in starts:
         tracker = _AcceptTracker(fun)
         trackers.append(tracker)
-        if tracker(start) >= CONVERGED_OBJECTIVE:
-            search(tracker, start)
+        converged.append(tracker(start) < CONVERGED_OBJECTIVE or search(tracker, start))
         if tracker.accepted[-1] < CONVERGED_OBJECTIVE:
             break
     start_index = min(range(len(trackers)), key=lambda i: (
@@ -331,7 +347,7 @@ def _multi_start(spec: DesignSpec, fun, starts, search, make_psd) -> DesignResul
                                     output_grid_hr=spec.target.times_hr)
     return DesignResult(
         psd=psd, achieved=achieved, residual_mse=mse(align_profiles(spec.target, achieved)),
-        iterations=len(tracker.accepted) - 1, converged=tracker.converged,
+        iterations=len(tracker.accepted) - 1, converged=converged[start_index],
         parameters=parameters, objective_history=tuple(tracker.accepted),
         start_index=start_index, evaluations=sum(t.evals for t in trackers) + 1)
 
@@ -341,14 +357,16 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
                ) -> DesignResult:
     """Find a size distribution whose simulated release matches the target.
 
-    Multi-start local search (``n_starts`` seeded starts, the first being the
-    parameterization's own values); the best residual wins, ties broken by
-    fewer iterations then lower start index. ``max_evals_per_start`` caps
-    the simulations of each log-normal start; ``max_iter_free`` caps the
-    least-squares rounds of each free-bin start (held-clock and
-    finite-difference rounds alike). Hitting a cap without meeting the
-    convergence rule returns the best-so-far result with
-    ``converged=False`` rather than raising.
+    Multi-start least squares (``n_starts`` seeded starts, the first being
+    the parameterization's own values); the best residual wins, ties broken
+    by fewer iterations then lower start index. ``max_evals_per_start`` caps
+    the simulations of each log-normal start, finite-difference Jacobian runs
+    included; ``max_iter_free`` caps the least-squares rounds of each
+    free-bin start (held-clock and finite-difference rounds alike). A
+    log-normal design has converged when the solve stops on its own
+    tolerance, a free-bin design when the accepted objective stalls. Hitting
+    a cap first returns the best-so-far result with ``converged=False``
+    rather than raising.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")

@@ -245,10 +245,12 @@ def _render(strategy: PromptStrategy, request: str, input_format: str, output_fo
     """The seven sections in :data:`SECTION_HEADERS` order, rendered."""
     if not strategy.needs_examples:
         examples_body = NO_EXAMPLES_TEXT
-    elif examples is None or (not isinstance(examples, str) and not list(examples)):
+    elif isinstance(examples, str):
+        examples_body = examples
+    elif examples is None or not (examples := list(examples)):   # an iterator is read once
         raise StrategyPreconditionError(f"{strategy.value} requires at least one example record")
     else:
-        examples_body = examples if isinstance(examples, str) else render_example_blocks(examples)
+        examples_body = render_example_blocks(examples)
     bodies = (_ROLE_BODY, _BACKGROUND_BODY, request, input_format, output_format, examples_body,
               constraints if constraints is not None else _CONSTRAINTS_BODY)
     sections = tuple((key, body) for (key, _), body in zip(SECTION_HEADERS, bodies))

@@ -5,16 +5,14 @@ from scipy.integrate import quad, solve_ivp
 
 from formukit.dissolution import (
     derived_metrics,
-    mass_transfer_coefficient,
     psd_from_lognormal,
     reduced_lifetime,
     reynolds_schmidt,
     sherwood,
-    shrink_rate,
     simulate,
     simulate_dissolution,
 )
-from formukit.errors import DomainError, SaturationError, SingularityError
+from formukit.errors import DomainError
 from formukit.types import (
     DissolutionConditions,
     DrugSubstance,
@@ -52,26 +50,55 @@ class TestSherwood:
             sherwood(1.0, 0.0)
 
 
+#: A monodisperse 97.5 um sphere: with Sh = 2 and D = 7.5e-10 m^2/s the film
+#: coefficient is k = Sh * D / x = 1.538e-5 m/s.
+_X0_M = 9.75e-5
+_K_STAGNANT = 1.5e-9 / _X0_M
+
+
+def _one_sphere(drug, sphere, cond, grid_hr):
+    return simulate(drug, sphere, SizeDistribution([_X0_M * 1e6], [1.0]), cond, grid_hr)
+
+
 class TestMassTransfer:
-    def test_hand_value(self):
-        # Sh=2, D=7.5e-10 m^2/s, x = 97.5 um
-        k = mass_transfer_coefficient(2.0, 7.5e-10, 9.75e-5)
-        assert k == pytest.approx(1.5e-9 / 9.75e-5, rel=1e-14)
-        assert k == pytest.approx(1.538e-5, rel=1e-3)
+    # The film coefficient k = Sh * D / x, read off simulated runs: with
+    # dx/dt = -k * (psi_A / psi_v) * (C_sat - C_b) / rho_s, a stagnant sink run
+    # shrinks x^2 at the constant rate 2 * x * k * 6 * C_sat / rho_s.
 
-    def test_inverse_size_scaling(self):
-        k1 = mass_transfer_coefficient(2.0, 7.5e-10, 9.75e-5)
-        k2 = mass_transfer_coefficient(2.0, 7.5e-10, 9.75e-5 / 2)
-        assert k2 == pytest.approx(2 * k1, rel=1e-14)
+    def test_hand_value(self, drug, sphere, quiescent_sink):
+        assert _K_STAGNANT == pytest.approx(1.538e-5, rel=1e-3)
+        # x^2 reaches zero at t_d = x0 * rho_s / (12 * k * C_sat).
+        t_d = _one_sphere(drug, sphere, quiescent_sink, (0.0, 1.0)).complete_dissolution_time_s
+        assert _X0_M * 1512.0 / (12.0 * 0.45 * t_d) == pytest.approx(_K_STAGNANT, rel=1e-12)
 
-    def test_sherwood_scaling(self):
-        k1 = mass_transfer_coefficient(2.0, 7.5e-10, 9.75e-5)
-        k4 = mass_transfer_coefficient(4.0, 7.5e-10, 9.75e-5)
-        assert k4 == pytest.approx(2 * k1, rel=1e-14)
+    def test_inverse_size_scaling(self, drug, sphere, quiescent_sink):
+        # k ~ 1/x, so a half-size bin shrinks twice as fast in x and exactly
+        # as fast in x^2.
+        psd = SizeDistribution([_X0_M * 5e5, _X0_M * 1e6], [0.5, 0.5])
+        result = simulate(drug, sphere, psd, quiescent_sink, (0.0, 0.05, 0.1))
+        y0 = (psd.sizes_um * 1e-6) ** 2
+        for state in result.states[1:]:
+            small, large = y0 - state.sizes_m ** 2
+            assert small == pytest.approx(large, rel=1e-12)
 
-    def test_zero_size_is_singular(self):
-        with pytest.raises(SingularityError):
-            mass_transfer_coefficient(2.0, 7.5e-10, 0.0)
+    def test_sherwood_scaling(self, drug, sphere, quiescent_sink):
+        # k ~ Sh: at the start of an agitated sink run x^2 falls Sh(x0) / 2
+        # times as fast as without agitation.
+        agitated = DissolutionConditions(sink_override=True)
+        sh = sherwood(*reynolds_schmidt(agitated, _X0_M, drug.diffusivity_m2_s))
+        assert sh > 10.0
+        grid = (0.0, 1e-6)
+        drop = [_X0_M ** 2 - _one_sphere(drug, sphere, cond, grid).states[1].sizes_m[0] ** 2
+                for cond in (agitated, quiescent_sink)]
+        assert drop[0] / drop[1] == pytest.approx(sh / 2.0, rel=1e-5)
+
+    def test_zero_size_is_singular(self, conditions):
+        # k = Sh * D / x has no value at x = 0: no powder and no Reynolds
+        # number takes a zero size.
+        with pytest.raises(DomainError):
+            SizeDistribution([0.0], [1.0])
+        with pytest.raises(DomainError):
+            reynolds_schmidt(conditions, 0.0, 7.5e-10)
 
 
 class TestReynoldsSchmidt:
@@ -96,31 +123,57 @@ class TestReynoldsSchmidt:
 
 
 class TestShrinkRate:
-    def test_no_driving_force(self, sphere, drug):
-        assert shrink_rate(1e-5, 1.5e-5, sphere, drug, drug.c_sat_mg_ml) == 0.0
+    # dx/dt = -k * (psi_A / psi_v) * (C_sat - C_b) / rho_s, read off simulated runs.
 
-    def test_hand_value(self, sphere, drug):
-        # sphere surface/volume ratio 6, k from the 97.5 um example, sink
-        k = 1.5e-9 / 9.75e-5
-        rate = shrink_rate(9.75e-5, k, sphere, drug, 0.0)
-        expected = -k * 6.0 * 0.45 / 1512.0
-        assert rate == pytest.approx(expected, rel=1e-12)
+    def test_no_driving_force(self, drug, sphere):
+        # 600 mg in 900 mL passes the capacity; once C_b = C_sat the sizes hold.
+        result = simulate(drug, sphere, psd_from_lognormal(120.0, 1.5, 12),
+                          DissolutionConditions(dose_mg=600.0), (0.0, 6.0, 24.0, 48.0))
+        held, last = result.states[-2:]
+        assert held.bulk_concentration_mg_ml == drug.c_sat_mg_ml
+        assert np.any(last.sizes_m > 0.0)
+        assert np.array_equal(held.sizes_m, last.sizes_m)
+
+    def test_hand_value(self, drug, sphere, quiescent_sink):
+        # sphere surface/volume ratio 6, k from the 97.5 um example, sink:
+        # dx/dt = -k * 6 * 0.45 / 1512 = -2.747e-8 m/s at the start.
+        rate = -_K_STAGNANT * 6.0 * 0.45 / 1512.0
         assert rate == pytest.approx(-2.747e-8, rel=1e-3)
+        x = _one_sphere(drug, sphere, quiescent_sink, (0.0, 1.0 / 3600.0)).states[1].sizes_m[0]
+        assert x == pytest.approx(np.sqrt(_X0_M ** 2 + 2.0 * _X0_M * rate), rel=1e-14)
+        assert x - _X0_M == pytest.approx(rate, rel=1e-3)
 
-    def test_linear_in_driving_force(self, sphere, drug):
-        full = shrink_rate(1e-5, 1e-5, sphere, drug, 0.0)
-        half = shrink_rate(1e-5, 1e-5, sphere, drug, drug.c_sat_mg_ml / 2)
-        assert half == pytest.approx(full / 2, rel=1e-12)
+    def test_linear_in_driving_force(self, drug, sphere):
+        # Under sink the driving force is C_sat: halving it takes twice as long.
+        half = DrugSubstance(name="half", c_sat_mg_ml=drug.c_sat_mg_ml / 2,
+                             diffusivity_m2_s=drug.diffusivity_m2_s,
+                             true_density_g_ml=drug.true_density_g_ml)
+        cond = DissolutionConditions(sink_override=True)
+        psd = psd_from_lognormal(120.0, 1.5, 12)
+        grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+        full = simulate_dissolution(drug, sphere, psd, cond, grid)
+        slow = simulate_dissolution(half, sphere, psd, cond, 2.0 * grid)
+        assert np.allclose(slow.released_pct, full.released_pct, rtol=0.0, atol=1e-12)
 
-    def test_saturation_violation(self, sphere, drug):
-        with pytest.raises(SaturationError):
-            shrink_rate(1e-5, 1e-5, sphere, drug, drug.c_sat_mg_ml * 1.01)
+    def test_saturation_violation(self, drug, sphere, grid):
+        # Far past the capacity the bulk still never exceeds the solubility.
+        for dose_mg in (1e4, 1e9):
+            result = simulate(drug, sphere, psd_from_lognormal(45.0, 1.5, 30),
+                              DissolutionConditions(dose_mg=dose_mg), grid)
+            for state in result.states:
+                assert state.bulk_concentration_mg_ml <= drug.c_sat_mg_ml
+            assert np.all(result.profile.released_pct <= result.released_cap_pct)
 
-    def test_never_positive(self, sphere, drug):
+    def test_never_positive(self, drug, sphere):
+        # No bin grows, whatever the bulk concentration.
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            c_b = rng.uniform(0, drug.c_sat_mg_ml)
-            assert shrink_rate(1e-5, 1e-5, sphere, drug, c_b) <= 0.0
+        for _ in range(20):
+            cond = DissolutionConditions(dose_mg=float(rng.uniform(1.0, 2000.0)),
+                                         sink_override=bool(rng.uniform() < 0.2))
+            result = simulate(drug, sphere, psd_from_lognormal(float(rng.uniform(20.0, 300.0)),
+                                                               1.5, 8), cond, (0.0, 0.5, 2.0, 24.0))
+            sizes = np.array([state.sizes_m for state in result.states])
+            assert np.all(np.diff(sizes, axis=0) <= 0.0)
 
 
 class TestReducedLifetime:

@@ -108,6 +108,45 @@ class TestDesignLognormal:
         assert result.residual_mse >= 0.0
         assert len(result.objective_history) >= 1
 
+    @pytest.mark.parametrize("dose", [10.0, 600.0])
+    def test_exact_recovery(self, drug, sphere, dose):
+        # The truth fits exactly, so the solve must return it, not a point
+        # near it; 600 mg saturates the vessel (cap 67.5 %).
+        cond = DissolutionConditions(dose_mg=dose)
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(220.0, 1.6, 12), cond)
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=cond,
+                          parameterization=LognormalParameterization(330.0, 1.5, n_bins=12))
+        result = design_psd(spec, seed=0)
+        assert result.converged
+        assert result.parameters["d50_um"] == pytest.approx(220.0, rel=1e-6)
+        assert result.parameters["geo_sigma"] == pytest.approx(1.6, rel=1e-6)
+
+    @pytest.mark.parametrize("true_d50, true_sigma, start", [
+        (180.0, 1.4, 1.5), (180.0, 1.4, 1 / 1.5), (320.0, 1.6, 1.5), (320.0, 1.6, 1 / 1.5)])
+    def test_simulation_count(self, drug, sphere, conditions, true_d50, true_sigma, start):
+        # Corners of a 12-bin target with d50 180-320 um and sigma 1.4-1.6,
+        # started 1.5x off in d50: about three runs per Gauss-Newton step.
+        target = simulate_dissolution(drug, sphere,
+                                      psd_from_lognormal(true_d50, true_sigma, 12), conditions)
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=conditions,
+                          parameterization=LognormalParameterization(start * true_d50, 1.5,
+                                                                     n_bins=12))
+        assert design_psd(spec, seed=0).evaluations <= 30
+
+    def test_converged_only_when_the_solve_stops_itself(self, drug, sphere, conditions):
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(250.0, 1.5, 12),
+                                      conditions)
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=conditions,
+                          parameterization=LognormalParameterization(375.0, 1.5, n_bins=12))
+        free = design_psd(spec, seed=0, n_starts=1)
+        assert free.converged
+        # Two runs short of stopping by itself the fit is already exact, but
+        # the cap stopped it.
+        capped = design_psd(spec, seed=0, n_starts=1, max_evals_per_start=free.evaluations - 3)
+        assert capped.evaluations == free.evaluations - 2
+        assert capped.residual_mse < 1e-20
+        assert not capped.converged
+
     def test_infeasible_bounds(self, drug, sphere, conditions, round_trip_target):
         with pytest.raises(ConfigurationError):
             DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
@@ -216,9 +255,9 @@ class TestEvaluationCount:
         calls = []
 
         def counting(solver):
-            def run(*args, **kw):
-                calls.append(1)
-                return solver(*args, **kw)
+            def run(drug, morph, psd, *args, **kw):
+                calls.append((psd.sizes_um.tobytes(), psd.fractions.tobytes()))
+                return solver(drug, morph, psd, *args, **kw)
             return run
 
         # Objectives go through simulate_dissolution, free-bin rounds through simulate.
@@ -228,6 +267,8 @@ class TestEvaluationCount:
                           conditions=conditions, parameterization=param)
         result = design_psd(spec, seed=0, **kwargs)
         assert result.evaluations == len(calls)
+        # No distribution is simulated twice, except the best by the final run.
+        assert len(set(calls)) == len(calls) - 1
         # Rejected steps, finite-difference runs and the final run are
         # counted but never accepted:
         # the history stays shorter.

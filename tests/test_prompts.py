@@ -126,6 +126,20 @@ class TestBuildPrompt:
             build_prompt(PromptStrategy.FS, reference_input)
         with pytest.raises(StrategyPreconditionError):
             build_prompt(PromptStrategy.RAG, reference_input, examples=[])
+        with pytest.raises(StrategyPreconditionError):
+            build_prompt(PromptStrategy.FS, reference_input, examples=iter(()))
+
+    def test_examples_from_an_iterator(self, reference_input, example_records):
+        # A generator is read once, so it gives the same bytes as a list.
+        target, shown = example_records[0].profile, example_records[1:]
+        for strategy in (PromptStrategy.FS, PromptStrategy.RAG):
+            assert build_prompt(strategy, reference_input,
+                                examples=(r for r in shown)).rendered == \
+                build_prompt(strategy, reference_input, examples=shown).rendered
+            assert build_inverse_prompt(strategy, target, HYDROCHLOROTHIAZIDE,
+                                        examples=(r for r in shown)).rendered == \
+                build_inverse_prompt(strategy, target, HYDROCHLOROTHIAZIDE,
+                                     examples=shown).rendered
 
     def test_strategy_enumeration_is_closed(self):
         assert {s.value for s in PromptStrategy} == {"ZS", "ZS_CoT", "FS", "FS_CoT", "RAG"}
