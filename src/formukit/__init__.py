@@ -8,7 +8,6 @@ benchmark the strategies against measured data with MSE/R^2.
 
 from .dissolution import (
     SimulationResult,
-    SimulationState,
     derived_metrics,
     psd_from_lognormal,
     reynolds_schmidt,
@@ -85,7 +84,7 @@ __all__ = [
     "FreeBinsParameterization", "HYDROCHLOROTHIAZIDE", "LiveBackend", "LLMClient",
     "LLMConfig", "LognormalParameterization", "MockBackend", "ParticleMorphology",
     "PromptBundle", "PromptStrategy", "RecordStore", "ReplayBackend", "RetrievalWeights",
-    "SimulationResult", "SimulationState", "SizeDistribution", "Transcript",
+    "SimulationResult", "SizeDistribution", "Transcript",
     "TranscriptRecorder", "align_profiles", "build_inverse_prompt", "build_prompt",
     "derived_metrics", "design_psd", "design_report", "import_verbatim_file",
     "load_records", "make_backend", "mse", "objective", "parse_profile_response",

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import evaluate as ev
 from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
 from .errors import (
+    ConfigurationError,
     FormukitError,
     ParseError,
     RequestError,
@@ -43,16 +44,10 @@ from .prompts import (
     parse_profile_response,
     validate_profile,
 )
-from .store import (
-    VERBATIM_TO_CANONICAL,
-    RecordStore,
-    import_verbatim_file,
-    load_records,
-)
+from .store import RecordStore, features_from_verbatim, import_verbatim_file, load_records
 from .svgplot import profile_overlay_svg
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
-    FEATURE_NAMES,
     DissolutionConditions,
     DissolutionProfile,
     FormulationInput,
@@ -64,14 +59,28 @@ EXIT_TRANSPORT = 3
 EXIT_PARSE = 4
 
 
+def _fields_of(kind, obj, where: str):
+    """A ``kind`` dataclass from the keys of the JSON object ``obj`` that name its fields."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {obj!r}")
+    try:
+        return kind(**{k: v for k, v in obj.items() if k in kind.__dataclass_fields__})
+    except TypeError as exc:                  # a value of the wrong type met a check
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 @dataclass
 class AppConfig:
     llm: LLMConfig = field(default_factory=LLMConfig)
     conditions: DissolutionConditions = field(default_factory=DissolutionConditions)
     store_path: str = "formukit_store.jsonl"
-    fixtures_path: str | None = None
     output_dir: str = "formukit_out"
     seed: int = 0
+
+    def __post_init__(self):
+        self.seed = int(self.seed)
+        if not (isinstance(self.store_path, str) and isinstance(self.output_dir, str)):
+            raise ConfigurationError("store_path and output_dir must be strings")
 
     @classmethod
     def load(cls, path: str | None) -> "AppConfig":
@@ -79,16 +88,11 @@ class AppConfig:
             return cls()
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        cond_kwargs = {k: v for k, v in obj.get("conditions", {}).items()
-                       if k in DissolutionConditions.__dataclass_fields__}
-        return cls(
-            llm=LLMConfig.from_dict(obj.get("llm", {})),
-            conditions=DissolutionConditions(**cond_kwargs),
-            store_path=obj.get("store_path", cls.store_path),
-            fixtures_path=obj.get("fixtures_path"),
-            output_dir=obj.get("output_dir", cls.output_dir),
-            seed=int(obj.get("seed", 0)),
-        )
+        config = _fields_of(cls, obj, path)        # its two sections are read next
+        config.llm = _fields_of(LLMConfig, obj.get("llm", {}), f"{path}: llm")
+        config.conditions = _fields_of(DissolutionConditions, obj.get("conditions", {}),
+                                       f"{path}: conditions")
+        return config
 
 
 def _run_dir(config: AppConfig, args) -> Path:
@@ -116,14 +120,7 @@ def _given(args, flags) -> dict:
 def _load_features(args) -> FormulationInput:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if isinstance(obj, dict) and "Input" in obj:
-            obj = obj["Input"]
-        canonical = {}
-        for key, value in obj.items():
-            name = VERBATIM_TO_CANONICAL.get(key, key)
-            if name in FEATURE_NAMES:
-                canonical[name] = float(value)
+            canonical = features_from_verbatim(json.load(fh))
         if "d50_um" not in canonical:
             raise ValidationError(
                 f"input file {args.input} is missing required field(s): d50_um")

@@ -148,23 +148,15 @@ def derived_metrics(psd: SizeDistribution, morph: ParticleMorphology,
 
 
 @dataclass(frozen=True)
-class SimulationState:
-    """Solver state snapshot at one time point."""
-
-    time_s: float
-    sizes_m: np.ndarray            # per original bin; 0.0 once dissolved
-    dissolved_mass_mg: float
-    bulk_concentration_mg_ml: float
-
-
-@dataclass(frozen=True)
 class SimulationResult:
-    """Full output of a dissolution run."""
+    """Full output of a dissolution run; per-grid arrays have one row per grid point."""
 
     profile: DissolutionProfile
     extinction_times_s: np.ndarray   # per bin; nan if the bin outlives the run
     released_cap_pct: float          # solubility-capacity ceiling; 100 under sink
-    states: tuple[SimulationState, ...]
+    sizes_m: np.ndarray              # (grid point, bin); 0.0 once a bin has dissolved
+    dissolved_mass_mg: np.ndarray
+    bulk_concentration_mg_ml: np.ndarray
 
     @property
     def complete_dissolution_time_s(self) -> float:
@@ -244,8 +236,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     Returns
     -------
     SimulationResult
-        Release profile on the grid plus per-bin extinction times and state
-        snapshots at the grid points.
+        Release profile on the grid plus per-bin extinction times, and the
+        bin sizes, dissolved mass and bulk concentration at the grid points.
 
     Raises
     ------
@@ -295,7 +287,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
             from scipy.optimize import brentq
 
             if driving(0.0) <= 0.0:
-                raise IntegrationError("dose too far past the capacity to resolve", time_s=0.0)
+                raise IntegrationError("dose too far past the capacity to resolve")
             tau_end = brentq(driving, 0.0, tau_end, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
         u_cut, tau_cut = -np.log(_TAU_RTOL), tau_end * (1.0 - _TAU_RTOL)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,21 +343,13 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     released[0] = 0.0
     c_b = np.zeros_like(released) if sink else np.minimum(released / 100.0 * dose_over_v, c_sat)
 
-    states = tuple(
-        SimulationState(
-            time_s=float(ts),
-            sizes_m=np.sqrt(y_grid[i]),
-            dissolved_mass_mg=float(released[i] / 100.0 * dose),
-            bulk_concentration_mg_ml=float(c_b[i]),
-        )
-        for i, ts in enumerate(grid_s)
-    )
-    profile = DissolutionProfile(grid_hr, released)
     return SimulationResult(
-        profile=profile,
+        profile=DissolutionProfile(grid_hr, released),
         extinction_times_s=extinction,
         released_cap_pct=cap_pct,
-        states=states,
+        sizes_m=np.sqrt(y_grid),
+        dissolved_mass_mg=released / 100.0 * dose,
+        bulk_concentration_mg_ml=c_b,
     )
 
 

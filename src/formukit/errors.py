@@ -15,11 +15,7 @@ class DomainError(FormukitError, ValueError):
 
 
 class IntegrationError(FormukitError, RuntimeError):
-    """The dissolution solver failed; carries the simulated time it failed at."""
-
-    def __init__(self, message: str, time_s: float | None = None):
-        super().__init__(message)
-        self.time_s = time_s
+    """The dissolution solver failed."""
 
 
 class ConfigurationError(FormukitError, ValueError):

@@ -19,6 +19,9 @@ from .errors import AlignmentError, DegenerateReferenceError, ParseError
 from .types import DissolutionProfile
 
 STRATEGY_ORDER = ("ZS", "ZS_CoT", "FS", "FS_CoT", "RAG")
+#: Example records a few-shot prompt gets, and records a RAG prompt retrieves.
+N_EXAMPLES = 3
+RETRIEVE_K = 3
 
 
 @dataclass(frozen=True)
@@ -159,16 +162,16 @@ class BenchmarkResult:
         return buf.getvalue()
 
 
-def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
-                  n_examples: int = 3, retrieve_k: int = 3) -> BenchmarkResult:
+def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> BenchmarkResult:
     """Evaluate prompt strategies against a dataset of measured records.
 
     For each record and strategy: build the prompt, complete it through the
     client's backend, parse the response, align against the record's measured
     profile and accumulate MSE/R^2 (unweighted means over records). Few-shot
     examples come from the other dataset records (leave-one-out, first
-    ``n_examples`` by id); RAG retrieves from ``store`` (defaulting to the
-    dataset itself), always excluding the record under evaluation. Parse
+    :data:`N_EXAMPLES` by id); RAG retrieves the :data:`RETRIEVE_K` nearest
+    from ``store`` (defaulting to the dataset itself), always excluding the
+    record under evaluation. Parse
     failures are counted per strategy; a strategy whose parses all fail is
     reported as unevaluable rather than raising; any other error stops
     further prompts and calls and is re-raised. Up to
@@ -220,10 +223,10 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None,
             strategy = PromptStrategy[name]
             examples = None
             if strategy is PromptStrategy.RAG:
-                hits = store.retrieve(rec.features, k=retrieve_k + 1)
-                examples = [r for r, _ in hits if r.id != rec.id][:retrieve_k]
+                hits = store.retrieve(rec.features, k=RETRIEVE_K + 1)
+                examples = [r for r, _ in hits if r.id != rec.id][:RETRIEVE_K]
             elif strategy.needs_examples:
-                examples = [r for r in records if r.id != rec.id][:n_examples]
+                examples = [r for r in records if r.id != rec.id][:N_EXAMPLES]
             try:
                 prompt = build_prompt(strategy, rec.features, examples=examples)
             except StrategyPreconditionError:

@@ -167,24 +167,25 @@ class DesignResult:
     parameters: dict
     objective_history: tuple[float, ...]     # accepted (non-increasing) values
     start_index: int = 0
-    evaluations: int = 0                     # simulations run, rejected steps and final included
+    evaluations: int = 0                     # simulations run, rejected steps included
 
 
 class _AcceptTracker:
-    """Wraps an objective, recording the best-so-far (accepted) sequence."""
+    """Wraps a run returning (objective, release profile), recording the
+    best-so-far (accepted) sequence and the best run's argument and profile."""
 
     def __init__(self, fun):
         self.fun = fun
         self.accepted: list[float] = []
-        self.best_args = None
+        self.best_args = self.best_achieved = None
         self.evals = 0
 
     def __call__(self, x):
         self.evals += 1
-        value = self.fun(x)
+        value, achieved = self.fun(x)
         if not self.accepted or value < self.accepted[-1]:
             self.accepted.append(value)
-            self.best_args = np.array(x, dtype=float)
+            self.best_args, self.best_achieved = np.array(x, dtype=float), achieved
         return value
 
     @property
@@ -223,7 +224,7 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
         achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
                                         output_grid_hr=spec.target.times_hr)
         residual = scale * (achieved.released_pct - spec.target.released_pct)
-        return _misfit(psd, spec, achieved)
+        return _misfit(psd, spec, achieved), achieved
 
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
@@ -277,9 +278,8 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
         psd = SizeDistribution(sizes, fractions)
         result = simulate(spec.drug, spec.morph, psd, spec.conditions,
                           output_grid_hr=spec.target.times_hr)
-        x = np.array([state.sizes_m for state in result.states])
-        released, remaining = result.profile.released_pct, (x / x[0]) ** 3
-        return _misfit(psd, spec, result.profile)
+        released, remaining = result.profile.released_pct, (result.sizes_m / result.sizes_m[0]) ** 3
+        return _misfit(psd, spec, result.profile), result.profile
 
     rng = np.random.default_rng(seed)
     f0 = param.fractions if param.fractions is not None else np.full(n, 1.0 / n)
@@ -343,13 +343,12 @@ def _multi_start(spec: DesignSpec, fun, starts, search, make_psd) -> DesignResul
         trackers[i].accepted[-1], len(trackers[i].accepted), i))
     tracker = trackers[start_index]
     psd, parameters = make_psd(tracker.best_args)
-    achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
-                                    output_grid_hr=spec.target.times_hr)
+    achieved = tracker.best_achieved
     return DesignResult(
         psd=psd, achieved=achieved, residual_mse=mse(align_profiles(spec.target, achieved)),
         iterations=len(tracker.accepted) - 1, converged=converged[start_index],
         parameters=parameters, objective_history=tuple(tracker.accepted),
-        start_index=start_index, evaluations=sum(t.evals for t in trackers) + 1)
+        start_index=start_index, evaluations=sum(t.evals for t in trackers))
 
 
 def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,

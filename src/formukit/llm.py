@@ -23,13 +23,17 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, MockParseError, RequestError, TransportError, ValidationError
 from .prompts import PromptBundle, extract_section, parse_input_block, render_profile_json
+from .store import JsonlRows, append_jsonl
 
 DEFAULT_API_KEY_ENV = "FORMU_API_KEY"
+#: First retry delay [s] and its growth per retry, before jitter.
+BACKOFF_BASE_S = 1.0
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,6 @@ class LLMConfig:
             raise ConfigurationError("max_retries must be >= 0")
         if self.max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LLMConfig":
-        return cls(**{k: v for k, v in obj.items() if k in cls.__dataclass_fields__})
 
 
 def prompt_sha256(prompt: PromptBundle | str) -> str:
@@ -76,17 +76,7 @@ class Transcript:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "prompt_sha256": self.prompt_sha256,
-            "prompt": self.prompt,
-            "response": self.response,
-            "model": self.model,
-            "backend": self.backend,
-            "started_at": self.started_at,
-            "elapsed_s": self.elapsed_s,
-            "usage": self.usage,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 class TranscriptRecorder:
@@ -101,9 +91,7 @@ class TranscriptRecorder:
         with self._lock:
             self.records.append(transcript)
             if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(transcript.to_dict()) + "\n")
+                append_jsonl(self.path, transcript.to_dict())
 
 
 class RetryableTransportFailure(TransportError):
@@ -168,11 +156,9 @@ class MockBackend:
 
     tag = "mock"
 
-    def __init__(self, geo_sigma: float = 1.5, n_bins: int = 50, conditions=None):
+    def __init__(self, conditions=None):
         from .types import DissolutionConditions
 
-        self.geo_sigma = geo_sigma
-        self.n_bins = n_bins
         self.conditions = conditions if conditions is not None else DissolutionConditions()
 
     def respond(self, prompt: PromptBundle) -> tuple[str, None]:
@@ -184,7 +170,7 @@ class MockBackend:
             features = parse_input_block(block)
         except ParseError as exc:
             raise MockParseError(f"mock backend cannot read the prompt input: {exc}") from exc
-        psd = psd_from_lognormal(features.d50_um, self.geo_sigma, self.n_bins)
+        psd = psd_from_lognormal(features.d50_um, 1.5, 50)
         profile = simulate_dissolution(
             features.drug(), features.morphology(), psd, self.conditions)
         return render_profile_json(profile), None
@@ -201,8 +187,6 @@ class ReplayBackend:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
         """Responses from a transcript file; a torn final line is skipped."""
-        from .store import JsonlRows
-
         responses = {}
         for row in JsonlRows(path):
             if not isinstance(row, dict) or not isinstance(row.get("prompt_sha256"), str):
@@ -236,15 +220,12 @@ class LLMClient:
 
     def __init__(self, config: LLMConfig | None = None, backend=None,
                  recorder: TranscriptRecorder | None = None,
-                 sleep=time.sleep, seed: int = 0,
-                 backoff_base_s: float = 1.0, backoff_factor: float = 2.0):
+                 sleep=time.sleep, seed: int = 0):
         self.config = config if config is not None else LLMConfig()
         self.backend = backend if backend is not None else LiveBackend(self.config)
         self.recorder = recorder if recorder is not None else TranscriptRecorder()
         self._sleep = sleep
         self._rng = random.Random(seed)
-        self._backoff_base_s = backoff_base_s
-        self._backoff_factor = backoff_factor
         self._semaphore = threading.Semaphore(self.config.max_inflight)
 
     def complete(self, prompt: PromptBundle) -> CompletionResult:
@@ -263,8 +244,7 @@ class LLMClient:
                         self._record(digest, prompt, None, started, t0, error=str(exc))
                         raise TransportError(
                             f"retries exhausted after {attempt} retries: {exc}") from exc
-                    delay = (self._backoff_base_s * self._backoff_factor ** attempt
-                             * (0.5 + self._rng.random()))
+                    delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt * (0.5 + self._rng.random())
                     self._sleep(delay)
                     attempt += 1
                 except Exception as exc:
@@ -291,11 +271,10 @@ class LLMClient:
         return transcript
 
 
-def make_backend(name: str, config: LLMConfig, *, replay_path=None,
-                 transport=None, conditions=None):
+def make_backend(name: str, config: LLMConfig, *, replay_path=None, conditions=None):
     """Backend factory for the CLI: name is live, mock or replay."""
     if name == "live":
-        return LiveBackend(config, transport=transport)
+        return LiveBackend(config)
     if name == "mock":
         return MockBackend(conditions=conditions)
     if name == "replay":

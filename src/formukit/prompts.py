@@ -241,7 +241,7 @@ class PromptBundle:
 
 
 def _render(strategy: PromptStrategy, request: str, input_format: str, output_format: str,
-            examples, constraints: str | None) -> PromptBundle:
+            examples) -> PromptBundle:
     """The seven sections in :data:`SECTION_HEADERS` order, rendered."""
     if not strategy.needs_examples:
         examples_body = NO_EXAMPLES_TEXT
@@ -252,7 +252,7 @@ def _render(strategy: PromptStrategy, request: str, input_format: str, output_fo
     else:
         examples_body = render_example_blocks(examples)
     bodies = (_ROLE_BODY, _BACKGROUND_BODY, request, input_format, output_format, examples_body,
-              constraints if constraints is not None else _CONSTRAINTS_BODY)
+              _CONSTRAINTS_BODY)
     sections = tuple((key, body) for (key, _), body in zip(SECTION_HEADERS, bodies))
     rendered = "\n\n".join(f"### {header}: ###\n{body}"
                            for (_, header), body in zip(SECTION_HEADERS, bodies))
@@ -262,7 +262,7 @@ def _render(strategy: PromptStrategy, request: str, input_format: str, output_fo
 
 
 def build_prompt(strategy: PromptStrategy, features: FormulationInput,
-                 examples=None, constraints: str | None = None) -> PromptBundle:
+                 examples=None) -> PromptBundle:
     """Assemble the forward (release-prediction) prompt.
 
     Parameters
@@ -271,17 +271,13 @@ def build_prompt(strategy: PromptStrategy, features: FormulationInput,
         Required for FS/FS_CoT/RAG; rendered into the Examples section
         (a pre-rendered string is used as-is). ZS variants get the literal
         "no examples provided".
-    constraints : str, optional
-        Replaces the standard Constraints body (the kinetic model block and
-        the USP rule) when given.
     """
     return _render(strategy, _FORWARD_REQUEST_BODY, render_input_block(features),
-                   _FORWARD_OUTPUT_BODY, examples, constraints)
+                   _FORWARD_OUTPUT_BODY, examples)
 
 
 def build_inverse_prompt(strategy: PromptStrategy, target: DissolutionProfile,
-                         drug: DrugSubstance, examples=None,
-                         constraints: str | None = None) -> PromptBundle:
+                         drug: DrugSubstance, examples=None) -> PromptBundle:
     """Assemble the inverse (property-design) prompt for a target profile."""
     if target.n_points < 2:
         raise StrategyPreconditionError("inverse prompt needs a target with >= 2 points")
@@ -297,7 +293,7 @@ def build_inverse_prompt(strategy: PromptStrategy, target: DissolutionProfile,
     input_lines.append("  }")
     input_lines.append("}")
     return _render(strategy, _INVERSE_REQUEST_BODY, "\n".join(input_lines),
-                   _INVERSE_OUTPUT_BODY, examples, constraints)
+                   _INVERSE_OUTPUT_BODY, examples)
 
 
 def extract_section(rendered: str, header: str) -> str:

@@ -63,6 +63,8 @@ class FormulationRecord:
 
     @classmethod
     def from_dict(cls, row: dict) -> "FormulationRecord":
+        if not isinstance(row, dict):
+            raise ValidationError(f"a record must be a JSON object, got {row!r}")
         missing = [k for k in ("id", "profile") if k not in row]
         if missing:
             raise ValidationError(f"record is missing keys: {', '.join(missing)}")
@@ -70,7 +72,7 @@ class FormulationRecord:
         for name in FEATURE_NAMES:
             if name not in row:
                 raise ValidationError(f"record {row['id']!r} is missing feature {name!r}")
-            feature_kwargs[name] = float(row[name])
+            feature_kwargs[name] = _number(name, row[name])
         return cls(
             id=str(row["id"]),
             features=FormulationInput(**feature_kwargs),
@@ -78,6 +80,29 @@ class FormulationRecord:
             provenance=row.get("provenance", "experimental"),
             source=row.get("source", ""),
         )
+
+
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+
+
+def features_from_verbatim(obj) -> dict[str, float]:
+    """Canonical features of an Input block (bare or under "Input"/"input"), keyed by
+    verbatim or canonical names with whitespace stripped; other keys are dropped."""
+    features = obj.get("Input", obj.get("input", obj)) if isinstance(obj, dict) else obj
+    if isinstance(features, dict) and "Input" in features:
+        features = features["Input"]
+    if not isinstance(features, dict):
+        raise ValidationError("formulation input must be a JSON object")
+    canonical = {}
+    for key, value in features.items():
+        name = VERBATIM_TO_CANONICAL.get(key.strip() if isinstance(key, str) else key, key)
+        if name in FEATURE_NAMES:
+            canonical[name] = _number(name, value)
+    return canonical
 
 
 def record_from_verbatim(obj: dict, record_id: str, provenance: str = "experimental",
@@ -88,14 +113,7 @@ def record_from_verbatim(obj: dict, record_id: str, provenance: str = "experimen
     (the worked-example shape) with either verbatim or canonical feature
     keys.
     """
-    features_obj = obj.get("Input", obj.get("input", obj))
-    if isinstance(features_obj, dict) and "Input" in features_obj:
-        features_obj = features_obj["Input"]
-    canonical = {}
-    for key, value in features_obj.items():
-        name = VERBATIM_TO_CANONICAL.get(key.strip() if isinstance(key, str) else key, key)
-        if name in FEATURE_NAMES:
-            canonical[name] = float(value)
+    canonical = features_from_verbatim(obj)
     missing = [name for name in FEATURE_NAMES if name not in canonical]
     if missing:
         raise ValidationError(f"verbatim record is missing fields: {', '.join(missing)}")
@@ -164,6 +182,16 @@ class JsonlRows:
                     self.torn_bytes = len(raw.encode("utf-8"))
 
 
+def append_jsonl(path: Path, row, torn_bytes: int = 0) -> None:
+    """Append ``row`` to ``path`` as one JSON line, creating the directory,
+    after cutting the file's last ``torn_bytes`` bytes (a truncated final line)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        if torn_bytes:
+            fh.truncate(fh.tell() - torn_bytes)
+        fh.write(json.dumps(row) + "\n")
+
+
 class RecordStore:
     """Append-only JSONL store with deterministic top-k retrieval.
 
@@ -211,12 +239,8 @@ class RecordStore:
         self._records[record.id] = record
         self._matrix = self._weights = None
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if self._torn_bytes:
-                    fh.truncate(fh.tell() - self._torn_bytes)
-                    self._torn_bytes = 0
-                fh.write(json.dumps(record.to_dict()) + "\n")
+            torn, self._torn_bytes = self._torn_bytes, 0      # never cut twice
+            append_jsonl(self.path, record.to_dict(), torn)
 
     def feature_matrix(self) -> np.ndarray:
         """Feature vectors of the records in store order (read-only, cached)."""
@@ -316,7 +340,7 @@ def import_verbatim_file(path: str | Path) -> list[FormulationRecord]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     entries = payload.get("records", payload) if isinstance(payload, dict) else payload
-    if not isinstance(entries, list):
-        raise ValidationError("verbatim import expects a list of records")
-    return [record_from_verbatim(entry, entry.get("id", f"record-{i + 1}"))
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError("verbatim import expects a list of record objects")
+    return [record_from_verbatim(entry, str(entry.get("id", f"record-{i + 1}")))
             for i, entry in enumerate(entries)]

@@ -16,6 +16,8 @@ from .errors import DomainError, DuplicateTimeError, ValidationError
 
 # Default reporting grid for release curves, in hours.
 DEFAULT_OUTPUT_GRID_HR = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+#: Paddle (impeller) radius of the standard vessel [m].
+IMPELLER_RADIUS_M = 0.037
 
 
 @dataclass(frozen=True)
@@ -168,15 +170,12 @@ class DissolutionConditions:
     """
 
     medium_volume_ml: float = 900.0
-    temperature_c: float = 37.0
-    ph: float = 7.2
     paddle_rpm: float = 50.0
     dose_mg: float = 10.0
     fluid_density_kg_m3: float = 993.0
     fluid_viscosity_pa_s: float = 7.0e-4
     velocity_factor: float = 0.1
     sink_override: bool = False
-    impeller_radius_m: float = 0.037
 
     def __post_init__(self):
         if self.medium_volume_ml <= 0:
@@ -193,7 +192,7 @@ class DissolutionConditions:
     @property
     def slip_velocity_m_s(self) -> float:
         """Characteristic particle-fluid slip velocity [m/s]."""
-        tip_speed = 2.0 * math.pi * self.paddle_rpm / 60.0 * self.impeller_radius_m
+        tip_speed = 2.0 * math.pi * self.paddle_rpm / 60.0 * IMPELLER_RADIUS_M
         return self.velocity_factor * tip_speed
 
 
@@ -247,12 +246,14 @@ class DissolutionProfile:
 
     @classmethod
     def from_points(cls, points) -> "DissolutionProfile":
-        pts = list(points)
-        if not pts:
+        """Profile from (time [hr], released [%]) pairs; items past the second are ignored."""
+        try:
+            pts = np.array([(float(p[0]), float(p[1])) for p in points]).reshape(-1, 2)
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise ValidationError("profile points must be [time, released] number pairs") from exc
+        if not pts.size:
             raise ValidationError("profile needs at least one point")
-        times = [p[0] for p in pts]
-        released = [p[1] for p in pts]
-        return cls(np.asarray(times, dtype=float), np.asarray(released, dtype=float))
+        return cls(pts[:, 0], pts[:, 1])
 
 
 # Canonical feature order used by storage and retrieval.

@@ -69,6 +69,22 @@ class TestSimulate:
         assert (_out(tmp_path) / "profile.svg").exists()
 
 
+    @pytest.mark.parametrize("obj", [
+        {"input": {"Mean Particle Size, D50": 50}},
+        {"Input": {"Mean Particle Size, D50 ": 50}},
+    ], ids=["lowercase-input", "key-with-space"])
+    def test_input_read_as_store_ingest_reads_it(self, tmp_path, obj):
+        # The same Input shapes that store ingest accepts.
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        assert main(["simulate", "--input", str(path),
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "file"]) == 0
+        assert main(["simulate", "--d50", "50",
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "flag"]) == 0
+        csv_text = (_out(tmp_path, "file") / "profile.csv").read_text()
+        assert csv_text == (_out(tmp_path, "flag") / "profile.csv").read_text()
+
+
 class TestDesign:
     def test_round_trip(self, tmp_path, input_file):
         assert main(["simulate", "--input", input_file, "--geo-sigma", "1.5",
@@ -371,6 +387,42 @@ class TestConfigFile:
         help_text = capsys.readouterr().out
         for unit in ("um", "mg/mL", "m^2/s", "g/mL", "m^2/g", "hr"):
             assert unit in help_text
+
+
+_RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
+           "solubility_mg_ml": 0.45, "diffusivity_m2_s": 7.5e-10, "true_density_g_ml": 1.512,
+           "ssa_m2_g": 1.0, "vol_eq_um": 1.0, "profile": [[0, 0], [1, 50]]}
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    pytest.param(["simulate", "--input"], "f.json", "[1, 2]", id="simulate-list"),
+    pytest.param(["simulate", "--input"], "f.json", '{"Input": [1, 2]}', id="simulate-input-list"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "f.json", "[[1, 2]]",
+                 id="ingest-list-of-lists"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "f.json", "[1, 2]",
+                 id="ingest-list-of-numbers"),
+    pytest.param(["store", "list", "--store"], "s.jsonl", "5\n", id="list-number-line"),
+    pytest.param(["store", "list", "--store"], "s.jsonl",
+                 json.dumps({**_RECORD, "profile": 5}) + "\n", id="list-number-profile"),
+    pytest.param(["store", "list", "--store"], "s.jsonl",
+                 json.dumps({**_RECORD, "profile": [[0], [1]]}) + "\n", id="list-short-points"),
+    pytest.param(["store", "list", "--store"], "s.jsonl",
+                 json.dumps({**_RECORD, "d50_um": [1]}) + "\n", id="list-list-feature"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json", "[1]", id="config-list"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json", '{"conditions": 5}',
+                 id="config-number-conditions"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"max_inflight": "x"}}', id="config-string-max-inflight"),
+    pytest.param(["store", "list", "--config"], "c.json", '{"store_path": 5}',
+                 id="config-number-store-path"),
+])
+def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
+    monkeypatch.chdir(tmp_path)               # the ingest cases name a relative store
+    path = tmp_path / name
+    path.write_text(text)
+    code = main([*argv, str(path), "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_import_loads_no_scipy():

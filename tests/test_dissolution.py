@@ -77,9 +77,8 @@ class TestMassTransfer:
         psd = SizeDistribution([_X0_M * 5e5, _X0_M * 1e6], [0.5, 0.5])
         result = simulate(drug, sphere, psd, quiescent_sink, (0.0, 0.05, 0.1))
         y0 = (psd.sizes_um * 1e-6) ** 2
-        for state in result.states[1:]:
-            small, large = y0 - state.sizes_m ** 2
-            assert small == pytest.approx(large, rel=1e-12)
+        small, large = (y0 - result.sizes_m[1:] ** 2).T
+        assert small == pytest.approx(large, rel=1e-12)
 
     def test_sherwood_scaling(self, drug, sphere, quiescent_sink):
         # k ~ Sh: at the start of an agitated sink run x^2 falls Sh(x0) / 2
@@ -88,7 +87,7 @@ class TestMassTransfer:
         sh = sherwood(*reynolds_schmidt(agitated, _X0_M, drug.diffusivity_m2_s))
         assert sh > 10.0
         grid = (0.0, 1e-6)
-        drop = [_X0_M ** 2 - _one_sphere(drug, sphere, cond, grid).states[1].sizes_m[0] ** 2
+        drop = [_X0_M ** 2 - _one_sphere(drug, sphere, cond, grid).sizes_m[1, 0] ** 2
                 for cond in (agitated, quiescent_sink)]
         assert drop[0] / drop[1] == pytest.approx(sh / 2.0, rel=1e-5)
 
@@ -129,17 +128,16 @@ class TestShrinkRate:
         # 600 mg in 900 mL passes the capacity; once C_b = C_sat the sizes hold.
         result = simulate(drug, sphere, psd_from_lognormal(120.0, 1.5, 12),
                           DissolutionConditions(dose_mg=600.0), (0.0, 6.0, 24.0, 48.0))
-        held, last = result.states[-2:]
-        assert held.bulk_concentration_mg_ml == drug.c_sat_mg_ml
-        assert np.any(last.sizes_m > 0.0)
-        assert np.array_equal(held.sizes_m, last.sizes_m)
+        assert result.bulk_concentration_mg_ml[-2] == drug.c_sat_mg_ml
+        assert np.any(result.sizes_m[-1] > 0.0)
+        assert np.array_equal(result.sizes_m[-2], result.sizes_m[-1])
 
     def test_hand_value(self, drug, sphere, quiescent_sink):
         # sphere surface/volume ratio 6, k from the 97.5 um example, sink:
         # dx/dt = -k * 6 * 0.45 / 1512 = -2.747e-8 m/s at the start.
         rate = -_K_STAGNANT * 6.0 * 0.45 / 1512.0
         assert rate == pytest.approx(-2.747e-8, rel=1e-3)
-        x = _one_sphere(drug, sphere, quiescent_sink, (0.0, 1.0 / 3600.0)).states[1].sizes_m[0]
+        x = _one_sphere(drug, sphere, quiescent_sink, (0.0, 1.0 / 3600.0)).sizes_m[1, 0]
         assert x == pytest.approx(np.sqrt(_X0_M ** 2 + 2.0 * _X0_M * rate), rel=1e-14)
         assert x - _X0_M == pytest.approx(rate, rel=1e-3)
 
@@ -160,8 +158,7 @@ class TestShrinkRate:
         for dose_mg in (1e4, 1e9):
             result = simulate(drug, sphere, psd_from_lognormal(45.0, 1.5, 30),
                               DissolutionConditions(dose_mg=dose_mg), grid)
-            for state in result.states:
-                assert state.bulk_concentration_mg_ml <= drug.c_sat_mg_ml
+            assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml)
             assert np.all(result.profile.released_pct <= result.released_cap_pct)
 
     def test_never_positive(self, drug, sphere):
@@ -172,8 +169,7 @@ class TestShrinkRate:
                                          sink_override=bool(rng.uniform() < 0.2))
             result = simulate(drug, sphere, psd_from_lognormal(float(rng.uniform(20.0, 300.0)),
                                                                1.5, 8), cond, (0.0, 0.5, 2.0, 24.0))
-            sizes = np.array([state.sizes_m for state in result.states])
-            assert np.all(np.diff(sizes, axis=0) <= 0.0)
+            assert np.all(np.diff(result.sizes_m, axis=0) <= 0.0)
 
 
 class TestReducedLifetime:
@@ -344,11 +340,12 @@ class TestSimulate:
         result = simulate(drug, sphere, psd, conditions, grid)
         dose = conditions.dose_mg
         x0 = psd.sizes_um * 1e-6
-        for state in result.states:
-            with np.errstate(invalid="ignore"):
-                remaining_frac = np.sum(psd.fractions * (state.sizes_m / x0) ** 3)
-            total = state.dissolved_mass_mg + remaining_frac * dose
-            assert abs(total - dose) / dose <= 1e-6
+        assert result.sizes_m.shape == (len(grid), psd.n_bins)
+        assert result.dissolved_mass_mg.shape == (len(grid),)
+        assert result.bulk_concentration_mg_ml.shape == (len(grid),)
+        remaining_frac = (result.sizes_m / x0) ** 3 @ psd.fractions
+        total = result.dissolved_mass_mg + remaining_frac * dose
+        assert np.all(np.abs(total - dose) / dose <= 1e-6)
 
     def test_saturation_bound_and_cap(self, drug, sphere, grid):
         # 500 mg into 900 mL of 0.45 mg/mL solubility: capacity 405 mg < dose
@@ -358,15 +355,13 @@ class TestSimulate:
         cap = 100.0 * 0.45 * 900.0 / 500.0
         assert result.released_cap_pct == pytest.approx(cap)
         assert np.all(result.profile.released_pct <= cap + 1e-9)
-        for state in result.states:
-            assert state.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12
+        assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
 
     def test_sink_override_forces_zero_bulk(self, drug, sphere, grid):
         cond = DissolutionConditions(dose_mg=500.0, sink_override=True)
         psd = psd_from_lognormal(45.0, 1.5, 30)
         result = simulate(drug, sphere, psd, cond, grid)
-        for state in result.states:
-            assert state.bulk_concentration_mg_ml == 0.0
+        assert np.all(result.bulk_concentration_mg_ml == 0.0)
 
     def test_monotone_in_size(self, drug, sphere, conditions, grid):
         # A distribution smaller at every quantile dissolves at least as fast.
@@ -406,7 +401,7 @@ class TestSimulate:
         result = simulate(drug, sphere, psd, conditions, grid)
         assert np.all(np.isfinite(result.extinction_times_s))
         assert result.profile.released_pct[-1] == pytest.approx(100.0, abs=1e-6)
-        final_sizes = result.states[-1].sizes_m
+        final_sizes = result.sizes_m[-1]
         assert np.all(final_sizes == 0.0)
 
     def test_sink_extinction_at_run_end_stays_in_the_run(self, sphere):
@@ -468,8 +463,7 @@ def test_random_sweep_preserves_physical_invariants(drug, sphere):
         assert np.all(np.diff(released) >= 0.0)
         assert np.all(released <= result.released_cap_pct + 1e-9)
         x0 = psd.sizes_um * 1e-6
-        for state in result.states:
-            remaining = np.sum(psd.fractions * (state.sizes_m / x0) ** 3)
-            total = state.dissolved_mass_mg + remaining * cond.dose_mg
-            assert abs(total - cond.dose_mg) / cond.dose_mg <= 1e-6
-            assert state.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12
+        remaining = (result.sizes_m / x0) ** 3 @ psd.fractions
+        total = result.dissolved_mass_mg + remaining * cond.dose_mg
+        assert np.all(np.abs(total - cond.dose_mg) / cond.dose_mg <= 1e-6)
+        assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
