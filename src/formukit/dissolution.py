@@ -59,8 +59,8 @@ _MAX_EDGES = 32
 _MAX_PANEL_U = 1.0
 #: Sizes evaluated at once by the clock quadrature.
 _CHUNK = 8192
-#: Knots of the per-call G^-1 table, log-spaced in squared size.
-_TABLE_POINTS = 129
+#: Knots of the per-call G^-1 table, log-spaced in squared size: enough for G(G^-1(g)) = g to 1e-9.
+_TABLE_POINTS = 257
 #: Bottom of that table relative to the smallest initial squared size; a bin
 #: this small holds under 1e-18 of its starting mass.
 _TABLE_FLOOR = 1e-12
@@ -195,18 +195,26 @@ def reduced_lifetime(y, b):
 def _size_law(y0: np.ndarray, b: float):
     """Per-bin lifetimes G(y0_i) and the map tau -> squared sizes G^-1(G(y0_i) - tau).
 
-    G^-1 comes from one cubic table of ln(y / G) against ln G, a slowly
-    varying function (exactly ln 2 at b = 0) that keeps round-off small,
-    shifted per bin so that tau = 0 returns y0 to rounding. Below the table's
-    floor y / G is held, and a bin whose lifetime has run out is exactly zero.
+    G^-1 comes from one cubic Hermite table of ln(y / G) against ln G, with the
+    exact slopes G * (2 + b * y^0.26) / y - 1: a slowly varying function (ln 2
+    at b = 0), shifted per bin so that tau = 0 returns y0 to rounding. Below
+    the floor y / G is held, and a bin whose lifetime has run out is exactly zero.
     """
-    from scipy.interpolate import CubicSpline
-
     lifetime = reduced_lifetime(y0, b)
     y_tab = np.geomspace(y0.min() * _TABLE_FLOOR, y0.max(), _TABLE_POINTS)
     g_tab = reduced_lifetime(y_tab, b)
-    log_g = np.log(g_tab)
-    log_ratio = CubicSpline(log_g, np.log(y_tab / g_tab))
+    log_g, ratio = np.log(g_tab), np.log(y_tab / g_tab)
+    slope = g_tab * (2.0 + b * y_tab ** _SH_POWER) / y_tab - 1.0       # d ln(y/G) / d ln G
+    h, rise = np.diff(log_g), np.diff(ratio) / np.diff(log_g)
+    # Per interval: its knot, then ratio(knot + d) as a cubic in d, highest power first.
+    table = np.array([log_g[:-1], (slope[:-1] + slope[1:] - 2.0 * rise) / h ** 2,
+                      (3.0 * rise - 2.0 * slope[:-1] - slope[1:]) / h, slope[:-1], ratio[:-1]])
+
+    def log_ratio(v):
+        knot, c3, c2, c1, c0 = table.take(np.searchsorted(log_g[1:-1], v, "right"), axis=1)
+        d = v - knot
+        return ((c3 * d + c2) * d + c1) * d + c0
+
     shift = np.log(y0 / lifetime) - log_ratio(np.log(lifetime))
 
     def sizes(tau):
@@ -284,11 +292,18 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         late_rate = rate_base * max(excess, 0.0)
         tau_end = float(lifetime.max())
         if late_rate == 0.0:
-            from scipy.optimize import brentq
-
-            if driving(0.0) <= 0.0:
+            # Newton steps on the convex, falling driving force (> 0 at lo, <= 0 at hi).
+            lo, hi, tau, force, rtol = 0.0, tau_end, 0.0, 1.0, 4.0 * np.finfo(float).eps
+            while force and hi - lo > rtol * hi:
+                y = sizes(tau)
+                force = excess + dose_over_v * (y ** 1.5 @ mass_w)
+                fall = 1.5 * dose_over_v * (np.sqrt(y) * (2.0 + b * y ** _SH_POWER) @ mass_w)
+                lo, hi = (tau, hi) if force > 0.0 else (lo, tau)
+                tau += force / fall
+                tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo <= tau < hi else 0.5 * (lo + hi)
+            if hi == 0.0:
                 raise IntegrationError("dose too far past the capacity to resolve")
-            tau_end = brentq(driving, 0.0, tau_end, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+            tau_end = hi
         u_cut, tau_cut = -np.log(_TAU_RTOL), tau_end * (1.0 - _TAU_RTOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_life = -np.log1p(-lifetime / tau_end)

@@ -10,9 +10,9 @@ weighted-L1 kernel
 
 over the numeric feature set, where s_j is the per-feature median absolute
 deviation across the store (floored at 1e-12) and the weights w_j are
-proportional to |Spearman correlation| between feature j and the release at
-1 hr. Stores with fewer than 5 records fall back to uniform weights over the
-features that actually vary.
+proportional to |Spearman correlation| (on average ranks, computed in numpy)
+between feature j and the release at 1 hr. Stores with fewer than 5 records
+fall back to uniform weights over the features that actually vary.
 """
 
 from __future__ import annotations
@@ -84,9 +84,19 @@ class FormulationRecord:
 
 def _number(name: str, value) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+        if np.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rho: the Pearson correlation of average ranks; nan if x or y is constant."""
+    ranks = [(np.cumsum(counts) - 0.5 * (counts - 1))[where] for _, where, counts in
+             (np.unique(v, return_inverse=True, return_counts=True) for v in (x, y))]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(*ranks)[0, 1])
 
 
 def features_from_verbatim(obj) -> dict[str, float]:
@@ -269,11 +279,9 @@ class RecordStore:
         scales = np.maximum(mad, 1e-12)
         raw = np.zeros(len(FEATURE_NAMES))
         if len(self) >= 5 and np.any(varying):
-            from scipy import stats
-
             release_1hr = np.array([r.profile.released_at(1.0) for r in self.records])
             for j in np.flatnonzero(varying):
-                rho = stats.spearmanr(matrix[:, j], release_1hr).statistic
+                rho = _spearman(matrix[:, j], release_1hr)
                 if np.isfinite(rho):
                     raw[j] = abs(rho)
         if raw.sum() == 0.0:

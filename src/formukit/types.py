@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, DuplicateTimeError, ValidationError
+from .errors import ConfigurationError, DomainError, DuplicateTimeError, ValidationError
 
 # Default reporting grid for release curves, in hours.
 DEFAULT_OUTPUT_GRID_HR = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
@@ -43,7 +44,7 @@ class DrugSubstance:
 
     def __post_init__(self):
         for name in ("c_sat_mg_ml", "diffusivity_m2_s", "true_density_g_ml"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
 
 
@@ -82,11 +83,11 @@ class ParticleMorphology:
     psi_v: float = math.pi / 6.0
 
     def __post_init__(self):
-        if self.aspect_ratio < 1.0:
+        if not self.aspect_ratio >= 1.0:
             raise DomainError("aspect_ratio must be >= 1")
         if not (0.0 < self.roundness <= 1.0):
             raise DomainError("roundness must be in (0, 1]")
-        if self.psi_a <= 0 or self.psi_v <= 0:
+        if not (self.psi_a > 0 and self.psi_v > 0):
             raise DomainError("shape factors must be > 0")
         # Isoperimetric bound: no convex-like shape packs more volume per
         # surface than the sphere (psi_v/psi_a = 1/6).
@@ -126,8 +127,8 @@ class SizeDistribution:
         object.__setattr__(self, "fractions", fracs)
         if sizes.ndim != 1 or fracs.shape != sizes.shape or sizes.size == 0:
             raise ValidationError("sizes and fractions must be matching non-empty 1-D arrays")
-        if np.any(sizes <= 0):
-            raise DomainError("bin sizes must be > 0")
+        if not np.all((sizes > 0) & (sizes < np.inf)):
+            raise DomainError("bin sizes must be finite and > 0")
         if np.any(np.diff(sizes) <= 0):
             raise DomainError("bin sizes must be strictly increasing")
         if np.any(fracs < 0):
@@ -178,16 +179,16 @@ class DissolutionConditions:
     sink_override: bool = False
 
     def __post_init__(self):
-        if self.medium_volume_ml <= 0:
-            raise DomainError("medium_volume_ml must be > 0")
-        if self.dose_mg <= 0:
-            raise DomainError("dose_mg must be > 0")
+        *nums, sink = vars(self).values()                     # sink_override is the last field
+        if type(sink) is not bool or any(type(v) is bool or not isinstance(v, Real) for v in nums):
+            raise ConfigurationError("sink_override must be a bool, the other conditions numbers")
+        for name in ("medium_volume_ml", "dose_mg", "fluid_density_kg_m3", "fluid_viscosity_pa_s"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0")
         if not (0.0 < self.velocity_factor <= 1.0):
             raise DomainError("velocity_factor must be in (0, 1]")
-        if self.paddle_rpm < 0:
+        if not self.paddle_rpm >= 0:
             raise DomainError("paddle_rpm must be >= 0")
-        if self.fluid_density_kg_m3 <= 0 or self.fluid_viscosity_pa_s <= 0:
-            raise DomainError("fluid properties must be > 0")
 
     @property
     def slip_velocity_m_s(self) -> float:
@@ -290,10 +291,10 @@ class FormulationInput:
     def __post_init__(self):
         for name in ("d50_um", "solubility_mg_ml", "diffusivity_m2_s",
                      "true_density_g_ml", "ssa_m2_g", "vol_eq_um"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0")
-        if self.aspect_ratio < 1.0:
-            raise DomainError("aspect_ratio must be >= 1")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0")
+        if not 1.0 <= self.aspect_ratio < math.inf:
+            raise DomainError("aspect_ratio must be finite and >= 1")
         if not (0.0 < self.roundness <= 1.0):
             raise DomainError("roundness must be in (0, 1]")
 

@@ -55,6 +55,13 @@ class TestSimulate:
         assert code == 2
         assert "d50" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--d50", "inf"], ["--d50", "nan"],
+                                       ["--d50", "50", "--ssa", "inf"]])
+    def test_non_finite_feature_exit_2(self, tmp_path, capsys, flags):
+        code = main(["simulate", *flags, "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_custom_grid(self, tmp_path, input_file):
         code = main(["simulate", "--input", input_file, "--grid", "0,0.5,1",
                      "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
@@ -189,6 +196,20 @@ class TestStore:
         assert main(["store", "list", "--store", str(store)]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "2 record(s)"
         assert f"{store}:3: skipped a truncated final line" in caplog.text
+
+    def test_ingest_with_a_nan_feature_exit_2(self, tmp_path, capsys):
+        # JSON reads the NaN literal; a NaN d50 that got into the store would
+        # make every retrieval score nan.
+        rows = [{**_RECORD, "id": f"r{i}", "d50_um": d50}
+                for i, d50 in enumerate([float("nan"), 20.0, 30.0, 45.0, 60.0, 97.5, 200.0])]
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        store = tmp_path / "store.jsonl"
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store),
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        assert code == 2
+        assert "d50_um must be a finite number" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_list_empty_store(self, tmp_path, capsys):
         code = main(["store", "list", "--store", str(tmp_path / "nothing.jsonl"),
@@ -415,6 +436,20 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
                  '{"llm": {"max_inflight": "x"}}', id="config-string-max-inflight"),
     pytest.param(["store", "list", "--config"], "c.json", '{"store_path": 5}',
                  id="config-number-store-path"),
+    pytest.param(["store", "list", "--store"], "s.jsonl",
+                 json.dumps({**_RECORD, "d50_um": float("nan")}) + "\n", id="list-nan-feature"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"sink_override": [1]}}', id="config-list-sink-override"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"sink_override": "no"}}', id="config-string-sink-override"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"sink_override": 1}}', id="config-number-sink-override"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"dose_mg": true}}', id="config-bool-dose"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"paddle_rpm": "50"}}', id="config-string-rpm"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"dose_mg": NaN}}', id="config-nan-dose"),
 ])
 def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
     monkeypatch.chdir(tmp_path)               # the ingest cases name a relative store
@@ -425,9 +460,11 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # scipy is imported where it is used, so commands that need none of it
-    # start fast.
+    # start fast. Importing the CLI loads none of it, and simulating and
+    # retrieving load only scipy.special (for hyp2f1), each in a fresh
+    # interpreter.
     src = str(Path(formukit.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -436,3 +473,22 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+    store = tmp_path / "store.jsonl"             # 6 records: adapt_weights ranks them
+    store.write_text("".join(
+        json.dumps({**_RECORD, "id": f"r{i}", "d50_um": 20.0 * (i + 1), "ssa_m2_g": 3.0 - 0.4 * i,
+                    "profile": [[0, 0], [1, 90 - 12 * i], [2, 95 - 10 * i]]}) + "\n"
+        for i in range(6)))
+    (tmp_path / "input.json").write_text(json.dumps({"Input": REFERENCE_INPUT}))
+    code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'interpolate'], ['scipy', 'optimize'], ['scipy', 'stats'], "
+            "['scipy', 'linalg']))]))")
+    for argv in (["simulate", "--d50", "50", "--sink"],
+                 ["simulate", "--d50", "50", "--dose", "600"],
+                 ["store", "retrieve", "--store", str(store), "--d50", "50"],
+                 ["predict", "--strategy", "rag", "--backend", "mock", "--input", "input.json",
+                  "--store", str(store)]):
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", "out"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, []], (argv, out.stderr)

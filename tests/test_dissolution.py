@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.integrate import quad, solve_ivp
 
 from formukit.dissolution import (
+    _size_law,
     derived_metrics,
     psd_from_lognormal,
     reduced_lifetime,
@@ -185,6 +186,19 @@ class TestReducedLifetime:
         y = np.geomspace(1e-14, 1e-6, 9)
         assert np.array_equal(reduced_lifetime(y, 0.0), y / 2)
 
+    def test_size_table_round_trips(self):
+        # The G^-1 table inverts G: a bin's remaining lifetime after tau is G(y0) - tau.
+        rng = np.random.default_rng(4)
+        for b in (0.0, *rng.uniform(0.0, 1e4, 5), 1e5):
+            y0 = 10.0 ** np.sort(rng.uniform(-10.0, -7.0, 40))   # 3 decades of squared size
+            lifetime, sizes = _size_law(y0, b)
+            tau = np.linspace(0.0, 1.0, 301) * lifetime.max()
+            left = lifetime - tau[:, None]
+            alive = left > 0.0
+            got = reduced_lifetime(sizes(tau), b)
+            assert np.all(np.abs(got[alive] / left[alive] - 1.0) <= 1e-9), b
+            assert np.all(got[~alive] == 0.0)
+
 
 class TestLognormalPsd:
     def test_degenerate_sigma(self):
@@ -356,6 +370,20 @@ class TestSimulate:
         assert result.released_cap_pct == pytest.approx(cap)
         assert np.all(result.profile.released_pct <= cap + 1e-9)
         assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
+
+    @pytest.mark.parametrize("n_bins", [1, 12, 50])
+    @pytest.mark.parametrize("dose_mg", [600.0, 1000.0, 1e6])
+    def test_saturation_root_zeroes_the_driving_force(self, drug, sphere, n_bins, dose_mg):
+        # Past the capacity the run ends where C_b = C_sat: C_sat - dose/V + (dose/V) times
+        # the undissolved mass fraction is zero there, to a few ulps of dose/V.
+        psd = psd_from_lognormal(120.0, 1.5, n_bins)
+        cond = DissolutionConditions(dose_mg=dose_mg)
+        result = simulate(drug, sphere, psd, cond, (0.0, 1.0, 1000.0))
+        y0 = (psd.sizes_um * 1e-6) ** 2
+        remaining = (result.sizes_m[-1] ** 2) ** 1.5 @ (psd.fractions / y0 ** 1.5)
+        dose_over_v = dose_mg / cond.medium_volume_ml
+        force = drug.c_sat_mg_ml - dose_over_v + dose_over_v * remaining
+        assert abs(force) <= 4.0 * np.finfo(float).eps * dose_over_v
 
     def test_sink_override_forces_zero_bulk(self, drug, sphere, grid):
         cond = DissolutionConditions(dose_mg=500.0, sink_override=True)

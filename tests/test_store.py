@@ -1,15 +1,18 @@
 import json
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from formukit.errors import ConflictError, EmptyStoreError, ValidationError
 from formukit.store import (
     FormulationRecord,
     RecordStore,
     RetrievalWeights,
+    _spearman,
     import_verbatim_file,
     load_records,
     record_from_verbatim,
@@ -171,6 +174,15 @@ class TestVerbatimImport:
             record_from_verbatim({"Input": {"Roundness": 1.0},
                                   "Output": [[0, 0], [1, 50]]}, "bad")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf", 10 ** 400])
+    def test_non_finite_feature_rejected(self, value, example_records):
+        row = {**example_records[0].to_dict(), "ssa_m2_g": value}
+        with pytest.raises(ValidationError, match="ssa_m2_g must be a finite number"):
+            FormulationRecord.from_dict(row)
+        with pytest.raises(ValidationError, match="ssa_m2_g must be a finite number"):
+            record_from_verbatim({"Input": {**row, "Specific surface area (m^2/g)": value},
+                                  "Output": [[0, 0], [1, 50]]}, "bad")
+
 
 class TestAdaptWeights:
     def test_small_store_uniform_over_varying(self, example_records):
@@ -205,6 +217,32 @@ class TestAdaptWeights:
     def test_empty_store(self):
         with pytest.raises(EmptyStoreError):
             RecordStore().adapt_weights()
+
+    def test_spearman_matches_scipy_with_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(5, 40))
+            x = rng.integers(0, 5, n).astype(float)
+            y = np.round(rng.normal(size=n), 1)
+            for a, b in ((x, y), (y, x), (rng.normal(size=n), y)):
+                assert _spearman(a, b) == pytest.approx(stats.spearmanr(a, b).statistic,
+                                                        rel=0.0, abs=1e-12)
+
+    def test_spearman_of_a_constant_column_is_nan(self):
+        x, y = np.full(7, 3.0), np.arange(7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")                 # scipy warns on constant input
+            assert np.isnan(stats.spearmanr(x, y).statistic)
+        assert np.isnan(_spearman(x, y)) and np.isnan(_spearman(y, x))
+
+    def test_weights_are_normalized_abs_spearman(self):
+        store = _store_with(_synthetic_records())
+        matrix = store.feature_matrix()
+        release = [r.profile.released_at(1.0) for r in store.records]
+        raw = np.array([abs(stats.spearmanr(col, release).statistic) if np.ptp(col) else 0.0
+                        for col in matrix.T])
+        np.testing.assert_allclose(store.adapt_weights().weights, raw / raw.sum(),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestRetrieve:

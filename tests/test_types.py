@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from formukit.errors import DomainError, DuplicateTimeError, ValidationError
+from formukit.errors import (
+    ConfigurationError,
+    DomainError,
+    DuplicateTimeError,
+    ValidationError,
+)
 from formukit.types import (
     DissolutionConditions,
     DissolutionProfile,
@@ -50,6 +55,18 @@ class TestParticleMorphology:
             ParticleMorphology(psi_a=-1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DrugSubstance("x", c_sat_mg_ml=math.nan, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
+    lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.nan),
+    lambda: ParticleMorphology(aspect_ratio=math.nan),
+    lambda: ParticleMorphology(psi_a=math.nan),
+    lambda: ParticleMorphology(psi_v=math.nan),
+])
+def test_nan_constants_rejected(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 class TestSizeDistribution:
     def test_fraction_sum_enforced(self):
         with pytest.raises(DomainError):
@@ -65,6 +82,11 @@ class TestSizeDistribution:
         with pytest.raises(DomainError):
             SizeDistribution([1.0, 2.0], [1.2, -0.2])
 
+    @pytest.mark.parametrize("sizes", [[math.inf], [1.0, math.inf], [math.nan], [0.0, 1.0]])
+    def test_sizes_finite_and_positive(self, sizes):
+        with pytest.raises(DomainError, match="bin sizes must be finite and > 0"):
+            SizeDistribution(sizes, np.full(len(sizes), 1.0 / len(sizes)))
+
     def test_d50_interpolation_symmetric(self):
         psd = SizeDistribution([90.0, 100.0, 110.0], [0.25, 0.5, 0.25])
         assert psd.d50_um == pytest.approx(100.0)
@@ -76,6 +98,26 @@ class TestDissolutionConditions:
             DissolutionConditions(velocity_factor=0.0)
         with pytest.raises(DomainError):
             DissolutionConditions(velocity_factor=1.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sink_override": 1}, {"sink_override": "no"}, {"sink_override": [1]},
+        {"sink_override": np.bool_(True)}, {"dose_mg": True}, {"dose_mg": "10"},
+        {"paddle_rpm": None}, {"medium_volume_ml": 900j},
+    ])
+    def test_wrong_types_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            DissolutionConditions(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cond = DissolutionConditions(dose_mg=np.float64(600.0), paddle_rpm=np.int64(75))
+        assert cond.dose_mg == 600.0 and cond.paddle_rpm == 75
+
+    @pytest.mark.parametrize("name", ["medium_volume_ml", "dose_mg", "paddle_rpm",
+                                      "fluid_density_kg_m3", "fluid_viscosity_pa_s",
+                                      "velocity_factor"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(DomainError):
+            DissolutionConditions(**{name: math.nan})
 
     def test_slip_velocity(self):
         cond = DissolutionConditions(paddle_rpm=50.0, velocity_factor=0.1)
@@ -124,3 +166,11 @@ class TestFormulationInput:
             FormulationInput(d50_um=-1.0)
         with pytest.raises(DomainError):
             FormulationInput(d50_um=45.0, ssa_m2_g=0.0)
+
+    @pytest.mark.parametrize("name", ["d50_um", "aspect_ratio", "roundness", "solubility_mg_ml",
+                                      "diffusivity_m2_s", "true_density_g_ml", "ssa_m2_g",
+                                      "vol_eq_um"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(DomainError):
+            FormulationInput(**{"d50_um": 45.0, name: value})
