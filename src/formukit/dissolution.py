@@ -12,8 +12,8 @@ linearly with size, so Sh = 2 + b * x^0.52, and in the squared size y = x^2
 which is regular at extinction (the 1/x factor cancels). Every bin sees the
 same driving force C_sat - C_b, so in the reduced time
 tau = integral of A * (C_sat - C_b) dt all bins follow one law,
-dy/dtau = -(2 + b * y^0.26), solved in closed form by
-y_i(tau) = G^-1(G(y0_i) - tau) with G from a hypergeometric function. Under
+dy/dtau = -(2 + b * y^0.26), solved by y_i(tau) = G^-1(G(y0_i) - tau), with
+G(y) the integral of 1 / (2 + b * y^0.26) summed along a log-spaced table. Under
 sink conditions tau is linear in t; when the bulk C_b = dissolved mass /
 medium volume couples back, t(tau) is a quadrature of 1 / (dtau/dt), with the
 saturating tail integrated in log form. Bin i vanishes exactly at
@@ -44,12 +44,14 @@ from .units import KG_M3_PER_G_ML, M2_KG_PER_M2_G, M_PER_UM, S_PER_HR
 _SH_POWER = 0.26
 #: Share of tau_end left where the clock quadrature stops; tau then runs on at its last rate.
 _TAU_RTOL = 1e-9
-#: Gauss-Legendre nodes on [-1, 1] for each panel of the clock quadrature (the
-#: roots of P_8), and the monomial coefficients of the Lagrange polynomial of
-#: each node, in rows.
+#: Gauss-Legendre nodes on [-1, 1] (the roots of P_8) and weights for each panel
+#: of the clock quadrature and of the G sum, and the monomial coefficients of the
+#: Lagrange polynomial of each node, in rows.
 _GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
                       0.9602898564975362])
 _GL_NODES = np.concatenate((-_GL_NODES[::-1], _GL_NODES))
+_GL_WEIGHTS = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
+                        0.362683783378362])[[0, 1, 2, 3, 3, 2, 1, 0]]
 _GL_LAGRANGE = np.array([np.poly(np.delete(_GL_NODES, i))[::-1]
                          / np.prod(_GL_NODES[i] - np.delete(_GL_NODES, i))
                          for i in range(_GL_NODES.size)])
@@ -57,8 +59,10 @@ _GL_LAGRANGE = np.array([np.poly(np.delete(_GL_NODES, i))[::-1]
 _MAX_EDGES = 32
 #: Widest panel in the log variable of the clock quadrature.
 _MAX_PANEL_U = 1.0
-#: Sizes evaluated at once by the clock quadrature.
-_CHUNK = 8192
+#: Sizes evaluated at once by the clock quadrature. Larger slices make temporaries
+#: that glibc's malloc returns to the system and faults in again on every call (8192
+#: ran 1.5x slower where no big import had grown the heap); smaller cost more per slice.
+_CHUNK = 4096
 #: Knots of the per-call G^-1 table, log-spaced in squared size: enough for G(G^-1(g)) = g to 1e-9.
 _TABLE_POINTS = 257
 #: Bottom of that table relative to the smallest initial squared size; a bin
@@ -181,28 +185,42 @@ def reduced_lifetime(y, b):
     """Reduced time G(y) a bin of squared size y [m^2] takes to vanish [m^2].
 
     In reduced time every bin obeys dy/dtau = -(2 + b * y^0.26), where
-    ``b = Sh(x = 1 m) - 2``, so G(y) is the integral of 1 / (2 + b * y'^0.26)
-    from 0 to y, in closed form (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2).
-    ``b = 0`` (no agitation) gives exactly y/2.
+    ``b = Sh(x = 1 m) - 2``, so G(y) is the integral of 1 / (2 + b * y'^0.26) from 0
+    to y, (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2), here summed as in
+    :func:`_size_law` to about 1e-14. ``b = 0`` (no agitation) gives exactly y/2.
     """
-    from scipy.special import hyp2f1
-
     y = np.asarray(y, dtype=float)
-    a = 1.0 / _SH_POWER
-    return 0.5 * y * hyp2f1(1.0, a, 1.0 + a, -0.5 * b * y ** _SH_POWER)
+    g, live = np.zeros_like(y), y > 0.0                       # no size, no lifetime
+    g[live] = _size_law(y[live], b)[0] if live.any() else 0.0
+    return g[()]
 
 
 def _size_law(y0: np.ndarray, b: float):
     """Per-bin lifetimes G(y0_i) and the map tau -> squared sizes G^-1(G(y0_i) - tau).
 
-    G^-1 comes from one cubic Hermite table of ln(y / G) against ln G, with the
-    exact slopes G * (2 + b * y^0.26) / y - 1: a slowly varying function (ln 2
-    at b = 0), shifted per bin so that tau = 0 returns y0 to rounding. Below
-    the floor y / G is held, and a bin whose lifetime has run out is exactly zero.
+    G is summed along a table log-spaced in y: a series at its floor, then one
+    Gauss-Legendre panel in ln y per interval and one from each bin's knot below.
+    G^-1 is a cubic Hermite table of ln(y / G), slowly varying (ln 2 at b = 0), against
+    ln G on the same knots, with the exact slopes G * (2 + b * y^0.26) / y - 1,
+    shifted per bin so that tau = 0 returns y0 to rounding. Below the floor
+    y / G is held, and a bin whose lifetime has run out is exactly zero.
     """
-    lifetime = reduced_lifetime(y0, b)
     y_tab = np.geomspace(y0.min() * _TABLE_FLOOR, y0.max(), _TABLE_POINTS)
-    g_tab = reduced_lifetime(y_tab, b)
+    g_tab, lifetime = 0.5 * y_tab, 0.5 * y0                   # exact at b = 0
+    if b:
+        def panels(lo, hi):                                   # G(hi) - G(lo), one panel each
+            half = 0.5 * np.log(hi / lo)
+            y = lo[:, None] * np.exp(half[:, None] * (_GL_NODES + 1.0))
+            return half * (y / (2.0 + b * y ** _SH_POWER) @ _GL_WEIGHTS)
+        # G(floor) = (y/2)/(1 + q) * sum n!/(1 + 1/0.26)_n (q/(1 + q))^n, q = b y^0.26 / 2:
+        # under 1e-8 of any lifetime, as G grows at least as y^0.74.
+        q, series = 0.5 * b * float(y_tab[0]) ** _SH_POWER, 1.0
+        for n in range(60, 0, -1):
+            series = 1.0 + series * q / (1.0 + q) * n / (n + 1.0 / _SH_POWER)
+        floor = 0.5 * float(y_tab[0]) / (1.0 + q) * series
+        g_tab = np.cumsum(np.concatenate(([floor], panels(y_tab[:-1], y_tab[1:]))))
+        below = np.searchsorted(y_tab, y0, "right") - 1
+        lifetime = g_tab[below] + panels(y_tab[below], y0)
     log_g, ratio = np.log(g_tab), np.log(y_tab / g_tab)
     slope = g_tab * (2.0 + b * y_tab ** _SH_POWER) / y_tab - 1.0       # d ln(y/G) / d ln G
     h, rise = np.diff(log_g), np.diff(ratio) / np.diff(log_g)
@@ -211,7 +229,9 @@ def _size_law(y0: np.ndarray, b: float):
                       (3.0 * rise - 2.0 * slope[:-1] - slope[1:]) / h, slope[:-1], ratio[:-1]])
 
     def log_ratio(v):
-        knot, c3, c2, c1, c0 = table.take(np.searchsorted(log_g[1:-1], v, "right"), axis=1)
+        # v's interval: np.interp on the knot numbers finds it faster than searchsorted.
+        below = np.interp(v, log_g[:-1], np.arange(log_g.size - 1.0)).astype(np.intp)
+        knot, c3, c2, c1, c0 = table.take(below, axis=1)
         d = v - knot
         return ((c3 * d + c2) * d + c1) * d + c0
 
@@ -219,8 +239,7 @@ def _size_law(y0: np.ndarray, b: float):
 
     def sizes(tau):
         left = np.maximum(lifetime - np.asarray(tau, dtype=float)[..., None], 0.0)
-        v = np.log(left, out=np.full(left.shape, log_g[0]), where=left > 0.0)
-        return left * np.exp(log_ratio(np.maximum(v, log_g[0])) + shift)
+        return left * np.exp(log_ratio(np.log(np.maximum(left, g_tab[0]))) + shift)
 
     return lifetime, sizes
 
@@ -278,7 +297,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     excess = c_sat - dose_over_v                              # < 0 past the capacity
 
     def driving(tau):                                         # C_sat - C_b, unclamped
-        return excess + dose_over_v * (sizes(tau) ** 1.5 @ mass_w)
+        return excess + dose_over_v * ((y := sizes(tau)) * np.sqrt(y) @ mass_w)
 
     if sink or t_end == 0.0:                      # a zero-length run needs no clock either
         speed = rate_base * c_sat

@@ -48,12 +48,13 @@ class LLMConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigurationError("temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.max_inflight < 1:
-            raise ConfigurationError("max_inflight must be >= 1")
+        for name, got in vars(self).items():          # each field takes its default's type
+            kind = type(getattr(LLMConfig, name))
+            if type(got) is bool or not isinstance(got, (int, float) if kind is float else kind):
+                raise ConfigurationError(f"llm {name} must be of type {kind.__name__}")
+        for name, least in (("temperature", 0), ("max_retries", 0), ("max_inflight", 1)):
+            if not getattr(self, name) >= least:
+                raise ConfigurationError(f"{name} must be >= {least}")
 
 
 def prompt_sha256(prompt: PromptBundle | str) -> str:

@@ -450,6 +450,13 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
                  '{"conditions": {"paddle_rpm": "50"}}', id="config-string-rpm"),
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"conditions": {"dose_mg": NaN}}', id="config-nan-dose"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"max_inflight": 2.5}}', id="config-float-max-inflight"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"max_inflight": true, "max_retries": 1.5}}',
+                 id="config-bool-max-inflight"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"model": 5}}', id="config-number-model"),
 ])
 def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
     monkeypatch.chdir(tmp_path)               # the ingest cases name a relative store
@@ -461,10 +468,10 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is imported where it is used, so commands that need none of it
-    # start fast. Importing the CLI loads none of it, and simulating and
-    # retrieving load only scipy.special (for hyp2f1), each in a fresh
-    # interpreter.
+    # scipy is imported where it is used, and only the inverse design (design,
+    # through scipy.optimize) uses it. Importing the CLI loads none of it, and
+    # neither do simulating, retrieving, predicting, benchmarking with the mock
+    # backend or scoring, each in a fresh interpreter.
     src = str(Path(formukit.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -480,15 +487,19 @@ def test_import_loads_no_scipy(tmp_path):
                     "profile": [[0, 0], [1, 90 - 12 * i], [2, 95 - 10 * i]]}) + "\n"
         for i in range(6)))
     (tmp_path / "input.json").write_text(json.dumps({"Input": REFERENCE_INPUT}))
+    for name, values in (("ref.csv", (0, 40, 70)), ("pred.csv", (0, 35, 75))):
+        (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
+            f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
     code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'interpolate'], ['scipy', 'optimize'], ['scipy', 'stats'], "
-            "['scipy', 'linalg']))]))")
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
     for argv in (["simulate", "--d50", "50", "--sink"],
                  ["simulate", "--d50", "50", "--dose", "600"],
+                 ["simulate", "--d50", "50", "--n-bins", "200"],
                  ["store", "retrieve", "--store", str(store), "--d50", "50"],
                  ["predict", "--strategy", "rag", "--backend", "mock", "--input", "input.json",
-                  "--store", str(store)]):
+                  "--store", str(store)],
+                 ["bench", "--dataset", SEED_FILE, "--backend", "mock"],
+                 ["eval", "--reference", "ref.csv", "--predicted", "pred.csv"]):
         out = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", "out"],
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert json.loads(out.stdout.splitlines()[-1]) == [0, []], (argv, out.stderr)

@@ -174,13 +174,15 @@ class TestShrinkRate:
 
 
 class TestReducedLifetime:
-    @pytest.mark.parametrize("b", [0.5, 40.0, 2e3])
-    @pytest.mark.parametrize("y", [1e-14, 1e-10, 1e-8])
+    @pytest.mark.parametrize("b", [0.5, 40.0, 2e3, 1e5, 1e6])
+    @pytest.mark.parametrize("y", [1e-24, 1e-14, 1e-10, 1e-8, 2.25e-6])
     def test_matches_quadrature(self, b, y):
-        # G(y) = integral_0^y dy' / (2 + b y'^0.26), substituted y' = y u
-        expected = y * quad(lambda u: 1.0 / (2.0 + b * (y * u) ** 0.26), 0.0, 1.0,
-                            epsabs=0.0, epsrel=1e-12)[0]
-        assert reduced_lifetime(y, b) == pytest.approx(expected, rel=1e-9)
+        # G(y) = integral_0^y dy' / (2 + b y'^0.26), substituted y' = y s^(1/0.26),
+        # which leaves quad a smooth integrand up to b = 1e6 and the 1500 um top.
+        a = 1.0 / 0.26
+        expected = a * y * quad(lambda s: s ** (a - 1.0) / (2.0 + b * y ** 0.26 * s), 0.0, 1.0,
+                                epsabs=0.0, epsrel=1e-13)[0]
+        assert reduced_lifetime(y, b) == pytest.approx(expected, rel=1e-12)
 
     def test_stagnant_limit_is_half(self):
         y = np.geomspace(1e-14, 1e-6, 9)
@@ -198,6 +200,35 @@ class TestReducedLifetime:
             got = reduced_lifetime(sizes(tau), b)
             assert np.all(np.abs(got[alive] / left[alive] - 1.0) <= 1e-9), b
             assert np.all(got[~alive] == 0.0)
+
+
+class TestMetamorphic:
+    """Exact relations of the reduced time: shape and dose enter the kinetics
+    only through psi_A / psi_v and dose / volume."""
+
+    CONDITIONS = [DissolutionConditions(sink_override=True), DissolutionConditions(dose_mg=200.0),
+                  DissolutionConditions(dose_mg=600.0)]
+
+    @pytest.mark.parametrize("cond", CONDITIONS, ids=["sink", "coupled", "saturating"])
+    def test_aspect_ratio_rescales_time(self, drug, sphere, cond, grid):
+        # A needle's curve is the sphere's at time s * t, s = (psi_A,eff / psi_v) / 6.
+        needle = ParticleMorphology(aspect_ratio=2.5)
+        s = needle.surface_to_volume_ratio / 6.0
+        psd = psd_from_lognormal(97.5, 1.5, 30)
+        got = simulate_dissolution(drug, needle, psd, cond, grid).released_pct
+        want = simulate_dissolution(drug, sphere, psd, cond, s * np.asarray(grid)).released_pct
+        assert s > 1.1
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("cond", CONDITIONS, ids=["sink", "coupled", "saturating"])
+    def test_dose_and_volume_scale_together(self, drug, sphere, cond, grid):
+        psd = psd_from_lognormal(97.5, 1.5, 30)
+        scaled = DissolutionConditions(dose_mg=3.7 * cond.dose_mg,
+                                       medium_volume_ml=3.7 * cond.medium_volume_ml,
+                                       sink_override=cond.sink_override)
+        got = simulate_dissolution(drug, sphere, psd, scaled, grid).released_pct
+        want = simulate_dissolution(drug, sphere, psd, cond, grid).released_pct
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 class TestLognormalPsd:
