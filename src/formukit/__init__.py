@@ -50,7 +50,6 @@ from .llm import (
 from .prompts import (
     PromptBundle,
     PromptStrategy,
-    build_inverse_prompt,
     build_prompt,
     parse_profile_response,
     validate_profile,
@@ -85,7 +84,7 @@ __all__ = [
     "LLMConfig", "LognormalParameterization", "MockBackend", "ParticleMorphology",
     "PromptBundle", "PromptStrategy", "RecordStore", "ReplayBackend", "RetrievalWeights",
     "SimulationResult", "SizeDistribution", "Transcript",
-    "TranscriptRecorder", "align_profiles", "build_inverse_prompt", "build_prompt",
+    "TranscriptRecorder", "align_profiles", "build_prompt",
     "derived_metrics", "design_psd", "design_report", "import_verbatim_file",
     "load_records", "make_backend", "mse", "objective", "parse_profile_response",
     "profile_metrics", "prompt_sha256", "psd_from_lognormal", "r_squared",

@@ -78,7 +78,11 @@ class AppConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.seed = int(self.seed)
+        seed = self.seed
+        if type(seed) is bool or not isinstance(seed, (int, float)) or (
+                isinstance(seed, float) and not seed.is_integer()):
+            raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+        self.seed = int(seed)
         if not (isinstance(self.store_path, str) and isinstance(self.output_dir, str)):
             raise ConfigurationError("store_path and output_dir must be strings")
 

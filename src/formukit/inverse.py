@@ -4,23 +4,25 @@ The fit criterion is the release-curve MSE on the target's time grid plus,
 for free-bin distributions, a second-difference roughness penalty that tames
 the ill-posedness (many distributions produce near-identical curves).
 
-Two parameterizations are supported:
+Two parameterizations are supported: log-normal (d50, geo_sigma), fitted in
+the log-transformed parameters, and free mass fractions on a fixed geometric
+size grid. Both run the same bounded Gauss-Newton rounds. Each round models
+released % as base + J (x' - x), solves one bounded linear least-squares
+problem (BVLS) for x' with the target rows stacked on the penalty rows (for
+free bins the roughness and a row holding the fractions' sum at 1), and
+steps toward the projected solution, halving the step until the objective
+falls. J comes from forward differences along unit vectors; free-bin rounds
+first try the reduced-time clock of the last run held, under which released
+% is 100 (1 - R f) with R[k, i] = (x_i(t_k) / x0_i)^3, and switch to finite
+differences once no step toward that solution falls (a saturating dose,
+where the clock moves strongly with f).
 
-* log-normal (d50, geo_sigma): bounded nonlinear least squares (trust-region
-  reflective, finite-difference Jacobian) on the release residuals over the
-  log-transformed parameters; the parameterization's own values double as
-  the starting point, and additional seeded starts guard against local minima.
-* free bins on a fixed geometric size grid: a damped fixed point. With the
-  reduced-time clock of the last run held, released % is 100 (1 - R f) with
-  R[k, i] = (x_i(t_k) / x0_i)^3, so the fit is one bounded linear
-  least-squares solve; each round steps toward its solution, halving the
-  step until the true objective falls. Once no step falls (a saturating
-  dose, where the clock moves strongly with f), the rounds linearize with a
-  finite-difference Jacobian instead (Gauss-Newton). Fractions are clipped
-  to bounds and renormalized to sum to 1.
-
-Every accepted iterate has a non-increasing objective, and identical specs
-plus seed give bit-identical results.
+A search stops by itself, converged, when a finite-difference round finds
+no falling step, when an accepted step lowers the objective by at most 1e-6
+relative or moves no coordinate by more than 1e-12, or, for free bins only,
+once the objective is below ``CONVERGED_OBJECTIVE``. Every accepted iterate
+has a non-increasing objective, and identical specs plus seed give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -42,24 +44,16 @@ from .types import (
 
 #: Objective level treated as a perfect fit [%^2].
 CONVERGED_OBJECTIVE = 1e-3
-#: Relative improvement over the last 5 accepted iterates below which a
-#: free-bin search is considered converged.
-CONVERGED_RELATIVE_DECREASE = 1e-6
 #: Weight of the least-squares row that holds the free-bin fractions' sum at 1.
 _SUM_WEIGHT = 1e3
 #: Steps toward a round's least-squares solution, as shares of the way, tried in turn.
 _STEPS = 0.5 ** np.arange(7)
-#: Finite-difference step on the free-bin fractions, once the held clock stalls.
-_FD_STEP = 1e-4
-#: Relative finite-difference step on the log-normal's log parameters.
-_DIFF_STEP = 1e-7
-#: ftol, xtol and gtol of the log-normal least-squares solve; this tight, an
-#: exact target is recovered to rounding for about three more simulations.
-_TOL = 1e-12
-
-
-class _OutOfRuns(Exception):
-    """A log-normal start has used its ``max_evals_per_start`` simulations."""
+#: Finite-difference step on x_j, times max(1, |x_j|).
+_FD_STEP = 1e-7
+#: A search stops once an accepted step lowers the objective by at most
+#: _RTOL of its value or moves no coordinate by more than _XTOL.
+_RTOL = 1e-6
+_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,83 +165,93 @@ class DesignResult:
 
 
 class _AcceptTracker:
-    """Wraps a run returning (objective, release profile), recording the
-    best-so-far (accepted) sequence and the best run's argument and profile."""
+    """Runs one start's distributions, recording the best-so-far (accepted)
+    objective sequence and the best run's argument and simulation."""
 
-    def __init__(self, fun):
-        self.fun = fun
+    def __init__(self, spec: DesignSpec, make_psd):
+        self.spec, self.make_psd = spec, make_psd
         self.accepted: list[float] = []
-        self.best_args = self.best_achieved = None
+        self.best_args = self.best_result = None
         self.evals = 0
 
     def __call__(self, x):
         self.evals += 1
-        value, achieved = self.fun(x)
+        spec, psd = self.spec, self.make_psd(x)[0]
+        result = simulate(spec.drug, spec.morph, psd, spec.conditions,
+                          output_grid_hr=spec.target.times_hr)
+        value = _misfit(psd, spec, result.profile)
         if not self.accepted or value < self.accepted[-1]:
             self.accepted.append(value)
-            self.best_args, self.best_achieved = np.array(x, dtype=float), achieved
-        return value
+            self.best_args, self.best_result = np.array(x, dtype=float), result
+        return value, result
 
-    @property
-    def converged(self) -> bool:
-        if not self.accepted:
-            return False
-        if self.accepted[-1] < CONVERGED_OBJECTIVE:
+
+def _gauss_newton(tracker: _AcceptTracker, x, bounds, project, penalty, held_clock: bool,
+                  perfect: float, max_rounds: float, max_evals: float) -> bool:
+    """The rounds of the module docstring from ``x``, which the tracker has
+    just run; returns whether the search stopped by itself rather than on a
+    cap. ``penalty`` is the (matrix, right-hand side) stacked under the
+    target rows, and ``perfect`` the perfect-fit objective level."""
+    from scipy.optimize import lsq_linear
+
+    spec = tracker.spec
+    scale = 1.0 / np.sqrt(spec.target.n_points)
+    value, result, rounds = tracker.accepted[-1], tracker.best_result, 0
+    while rounds < max_rounds:
+        rounds += 1
+        base = result.profile.released_pct
+        if held_clock:
+            jac = -100.0 * (result.sizes_m / result.sizes_m[0]) ** 3
+        else:
+            jac = np.empty((base.size, x.size))
+            for j, h in enumerate(_FD_STEP * np.maximum(1.0, np.abs(x))):
+                if tracker.evals >= max_evals:
+                    return False
+                jac[:, j] = (tracker(x + h * np.eye(x.size)[j])[1].profile.released_pct - base) / h
+        solution = project(lsq_linear(
+            np.vstack((scale * jac, penalty[0])),
+            np.concatenate((scale * (spec.target.released_pct - base + jac @ x), penalty[1])),
+            bounds=bounds, method="bvls").x)
+        for step in _STEPS:
+            if tracker.evals >= max_evals:
+                return False
+            candidate = x + step * (solution - x)
+            cand_value, cand_result = tracker(candidate)
+            if cand_value < value:
+                break
+        else:
+            if not held_clock:
+                return True
+            held_clock = False          # the clock moves with x: take its response too
+            continue
+        if (value - cand_value <= _RTOL * value or np.max(np.abs(candidate - x)) <= _XTOL
+                or cand_value < perfect):
             return True
-        if len(self.accepted) >= 5:
-            prev, last = self.accepted[-5], self.accepted[-1]
-            return (prev - last) <= CONVERGED_RELATIVE_DECREASE * max(prev, 1e-30)
-        return False
+        x, value, result = candidate, cand_value, cand_result
+    return False
 
 
 def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
                       max_evals_per_start: int) -> DesignResult:
-    from scipy.optimize import least_squares
-
     param = spec.parameterization
     (d50_lo, d50_hi), (sig_lo, sig_hi) = spec.bounds
     if sig_lo < 1.0:
         raise ConfigurationError("geo_sigma lower bound must be >= 1")
     lb = np.log([d50_lo, sig_lo])
     ub = np.log([d50_hi, sig_hi])
-    scale = 1.0 / np.sqrt(spec.target.n_points)
-    residual = None           # of the last run; its sum of squares is the MSE
 
     def lognormal(z):
         d50, sigma = float(np.exp(z[0])), float(np.exp(z[1]))
         return (psd_from_lognormal(d50, sigma, param.n_bins),
                 {"d50_um": d50, "geo_sigma": sigma, "n_bins": param.n_bins})
 
-    def run(z):
-        nonlocal residual
-        psd = lognormal(z)[0]
-        achieved = simulate_dissolution(spec.drug, spec.morph, psd, spec.conditions,
-                                        output_grid_hr=spec.target.times_hr)
-        residual = scale * (achieved.released_pct - spec.target.released_pct)
-        return _misfit(psd, spec, achieved), achieved
-
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
     starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
-
-    def trust_region(tracker, start):
-        start_residual = residual             # the tracker has just run the start
-
-        def residuals(z):
-            if np.array_equal(z, start):      # least_squares evaluates its x0 again
-                return start_residual
-            if tracker.evals >= max_evals_per_start:     # Jacobian runs count too
-                raise _OutOfRuns
-            tracker(z)
-            return residual
-
-        try:
-            return least_squares(residuals, start, bounds=(lb, ub), method="trf",
-                                 diff_step=_DIFF_STEP, ftol=_TOL, xtol=_TOL, gtol=_TOL).status > 0
-        except _OutOfRuns:
-            return False
-
-    return _multi_start(spec, run, starts, trust_region, lognormal)
+    return _multi_start(spec, lognormal, starts, bounds=(lb, ub),
+                        project=lambda z: np.clip(z, lb, ub),
+                        penalty=(np.empty((0, 2)), np.empty(0)), held_clock=False,
+                        perfect=0.0, max_rounds=np.inf, max_evals=max_evals_per_start)
 
 
 def _project(fractions: np.ndarray, bounds) -> np.ndarray:
@@ -261,89 +265,46 @@ def _project(fractions: np.ndarray, bounds) -> np.ndarray:
 
 def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
                       max_rounds: int) -> DesignResult:
-    from scipy.optimize import lsq_linear
-
     param = spec.parameterization
     sizes = param.sizes_um
     n = param.n
-    # Release rows go on top of the roughness rows and one row holding the sum at 1.
-    scale = 1.0 / np.sqrt(spec.target.n_points)
-    penalty = np.vstack((np.sqrt(spec.regularization_weight) * np.diff(np.eye(n), n=2, axis=0),
-                         np.full((1, n), _SUM_WEIGHT)))
-    penalty_rhs = np.append(np.zeros(len(penalty) - 1), _SUM_WEIGHT)
-    released = remaining = None       # of the last run: released %, mass share left per bin
+    # Roughness rows, then one row holding the sum at 1.
+    rows = np.vstack((np.sqrt(spec.regularization_weight) * np.diff(np.eye(n), n=2, axis=0),
+                      np.full((1, n), _SUM_WEIGHT)))
+    penalty = rows, np.append(np.zeros(len(rows) - 1), _SUM_WEIGHT)
 
-    def run(fractions):
-        nonlocal released, remaining
-        psd = SizeDistribution(sizes, fractions)
-        result = simulate(spec.drug, spec.morph, psd, spec.conditions,
-                          output_grid_hr=spec.target.times_hr)
-        released, remaining = result.profile.released_pct, (result.sizes_m / result.sizes_m[0]) ** 3
-        return _misfit(psd, spec, result.profile), result.profile
+    def free_bins(f):
+        f = f / f.sum()       # finite-difference probes leave the simplex
+        return SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}
 
     rng = np.random.default_rng(seed)
     f0 = param.fractions if param.fractions is not None else np.full(n, 1.0 / n)
     starts = [_project(f, spec.bounds)
               for f in [f0] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
-
-    def fixed_point(tracker, current):
-        value, base = tracker.accepted[-1], released
-        exact = False                 # set once the held clock stalls
-        for _ in range(max_rounds):
-            if tracker.converged:
-                break
-            # Each round fits released % ~ offset + jac @ f. With the clock of
-            # the current run held, that is 100 - 100 remaining @ f. Once that
-            # stops giving a descent step, the clock's response is taken too:
-            # on the simplex f' - f = sum_j f'_j (e_j - f), so the columns are
-            # finite differences along e_j - f (a Gauss-Newton step).
-            if exact:
-                offset, jac = base, np.empty((base.size, n))
-                for j in range(n):
-                    tracker.evals += 1
-                    run((current + _FD_STEP * np.eye(n)[j]) / (1.0 + _FD_STEP))
-                    jac[:, j] = (released - base) * (1.0 + _FD_STEP) / _FD_STEP
-            else:
-                offset, jac = 100.0, -100.0 * remaining
-            solution = _project(lsq_linear(
-                np.vstack((scale * jac, penalty)),
-                np.concatenate(((spec.target.released_pct - offset) * scale, penalty_rhs)),
-                bounds=np.array(spec.bounds).T, method="bvls").x, spec.bounds)
-            # The clock moves with f, so step toward the solution only as far
-            # as the true objective falls.
-            for step in _STEPS:
-                candidate = current + step * (solution - current)
-                cand_value = tracker(candidate)
-                if cand_value < value:
-                    current, value, base = candidate, cand_value, released
-                    break
-            else:
-                if exact:
-                    break
-                exact = True
-        return tracker.converged
-
-    return _multi_start(spec, run, starts, fixed_point, lambda f: (
-        SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}))
+    return _multi_start(spec, free_bins, starts, bounds=np.array(spec.bounds).T,
+                        project=lambda f: _project(f, spec.bounds), penalty=penalty,
+                        held_clock=True, perfect=CONVERGED_OBJECTIVE, max_rounds=max_rounds,
+                        max_evals=np.inf)
 
 
-def _multi_start(spec: DesignSpec, fun, starts, search, make_psd) -> DesignResult:
-    """Run ``search(tracker, start)``, which returns whether it converged,
-    from each start in turn, skipping the rest after a numerically perfect
-    fit, which cannot be beaten materially. The best start has the lowest
-    value, then the fewest accepted steps, then the lowest index."""
+def _multi_start(spec: DesignSpec, make_psd, starts, **search) -> DesignResult:
+    """Run ``_gauss_newton`` with the ``search`` arguments from each start in
+    turn, skipping the rest after a numerically perfect fit, which cannot be
+    beaten materially. The best start has the lowest value, then the fewest
+    accepted steps, then the lowest index."""
     trackers, converged = [], []
     for start in starts:
-        tracker = _AcceptTracker(fun)
+        tracker = _AcceptTracker(spec, make_psd)
         trackers.append(tracker)
-        converged.append(tracker(start) < CONVERGED_OBJECTIVE or search(tracker, start))
+        converged.append(tracker(start)[0] < CONVERGED_OBJECTIVE
+                         or _gauss_newton(tracker, start, **search))
         if tracker.accepted[-1] < CONVERGED_OBJECTIVE:
             break
     start_index = min(range(len(trackers)), key=lambda i: (
         trackers[i].accepted[-1], len(trackers[i].accepted), i))
     tracker = trackers[start_index]
     psd, parameters = make_psd(tracker.best_args)
-    achieved = tracker.best_achieved
+    achieved = tracker.best_result.profile
     return DesignResult(
         psd=psd, achieved=achieved, residual_mse=mse(align_profiles(spec.target, achieved)),
         iterations=len(tracker.accepted) - 1, converged=converged[start_index],
@@ -356,16 +317,19 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
                ) -> DesignResult:
     """Find a size distribution whose simulated release matches the target.
 
-    Multi-start least squares (``n_starts`` seeded starts, the first being
-    the parameterization's own values); the best residual wins, ties broken
-    by fewer iterations then lower start index. ``max_evals_per_start`` caps
-    the simulations of each log-normal start, finite-difference Jacobian runs
-    included; ``max_iter_free`` caps the least-squares rounds of each
-    free-bin start (held-clock and finite-difference rounds alike). A
-    log-normal design has converged when the solve stops on its own
-    tolerance, a free-bin design when the accepted objective stalls. Hitting
-    a cap first returns the best-so-far result with ``converged=False``
-    rather than raising.
+    Multi-start bounded Gauss-Newton (``n_starts`` seeded starts, the first
+    being the parameterization's own values); starts after one that fits
+    below ``CONVERGED_OBJECTIVE`` are skipped. The best residual wins, ties
+    broken by fewer iterations then lower start index. ``converged`` is True
+    when the chosen start's search stopped by itself (see the module
+    docstring): for a free-bin design that means the objective fell below
+    ``CONVERGED_OBJECTIVE`` or stalled, roughness penalty included. The caps
+    differ by parameterization: ``max_evals_per_start`` caps the simulations
+    of each log-normal start, finite-difference runs included, and
+    ``max_iter_free`` caps the rounds of each free-bin start (held-clock and
+    finite-difference rounds alike); neither applies to the other kind.
+    Hitting a cap first returns the best-so-far result with
+    ``converged=False`` rather than raising.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")

@@ -52,9 +52,12 @@ class LLMConfig:
             kind = type(getattr(LLMConfig, name))
             if type(got) is bool or not isinstance(got, (int, float) if kind is float else kind):
                 raise ConfigurationError(f"llm {name} must be of type {kind.__name__}")
-        for name, least in (("temperature", 0), ("max_retries", 0), ("max_inflight", 1)):
+        for name, least in (("temperature", 0), ("max_tokens", 1), ("max_retries", 0),
+                            ("max_inflight", 1)):
             if not getattr(self, name) >= least:
                 raise ConfigurationError(f"{name} must be >= {least}")
+        if not 0 < self.timeout_s < float("inf"):
+            raise ConfigurationError("timeout_s must be finite and > 0")
 
 
 def prompt_sha256(prompt: PromptBundle | str) -> str:

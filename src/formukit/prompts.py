@@ -10,8 +10,7 @@ instruction line. Rendering is byte-deterministic: identical inputs give
 identical text.
 
 Section header spellings and the constraint block reproduce the structured
-template this toolkit standardizes on, verbatim; the inverse-design template
-prose is this toolkit's own.
+template this toolkit standardizes on, verbatim.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import (
     ParseError,
     StrategyPreconditionError,
 )
-from .types import FEATURE_NAMES, DissolutionProfile, DrugSubstance, FormulationInput
+from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 
 class PromptStrategy(enum.Enum):
@@ -95,13 +94,6 @@ _FORWARD_REQUEST_BODY = """\
 3. you need to design the physical properties of the drugs and optimize the conditions based on given
 dissolution profile (dissolution rate)"""
 
-_INVERSE_REQUEST_BODY = """\
-1. Your customer will give you a target dissolution profile on a fixed time grid,
-2. you need to design the physical properties of the drugs (particle size distribution and the
-derived D50, specific surface area and volume-based equivalent particle size) whose dissolution
-matches the target, and
-3. optimize the conditions based on given dissolution profile (dissolution rate)"""
-
 _OUTPUT_FORMAT_SAMPLE = """\
 {
   "columns": ["Time (hr)", "Drug Released (%)"],
@@ -126,12 +118,6 @@ Include key metrics: {t_0}, {t_0.25}, {t_0.5}, {t_0.75}, {t_1}, {t_2}, {t_3}, {t
 where t refers to the abbreviation of "Time (hrs)"
 
 """ + _OUTPUT_FORMAT_SAMPLE
-
-_INVERSE_OUTPUT_BODY = """\
-please generate a table with columns: [Property, Value] listing the designed physical properties:
-"Mean Particle Size, D50", "Aspect ratio", "Roundness", "Specific surface area (m^2/g)",
-"volume-based equivalent particle size (micrometer)", and the geometric standard deviation of the
-designed particle size distribution."""
 
 _CONSTRAINTS_BODY = """\
 1. Nernst-Brunner equation = {
@@ -201,14 +187,14 @@ def render_input_block(features: FormulationInput) -> str:
     return "\n".join(lines)
 
 
-def render_profile_json(profile: DissolutionProfile, indent: str = "") -> str:
+def render_profile_json(profile: DissolutionProfile) -> str:
     """Profile as the columns/data JSON block used in prompts and responses."""
     rows = ",\n".join(
-        f"{indent}    [{format_number(t)}, {format_number(v)}]"
+        f"    [{format_number(t)}, {format_number(v)}]"
         for t, v in profile.points()
     )
-    return (f'{indent}{{\n{indent}  "columns": ["Time (hr)", "Drug Released (%)"],\n'
-            f'{indent}  "data": [\n{rows}\n{indent}  ]\n{indent}}}')
+    return ('{\n  "columns": ["Time (hr)", "Drug Released (%)"],\n'
+            f'  "data": [\n{rows}\n  ]\n}}')
 
 
 def render_example_blocks(records) -> str:
@@ -240,30 +226,10 @@ class PromptBundle:
         return dict(self.sections)[name]
 
 
-def _render(strategy: PromptStrategy, request: str, input_format: str, output_format: str,
-            examples) -> PromptBundle:
-    """The seven sections in :data:`SECTION_HEADERS` order, rendered."""
-    if not strategy.needs_examples:
-        examples_body = NO_EXAMPLES_TEXT
-    elif isinstance(examples, str):
-        examples_body = examples
-    elif examples is None or not (examples := list(examples)):   # an iterator is read once
-        raise StrategyPreconditionError(f"{strategy.value} requires at least one example record")
-    else:
-        examples_body = render_example_blocks(examples)
-    bodies = (_ROLE_BODY, _BACKGROUND_BODY, request, input_format, output_format, examples_body,
-              _CONSTRAINTS_BODY)
-    sections = tuple((key, body) for (key, _), body in zip(SECTION_HEADERS, bodies))
-    rendered = "\n\n".join(f"### {header}: ###\n{body}"
-                           for (_, header), body in zip(SECTION_HEADERS, bodies))
-    if strategy.is_cot:
-        rendered += "\n" + COT_INSTRUCTION
-    return PromptBundle(sections=sections, rendered=rendered, strategy=strategy)
-
-
 def build_prompt(strategy: PromptStrategy, features: FormulationInput,
                  examples=None) -> PromptBundle:
-    """Assemble the forward (release-prediction) prompt.
+    """Assemble the forward (release-prediction) prompt: the seven sections
+    in :data:`SECTION_HEADERS` order, rendered.
 
     Parameters
     ----------
@@ -272,28 +238,22 @@ def build_prompt(strategy: PromptStrategy, features: FormulationInput,
         (a pre-rendered string is used as-is). ZS variants get the literal
         "no examples provided".
     """
-    return _render(strategy, _FORWARD_REQUEST_BODY, render_input_block(features),
-                   _FORWARD_OUTPUT_BODY, examples)
-
-
-def build_inverse_prompt(strategy: PromptStrategy, target: DissolutionProfile,
-                         drug: DrugSubstance, examples=None) -> PromptBundle:
-    """Assemble the inverse (property-design) prompt for a target profile."""
-    if target.n_points < 2:
-        raise StrategyPreconditionError("inverse prompt needs a target with >= 2 points")
-    input_lines = ["{", "  Input = {"]
-    for verbatim, value in (
-        ("solubility of drug (mg/mL)", drug.c_sat_mg_ml),
-        ("Diffusion coefficient of drug (m^2/s)", drug.diffusivity_m2_s),
-        ("True Density of drug (g/mL)", drug.true_density_g_ml),
-    ):
-        input_lines.append(f'    "{verbatim}" : {format_number(value)},')
-    input_lines.append('    "target dissolution profile" :')
-    input_lines.append(render_profile_json(target, indent="    ") + ",")
-    input_lines.append("  }")
-    input_lines.append("}")
-    return _render(strategy, _INVERSE_REQUEST_BODY, "\n".join(input_lines),
-                   _INVERSE_OUTPUT_BODY, examples)
+    if not strategy.needs_examples:
+        examples_body = NO_EXAMPLES_TEXT
+    elif isinstance(examples, str):
+        examples_body = examples
+    elif examples is None or not (examples := list(examples)):   # an iterator is read once
+        raise StrategyPreconditionError(f"{strategy.value} requires at least one example record")
+    else:
+        examples_body = render_example_blocks(examples)
+    bodies = (_ROLE_BODY, _BACKGROUND_BODY, _FORWARD_REQUEST_BODY, render_input_block(features),
+              _FORWARD_OUTPUT_BODY, examples_body, _CONSTRAINTS_BODY)
+    sections = tuple((key, body) for (key, _), body in zip(SECTION_HEADERS, bodies))
+    rendered = "\n\n".join(f"### {header}: ###\n{body}"
+                           for (_, header), body in zip(SECTION_HEADERS, bodies))
+    if strategy.is_cot:
+        rendered += "\n" + COT_INSTRUCTION
+    return PromptBundle(sections=sections, rendered=rendered, strategy=strategy)
 
 
 def extract_section(rendered: str, header: str) -> str:

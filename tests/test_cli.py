@@ -457,6 +457,16 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
                  id="config-bool-max-inflight"),
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"llm": {"model": 5}}', id="config-number-model"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"max_tokens": -5}}', id="config-negative-max-tokens"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"timeout_s": -1}}', id="config-negative-timeout"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"timeout_s": NaN}}', id="config-nan-timeout"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"seed": 1.7}', id="config-float-seed"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"seed": true}', id="config-bool-seed"),
 ])
 def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
     monkeypatch.chdir(tmp_path)               # the ingest cases name a relative store

@@ -133,20 +133,6 @@ class TestDesignLognormal:
                                                                      n_bins=12))
         assert design_psd(spec, seed=0).evaluations <= 30
 
-    def test_converged_only_when_the_solve_stops_itself(self, drug, sphere, conditions):
-        target = simulate_dissolution(drug, sphere, psd_from_lognormal(250.0, 1.5, 12),
-                                      conditions)
-        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=conditions,
-                          parameterization=LognormalParameterization(375.0, 1.5, n_bins=12))
-        free = design_psd(spec, seed=0, n_starts=1)
-        assert free.converged
-        # Two runs short of stopping by itself the fit is already exact, but
-        # the cap stopped it.
-        capped = design_psd(spec, seed=0, n_starts=1, max_evals_per_start=free.evaluations - 2)
-        assert capped.evaluations == free.evaluations - 2
-        assert capped.residual_mse < 1e-20
-        assert not capped.converged
-
     def test_infeasible_bounds(self, drug, sphere, conditions, round_trip_target):
         with pytest.raises(ConfigurationError):
             DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
@@ -222,6 +208,8 @@ class TestDesignFreeBins:
         assert np.all(np.diff(history) <= 0.0)
         assert history[-1] < bound
         assert result.residual_mse < bound
+        if dose == 1000.0:
+            assert result.evaluations <= 66      # the previous solver's count
 
     def test_determinism(self, drug, sphere, conditions, small_target):
         param = FreeBinsParameterization.geometric(8, 30.0, 300.0)
@@ -260,7 +248,7 @@ class TestEvaluationCount:
                 return solver(drug, morph, psd, *args, **kw)
             return run
 
-        # Objectives go through simulate_dissolution, free-bin rounds through simulate.
+        # objective() goes through simulate_dissolution, design runs through simulate.
         for name in ("simulate_dissolution", "simulate"):
             monkeypatch.setattr(inverse, name, counting(getattr(inverse, name)))
         spec = DesignSpec(target=target, drug=drug, morph=sphere,
@@ -272,6 +260,33 @@ class TestEvaluationCount:
         # Rejected steps and finite-difference runs are counted but never
         # accepted: the history stays shorter.
         assert len(result.objective_history) < result.evaluations
+
+    @pytest.mark.parametrize("kind", ["lognormal", "free_bins"])
+    def test_converged_only_when_the_solve_stops_itself(self, drug, sphere, conditions, kind):
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(250.0, 1.5, 12),
+                                      conditions)
+        param = (LognormalParameterization(375.0, 1.5, n_bins=12) if kind == "lognormal"
+                 else FreeBinsParameterization.geometric(12, 40.0, 1500.0))
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=conditions,
+                          parameterization=param)
+        free = design_psd(spec, seed=0, n_starts=1)
+        assert free.converged
+        if kind == "lognormal":
+            # Two runs short of stopping by itself the fit is already exact,
+            # but the cap stopped it.
+            capped = design_psd(spec, seed=0, n_starts=1,
+                                max_evals_per_start=free.evaluations - 2)
+            assert capped.evaluations == free.evaluations - 2
+            assert capped.residual_mse < 1e-20
+        else:
+            # The sixth round stops the search; after five the objective has
+            # already stalled, but the cap stopped it.
+            assert free.evaluations <= 91        # the previous solver's count
+            capped = design_psd(spec, seed=0, n_starts=1, max_iter_free=5)
+            assert capped.evaluations < free.evaluations
+            assert capped.objective_history[-1] == pytest.approx(
+                free.objective_history[-1], rel=1e-9)
+        assert not capped.converged
 
 
 class TestDesignReport:

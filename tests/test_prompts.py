@@ -13,7 +13,6 @@ from formukit.errors import (
 from formukit.prompts import (
     COT_INSTRUCTION,
     PromptStrategy,
-    build_inverse_prompt,
     build_prompt,
     extract_section,
     format_number,
@@ -24,7 +23,7 @@ from formukit.prompts import (
     render_profile_json,
     validate_profile,
 )
-from formukit.types import DissolutionProfile, HYDROCHLOROTHIAZIDE
+from formukit.types import DissolutionProfile
 
 from conftest import EXAMPLE_PROFILES
 
@@ -131,39 +130,14 @@ class TestBuildPrompt:
 
     def test_examples_from_an_iterator(self, reference_input, example_records):
         # A generator is read once, so it gives the same bytes as a list.
-        target, shown = example_records[0].profile, example_records[1:]
+        shown = example_records[1:]
         for strategy in (PromptStrategy.FS, PromptStrategy.RAG):
             assert build_prompt(strategy, reference_input,
                                 examples=(r for r in shown)).rendered == \
                 build_prompt(strategy, reference_input, examples=shown).rendered
-            assert build_inverse_prompt(strategy, target, HYDROCHLOROTHIAZIDE,
-                                        examples=(r for r in shown)).rendered == \
-                build_inverse_prompt(strategy, target, HYDROCHLOROTHIAZIDE,
-                                     examples=shown).rendered
 
     def test_strategy_enumeration_is_closed(self):
         assert {s.value for s in PromptStrategy} == {"ZS", "ZS_CoT", "FS", "FS_CoT", "RAG"}
-
-
-class TestInversePrompt:
-    def test_embeds_target_curve(self, example_records):
-        target = example_records[1].profile  # the 200 um measured curve
-        bundle = build_inverse_prompt(PromptStrategy.ZS, target, HYDROCHLOROTHIAZIDE)
-        for t, v in target.points():
-            assert f"[{format_number(t)}, {format_number(v)}]" in bundle.rendered
-        assert "target dissolution profile" in bundle.rendered
-        assert "design the physical properties" in bundle.rendered
-
-    def test_cot_delta(self, example_records):
-        target = example_records[0].profile
-        base = build_inverse_prompt(PromptStrategy.ZS, target, HYDROCHLOROTHIAZIDE)
-        cot = build_inverse_prompt(PromptStrategy.ZS_CoT, target, HYDROCHLOROTHIAZIDE)
-        assert cot.rendered == base.rendered + "\n" + COT_INSTRUCTION
-
-    def test_single_point_target_rejected(self):
-        point = DissolutionProfile(np.array([0.0]), np.array([0.0]))
-        with pytest.raises(StrategyPreconditionError):
-            build_inverse_prompt(PromptStrategy.ZS, point, HYDROCHLOROTHIAZIDE)
 
 
 class TestParseInputBlock:
