@@ -246,7 +246,7 @@ def _size_law(y0: np.ndarray, b: float):
 
 def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistribution,
              conditions: DissolutionConditions,
-             output_grid_hr=DEFAULT_OUTPUT_GRID_HR) -> SimulationResult:
+             output_grid_hr=DEFAULT_OUTPUT_GRID_HR, *, _jacobian: bool = False):
     """Dissolve a size distribution on the reporting grid in reduced time.
 
     Each squared size follows y_i(tau) = G^-1(G(y0_i) - tau) (see
@@ -259,6 +259,10 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     ----------
     output_grid_hr : sequence of float
         Reporting times [hr]; must start at 0 and increase strictly.
+
+    _jacobian : bool
+        Private to inverse design: return (result, d released / d f_i,
+        d released / d ln y0_i), exact and clock response included, each (grid point, bin).
 
     Returns
     -------
@@ -293,16 +297,26 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     lifetime, sizes = _size_law(y0, b)
 
     mass_w = psd.fractions / y0 ** 1.5
-
     excess = c_sat - dose_over_v                              # < 0 past the capacity
 
     def driving(tau):                                         # C_sat - C_b, unclamped
         return excess + dose_over_v * ((y := sizes(tau)) * np.sqrt(y) @ mass_w)
 
+    def fall(y):                                              # -d driving / dtau
+        return 1.5 * dose_over_v * (np.sqrt(y) * (2.0 + b * y ** _SH_POWER) @ mass_w)
+
+    def held(y):
+        """d released / d (f_i, ln y0_i) at fixed tau, where dy/dy0 = G'(y0) / G'(y)."""
+        root = np.sqrt(y / y0)
+        r = root ** 3
+        return np.concatenate((-100.0 * r, -150.0 * psd.fractions * (
+            root * (2.0 + b * y ** _SH_POWER) / (2.0 + b * y0 ** _SH_POWER) - r)), axis=-1)
+
     if sink or t_end == 0.0:                      # a zero-length run needs no clock either
         speed = rate_base * c_sat
         tau_grid = speed * grid_s
         extinction = np.where(lifetime <= speed * t_end, np.minimum(lifetime / speed, t_end), np.nan)
+        drift = None
     else:
         # dtau/dt = rate_base * driving(tau), so t(tau) is an integral, taken
         # in u = -ln(1 - tau / tau_end): tau_end is the last lifetime or, past
@@ -316,9 +330,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
             while force and hi - lo > rtol * hi:
                 y = sizes(tau)
                 force = excess + dose_over_v * (y ** 1.5 @ mass_w)
-                fall = 1.5 * dose_over_v * (np.sqrt(y) * (2.0 + b * y ** _SH_POWER) @ mass_w)
                 lo, hi = (tau, hi) if force > 0.0 else (lo, tau)
-                tau += force / fall
+                tau += force / fall(y)
                 tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo <= tau < hi else 0.5 * (lo + hi)
             if hi == 0.0:
                 raise IntegrationError("dose too far past the capacity to resolve")
@@ -346,10 +359,14 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
         t_cut = t_edges[-1]
 
+        def powers(s):
+            """s^k and its integral from -1 to s, for each power k."""
+            power = s[:, None] ** k
+            return power, (power * s[:, None] - (-1.0) ** (k + 1)) / (k + 1)
+
         def clock(p, s):
             """t and dt/ds at s on panels p."""
-            power = s[:, None] ** k
-            rise = (power * s[:, None] - (-1.0) ** (k + 1)) / (k + 1)
+            power, rise = powers(s)
             return t_edges[p] + np.sum(coef[p] * rise, axis=1), np.sum(coef[p] * power, axis=1)
 
         # tau on the grid: t inverted within each panel by four Newton steps.
@@ -362,6 +379,15 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         tau_late = (tau_cut + (late - t_cut) * late_rate if late_rate
                     else np.full(late.shape, tau_end))
         tau_grid = np.concatenate((-tau_end * np.expm1(-edges[p] - half[p] * (s + 1.0)), tau_late))
+        if _jacobian:
+            # The clock moves too: at fixed t, d tau = F(tau) * integral of dF / F^2 dtau'
+            # with dF = -(dose/V) / 100 * the held column; the integral is taken on
+            # the clock's panels, whole ones before each grid point and the
+            # integrated node polynomials on its own.
+            spread = held(sizes(tau_end - gap)) * (half[:, None] * gap / force ** 2)[..., None]
+            before = np.cumsum(np.einsum("k,pkc->pc", _GL_WEIGHTS, spread), axis=0)
+            drift = (np.concatenate((np.zeros((1, spread.shape[2])), before))[p]
+                     + np.einsum("gk,gkc->gc", powers(s)[1] @ _GL_LAGRANGE.T, spread[p]))
         # Bin i vanishes at t(G(y0_i)), read off the same panels.
         extinction = np.full_like(lifetime, np.nan)
         done = lifetime <= tau_grid[-1]
@@ -377,7 +403,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     released[0] = 0.0
     c_b = np.zeros_like(released) if sink else np.minimum(released / 100.0 * dose_over_v, c_sat)
 
-    return SimulationResult(
+    result = SimulationResult(
         profile=DissolutionProfile(grid_hr, released),
         extinction_times_s=extinction,
         released_cap_pct=cap_pct,
@@ -385,6 +411,17 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         dissolved_mass_mg=released / 100.0 * dose,
         bulk_concentration_mg_ml=c_b,
     )
+    if not _jacobian:
+        return result
+    jac = held(y_grid)
+    if drift is not None:
+        # d released / dtau = 100 fall / (dose/V), times d tau = -(dose/V) / 100 * F * drift.
+        m = len(drift)
+        jac[:m] -= (fall(y_grid[:m]) * driving(tau_grid[:m]))[:, None] * drift
+        jac[m:] = 0.0                                         # past t_cut: saturated or done
+    raw = 100.0 * (1.0 - y_grid ** 1.5 @ mass_w)
+    jac[(raw <= 0.0) | (raw >= cap_pct) | (grid_s == 0.0)] = 0.0    # where the clip binds
+    return result, jac[:, :y0.size], jac[:, y0.size:]
 
 
 def simulate_dissolution(drug: DrugSubstance, morph: ParticleMorphology,

@@ -11,18 +11,16 @@ released % as base + J (x' - x), solves one bounded linear least-squares
 problem (BVLS) for x' with the target rows stacked on the penalty rows (for
 free bins the roughness and a row holding the fractions' sum at 1), and
 steps toward the projected solution, halving the step until the objective
-falls. J comes from forward differences along unit vectors; free-bin rounds
-first try the reduced-time clock of the last run held, under which released
-% is 100 (1 - R f) with R[k, i] = (x_i(t_k) / x0_i)^3, and switch to finite
-differences once no step toward that solution falls (a saturating dose,
-where the clock moves strongly with f).
+falls. J is exact and comes with each run: the solver's derivatives of
+released % in each bin's fraction (the free-bin columns) and ln y0_i, which
+log-normal chains through ln y0_i = 2 ln d50 + 2 u_i ln geo_sigma.
 
-A search stops by itself, converged, when a finite-difference round finds
-no falling step, when an accepted step lowers the objective by at most 1e-6
+A search stops by itself, converged, when no step toward a round's solution
+lowers the objective, when an accepted step lowers it by at most 1e-6
 relative or moves no coordinate by more than 1e-12, or, for free bins only,
-once the objective is below ``CONVERGED_OBJECTIVE``. Every accepted iterate
-has a non-increasing objective, and identical specs plus seed give
-bit-identical results.
+once the objective is below ``CONVERGED_OBJECTIVE``. Each accepted iterate
+lowers the objective, and identical specs plus seed give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ CONVERGED_OBJECTIVE = 1e-3
 _SUM_WEIGHT = 1e3
 #: Steps toward a round's least-squares solution, as shares of the way, tried in turn.
 _STEPS = 0.5 ** np.arange(7)
-#: Finite-difference step on x_j, times max(1, |x_j|).
-_FD_STEP = 1e-7
 #: A search stops once an accepted step lowers the objective by at most
 #: _RTOL of its value or moves no coordinate by more than _XTOL.
 _RTOL = 1e-6
@@ -116,14 +112,16 @@ class DesignSpec:
             raise ConfigurationError("target profile must start at (0, 0)")
         if self.regularization_weight < 0:
             raise ConfigurationError("regularization_weight must be >= 0")
+        n = 2 if self.is_lognormal else self.parameterization.n
         if self.bounds is None:
-            if isinstance(self.parameterization, LognormalParameterization):
-                self.bounds = DEFAULT_LOGNORMAL_BOUNDS
-            else:
-                self.bounds = ((0.0, 1.0),) * self.parameterization.n
+            self.bounds = DEFAULT_LOGNORMAL_BOUNDS if self.is_lognormal else ((0.0, 1.0),) * n
+        if len(self.bounds) != n:
+            raise ConfigurationError(f"need {n} (lo, hi) bounds, got {len(self.bounds)}")
         for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ConfigurationError(f"infeasible bound ({lo}, {hi})")
+            if not -np.inf < lo < hi < np.inf:
+                raise ConfigurationError(f"infeasible bound ({lo}, {hi}): need finite lo < hi")
+        if self.is_lognormal and not (self.bounds[0][0] > 0.0 and self.bounds[1][0] >= 1.0):
+            raise ConfigurationError("d50 bounds must be > 0 and geo_sigma bounds >= 1")
 
     @property
     def is_lognormal(self) -> bool:
@@ -164,93 +162,68 @@ class DesignResult:
     evaluations: int = 0                     # simulations run, rejected steps included
 
 
-class _AcceptTracker:
-    """Runs one start's distributions, recording the best-so-far (accepted)
-    objective sequence and the best run's argument and simulation."""
-
-    def __init__(self, spec: DesignSpec, make_psd):
-        self.spec, self.make_psd = spec, make_psd
-        self.accepted: list[float] = []
-        self.best_args = self.best_result = None
-        self.evals = 0
-
-    def __call__(self, x):
-        self.evals += 1
-        spec, psd = self.spec, self.make_psd(x)[0]
-        result = simulate(spec.drug, spec.morph, psd, spec.conditions,
-                          output_grid_hr=spec.target.times_hr)
-        value = _misfit(psd, spec, result.profile)
-        if not self.accepted or value < self.accepted[-1]:
-            self.accepted.append(value)
-            self.best_args, self.best_result = np.array(x, dtype=float), result
-        return value, result
-
-
-def _gauss_newton(tracker: _AcceptTracker, x, bounds, project, penalty, held_clock: bool,
-                  perfect: float, max_rounds: float, max_evals: float) -> bool:
-    """The rounds of the module docstring from ``x``, which the tracker has
-    just run; returns whether the search stopped by itself rather than on a
-    cap. ``penalty`` is the (matrix, right-hand side) stacked under the
-    target rows, and ``perfect`` the perfect-fit objective level."""
+def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, project, penalty,
+                  perfect: float, max_rounds: float, max_evals: float):
+    """The rounds of the module docstring from ``x``. ``columns(d_f, d_ln_y0)``
+    maps the solver's sensitivities to the Jacobian in x, ``penalty`` is the
+    (matrix, right-hand side) stacked under the target rows, and ``perfect``
+    the perfect-fit objective level. Returns the accepted objective values,
+    the runs made, whether the search stopped by itself rather than on a cap,
+    and the last accepted iterate and its run."""
     from scipy.optimize import lsq_linear
 
-    spec = tracker.spec
+    def run(x):
+        psd = make_psd(x)[0]
+        result, *jac = simulate(spec.drug, spec.morph, psd, spec.conditions,
+                                output_grid_hr=spec.target.times_hr, _jacobian=True)
+        return _misfit(psd, spec, result.profile), result, columns(*jac)
+
     scale = 1.0 / np.sqrt(spec.target.n_points)
-    value, result, rounds = tracker.accepted[-1], tracker.best_result, 0
-    while rounds < max_rounds:
+    value, result, jac = run(x)
+    history, evals, rounds, stopped = [value], 1, 0, value < CONVERGED_OBJECTIVE
+    while not stopped and rounds < max_rounds and evals < max_evals:
         rounds += 1
         base = result.profile.released_pct
-        if held_clock:
-            jac = -100.0 * (result.sizes_m / result.sizes_m[0]) ** 3
-        else:
-            jac = np.empty((base.size, x.size))
-            for j, h in enumerate(_FD_STEP * np.maximum(1.0, np.abs(x))):
-                if tracker.evals >= max_evals:
-                    return False
-                jac[:, j] = (tracker(x + h * np.eye(x.size)[j])[1].profile.released_pct - base) / h
         solution = project(lsq_linear(
             np.vstack((scale * jac, penalty[0])),
             np.concatenate((scale * (spec.target.released_pct - base + jac @ x), penalty[1])),
             bounds=bounds, method="bvls").x)
         for step in _STEPS:
-            if tracker.evals >= max_evals:
-                return False
             candidate = x + step * (solution - x)
-            cand_value, cand_result = tracker(candidate)
-            if cand_value < value:
+            cand_value, cand_result, cand_jac = run(candidate)
+            evals += 1
+            if cand_value < value or evals >= max_evals:
                 break
-        else:
-            if not held_clock:
-                return True
-            held_clock = False          # the clock moves with x: take its response too
-            continue
-        if (value - cand_value <= _RTOL * value or np.max(np.abs(candidate - x)) <= _XTOL
-                or cand_value < perfect):
-            return True
-        x, value, result = candidate, cand_value, cand_result
-    return False
+        if cand_value >= value:               # no step falls (stationary), or the cap
+            return history, evals, step == _STEPS[-1], x, result
+        stopped = (value - cand_value <= _RTOL * value or np.max(np.abs(candidate - x)) <= _XTOL
+                   or cand_value < perfect)
+        x, value, result, jac = candidate, cand_value, cand_result, cand_jac
+        history.append(value)
+    return history, evals, stopped, x, result
 
 
 def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
                       max_evals_per_start: int) -> DesignResult:
     param = spec.parameterization
-    (d50_lo, d50_hi), (sig_lo, sig_hi) = spec.bounds
-    if sig_lo < 1.0:
-        raise ConfigurationError("geo_sigma lower bound must be >= 1")
-    lb = np.log([d50_lo, sig_lo])
-    ub = np.log([d50_hi, sig_hi])
+    lb, ub = np.log(spec.bounds).T
 
     def lognormal(z):
         d50, sigma = float(np.exp(z[0])), float(np.exp(z[1]))
         return (psd_from_lognormal(d50, sigma, param.n_bins),
                 {"d50_um": d50, "geo_sigma": sigma, "n_bins": param.n_bins})
 
+    def columns(d_f, d_ln_y0):
+        # ln y0_i = 2 ln d50 + 2 u_i ln sigma; a single bin sits at d50 (u = 0).
+        u = np.linspace(-3.0, 3.0, d_ln_y0.shape[1]) if d_ln_y0.shape[1] > 1 else np.zeros(1)
+        return 2.0 * np.stack((d_ln_y0.sum(axis=1), d_ln_y0 @ u), axis=1)
+
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
     starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
-    return _multi_start(spec, lognormal, starts, bounds=(lb, ub),
+    return _multi_start(spec, lognormal, starts, columns=columns, bounds=(lb, ub),
                         project=lambda z: np.clip(z, lb, ub),
-                        penalty=(np.empty((0, 2)), np.empty(0)), held_clock=False,
+                        penalty=(np.empty((0, 2)), np.empty(0)),
                         perfect=0.0, max_rounds=np.inf, max_evals=max_evals_per_start)
 
 
@@ -274,17 +247,16 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
     penalty = rows, np.append(np.zeros(len(rows) - 1), _SUM_WEIGHT)
 
     def free_bins(f):
-        f = f / f.sum()       # finite-difference probes leave the simplex
         return SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}
 
     rng = np.random.default_rng(seed)
     f0 = param.fractions if param.fractions is not None else np.full(n, 1.0 / n)
     starts = [_project(f, spec.bounds)
               for f in [f0] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
-    return _multi_start(spec, free_bins, starts, bounds=np.array(spec.bounds).T,
+    return _multi_start(spec, free_bins, starts, columns=lambda d_f, d_ln_y0: d_f,
+                        bounds=np.array(spec.bounds).T,
                         project=lambda f: _project(f, spec.bounds), penalty=penalty,
-                        held_clock=True, perfect=CONVERGED_OBJECTIVE, max_rounds=max_rounds,
-                        max_evals=np.inf)
+                        perfect=CONVERGED_OBJECTIVE, max_rounds=max_rounds, max_evals=np.inf)
 
 
 def _multi_start(spec: DesignSpec, make_psd, starts, **search) -> DesignResult:
@@ -292,24 +264,21 @@ def _multi_start(spec: DesignSpec, make_psd, starts, **search) -> DesignResult:
     turn, skipping the rest after a numerically perfect fit, which cannot be
     beaten materially. The best start has the lowest value, then the fewest
     accepted steps, then the lowest index."""
-    trackers, converged = [], []
+    searches = []                  # (history, runs, converged, x, result) per start
     for start in starts:
-        tracker = _AcceptTracker(spec, make_psd)
-        trackers.append(tracker)
-        converged.append(tracker(start)[0] < CONVERGED_OBJECTIVE
-                         or _gauss_newton(tracker, start, **search))
-        if tracker.accepted[-1] < CONVERGED_OBJECTIVE:
+        searches.append(_gauss_newton(spec, make_psd, start, **search))
+        if searches[-1][0][-1] < CONVERGED_OBJECTIVE:
             break
-    start_index = min(range(len(trackers)), key=lambda i: (
-        trackers[i].accepted[-1], len(trackers[i].accepted), i))
-    tracker = trackers[start_index]
-    psd, parameters = make_psd(tracker.best_args)
-    achieved = tracker.best_result.profile
+    start_index = min(range(len(searches)), key=lambda i: (
+        searches[i][0][-1], len(searches[i][0]), i))
+    history, _, converged, x, result = searches[start_index]
+    psd, parameters = make_psd(x)
     return DesignResult(
-        psd=psd, achieved=achieved, residual_mse=mse(align_profiles(spec.target, achieved)),
-        iterations=len(tracker.accepted) - 1, converged=converged[start_index],
-        parameters=parameters, objective_history=tuple(tracker.accepted),
-        start_index=start_index, evaluations=sum(t.evals for t in trackers))
+        psd=psd, achieved=result.profile,
+        residual_mse=mse(align_profiles(spec.target, result.profile)),
+        iterations=len(history) - 1, converged=bool(converged), parameters=parameters,
+        objective_history=tuple(history), start_index=start_index,
+        evaluations=sum(search[1] for search in searches))
 
 
 def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
@@ -325,10 +294,10 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
     docstring): for a free-bin design that means the objective fell below
     ``CONVERGED_OBJECTIVE`` or stalled, roughness penalty included. The caps
     differ by parameterization: ``max_evals_per_start`` caps the simulations
-    of each log-normal start, finite-difference runs included, and
-    ``max_iter_free`` caps the rounds of each free-bin start (held-clock and
-    finite-difference rounds alike); neither applies to the other kind.
-    Hitting a cap first returns the best-so-far result with
+    of each log-normal start (its first run and every step tried), and
+    ``max_iter_free`` caps the rounds of each free-bin start (one
+    least-squares solve and its step trials each); neither applies to the
+    other kind. Hitting a cap first returns the last accepted iterate with
     ``converged=False`` rather than raising.
     """
     if n_starts < 1:

@@ -19,6 +19,9 @@ from .errors import ConfigurationError, DomainError, DuplicateTimeError, Validat
 DEFAULT_OUTPUT_GRID_HR = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 #: Paddle (impeller) radius of the standard vessel [m].
 IMPELLER_RADIUS_M = 0.037
+#: Bin sizes a distribution may hold [um]: 1 nm to 1 m spans every powder, well
+#: inside the range where the solver's squared sizes stay finite and nonzero.
+SIZE_RANGE_UM = (1e-3, 1e6)
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class SizeDistribution:
     Parameters
     ----------
     sizes_um : array-like
-        Bin sizes [um], strictly increasing, all > 0.
+        Bin sizes [um], strictly increasing, within ``SIZE_RANGE_UM``.
     fractions : array-like
         Mass fraction per bin, >= 0, summing to 1 within 1e-9.
     """
@@ -127,8 +130,9 @@ class SizeDistribution:
         object.__setattr__(self, "fractions", fracs)
         if sizes.ndim != 1 or fracs.shape != sizes.shape or sizes.size == 0:
             raise ValidationError("sizes and fractions must be matching non-empty 1-D arrays")
-        if not np.all((sizes > 0) & (sizes < np.inf)):
-            raise DomainError("bin sizes must be finite and > 0")
+        lo, hi = SIZE_RANGE_UM
+        if not np.all((sizes >= lo) & (sizes <= hi)):
+            raise DomainError(f"bin sizes must be finite and > 0, within {lo:g}-{hi:g} um")
         if np.any(np.diff(sizes) <= 0):
             raise DomainError("bin sizes must be strictly increasing")
         if np.any(fracs < 0):

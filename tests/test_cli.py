@@ -62,6 +62,15 @@ class TestSimulate:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["predict", "--strategy", "zs", "--backend", "mock"]])
+    @pytest.mark.parametrize("d50", ["1e-100", "1e-150", "1e200"])
+    def test_size_out_of_range_exit_2(self, tmp_path, capsys, command, d50):
+        code = main([*command, "--d50", d50, "--output-dir", str(tmp_path / "out"),
+                     "--run-id", "t"])
+        assert code == 2
+        assert "bin sizes must be" in capsys.readouterr().err
+
     def test_custom_grid(self, tmp_path, input_file):
         code = main(["simulate", "--input", input_file, "--grid", "0,0.5,1",
                      "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
@@ -116,6 +125,19 @@ class TestDesign:
         code = main(["design", "--target", target, "--d50-bounds", "500,100",
                      "--output-dir", str(tmp_path / "out"), "--run-id", "des"])
         assert code == 2
+
+
+    @pytest.mark.parametrize("flag", ["--d50-bounds=0,100", "--d50-bounds=-5,100",
+                                      "--d50-bounds=5,inf", "--sigma-bounds=1.05,inf",
+                                      "--sigma-bounds=0.5,2", "--d50-bounds=nan,100"])
+    def test_unusable_bounds_exit_2(self, tmp_path, input_file, capsys, flag):
+        assert main(["simulate", "--input", input_file,
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "sim"]) == 0
+        target = str(_out(tmp_path, "sim") / "profile.csv")
+        code = main(["design", "--target", target, flag,
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "des"])
+        assert code == 2
+        assert "bound" in capsys.readouterr().err
 
 
 class TestPredict:

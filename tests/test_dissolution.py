@@ -526,3 +526,87 @@ def test_random_sweep_preserves_physical_invariants(drug, sphere):
         total = result.dissolved_mass_mg + remaining * cond.dose_mg
         assert np.all(np.abs(total - cond.dose_mg) / cond.dose_mg <= 1e-6)
         assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
+
+
+class TestSensitivities:
+    """simulate's private ``_jacobian`` columns, the exact derivatives of released %
+    in each bin's mass fraction and ln y0_i that inverse design steps on."""
+
+    GRID = (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 6.0, 24.0)
+
+    @staticmethod
+    def _released(drug, sphere, psd, cond, fractions, ln_y0_shift):
+        psd = SizeDistribution(psd.sizes_um * np.exp(0.5 * ln_y0_shift), fractions)
+        return simulate(drug, sphere, psd, cond, TestSensitivities.GRID).profile.released_pct
+
+    @pytest.mark.parametrize("n_bins", [1, 12, 50])
+    @pytest.mark.parametrize("cond, tol", [
+        pytest.param(DissolutionConditions(sink_override=True), 1e-6, id="sink"),
+        pytest.param(DissolutionConditions(dose_mg=10.0), 1e-5, id="coupled-10"),
+        pytest.param(DissolutionConditions(dose_mg=200.0), 5e-4, id="coupled-200"),
+        pytest.param(DissolutionConditions(dose_mg=600.0), 1e-3, id="saturating-600"),
+        pytest.param(DissolutionConditions(dose_mg=1000.0), 1e-3, id="saturating-1000"),
+    ])
+    def test_columns_match_central_differences(self, drug, sphere, n_bins, cond, tol):
+        # Directions e_j - f keep the fractions on the simplex; ln y0_j moves one bin.
+        psd = psd_from_lognormal(120.0, 1.5, n_bins)
+        f = np.random.default_rng(n_bins).dirichlet(np.ones(n_bins))
+        psd = SizeDistribution(psd.sizes_um, f)
+        _, d_f, d_ln_y0 = simulate(drug, sphere, psd, cond, self.GRID, _jacobian=True)
+        h, worst = 1e-6, 0.0
+        for j in range(n_bins):
+            e = np.eye(n_bins)[j]
+            pairs = [(d_ln_y0 @ e, (f, h * e), (f, -h * e))]
+            if n_bins > 1:
+                pairs.append((d_f @ (e - f), (f + h * (e - f), 0.0), (f - h * (e - f), 0.0)))
+            for column, up, down in pairs:
+                fd = (self._released(drug, sphere, psd, cond, *up)
+                      - self._released(drug, sphere, psd, cond, *down)) / (2.0 * h)
+                worst = max(worst, float(np.max(np.abs(column - fd))))
+        assert worst <= tol
+
+    def test_columns_are_not_trivial(self, drug, sphere):
+        # The grid resolves the release, so the comparison above has teeth.
+        psd = psd_from_lognormal(120.0, 1.5, 12)
+        for dose in (10.0, 1000.0):
+            _, d_f, d_ln_y0 = simulate(drug, sphere, psd, DissolutionConditions(dose_mg=dose),
+                                       self.GRID, _jacobian=True)
+            assert np.max(np.abs(d_ln_y0)) > 0.5
+            assert np.max(np.abs(d_f)) > 0.5
+
+    def test_sink_columns_are_the_held_clock(self, drug, sphere):
+        # Under sink tau does not depend on the powder: the fraction columns
+        # are -100 (x_i(t) / x0_i)^3 wherever the release is not clipped.
+        psd = psd_from_lognormal(120.0, 1.5, 12)
+        result, d_f, _ = simulate(drug, sphere, psd, DissolutionConditions(sink_override=True),
+                                  self.GRID, _jacobian=True)
+        held = -100.0 * (result.sizes_m / result.sizes_m[0]) ** 3
+        released = result.profile.released_pct
+        rows = (released > 0.0) & (released < 100.0)
+        assert rows.sum() >= 5
+        assert np.allclose(d_f[rows], held[rows], rtol=1e-12, atol=0.0)
+        assert not np.any(d_f[~rows])
+
+    def test_forward_run_is_unchanged(self, drug, sphere):
+        psd = psd_from_lognormal(120.0, 1.5, 12)
+        cond = DissolutionConditions(dose_mg=600.0)
+        plain = simulate(drug, sphere, psd, cond, self.GRID)
+        with_columns = simulate(drug, sphere, psd, cond, self.GRID, _jacobian=True)[0]
+        assert np.array_equal(plain.profile.released_pct, with_columns.profile.released_pct)
+        assert np.array_equal(plain.sizes_m, with_columns.sizes_m)
+
+
+def test_gap_to_the_sink_curve_is_first_order_in_dose_over_volume(drug, sphere):
+    # C_b = dose/V * released, so the coupled curve leaves the sink curve at
+    # first order in dose/V: the largest gap times V holds near 150.8 pp mL
+    # from 9e4 mL to 9e10 mL, where the gap itself is about 1.7e-9 pp.
+    psd = psd_from_lognormal(120.0, 1.5, 50)
+    scaled = []
+    for volume in (9e4, 9e5, 9e6, 9e10):
+        sink = simulate_dissolution(drug, sphere, psd, DissolutionConditions(
+            medium_volume_ml=volume, sink_override=True)).released_pct
+        coupled = simulate_dissolution(drug, sphere, psd, DissolutionConditions(
+            medium_volume_ml=volume)).released_pct
+        scaled.append(np.max(sink - coupled) * volume)
+    assert scaled[0] == pytest.approx(150.8, rel=1e-3)
+    assert max(scaled) / min(scaled) - 1.0 <= 1e-3

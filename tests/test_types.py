@@ -10,6 +10,7 @@ from formukit.errors import (
     ValidationError,
 )
 from formukit.types import (
+    SIZE_RANGE_UM,
     DissolutionConditions,
     DissolutionProfile,
     DrugSubstance,
@@ -86,6 +87,13 @@ class TestSizeDistribution:
     def test_sizes_finite_and_positive(self, sizes):
         with pytest.raises(DomainError, match="bin sizes must be finite and > 0"):
             SizeDistribution(sizes, np.full(len(sizes), 1.0 / len(sizes)))
+
+    @pytest.mark.parametrize("sizes", [[1e-4], [5e-4, 1.0], [1.0, 2e6], [1e-100], [1e200]])
+    def test_sizes_within_the_documented_range(self, sizes):
+        with pytest.raises(DomainError, match="within"):
+            SizeDistribution(sizes, np.full(len(sizes), 1.0 / len(sizes)))
+        lo, hi = SIZE_RANGE_UM
+        assert SizeDistribution([lo, hi], [0.5, 0.5]).n_bins == 2
 
     def test_d50_interpolation_symmetric(self):
         psd = SizeDistribution([90.0, 100.0, 110.0], [0.25, 0.5, 0.25])
