@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
+    SIZE_RANGE_UM,
     DissolutionConditions,
     DissolutionProfile,
     DrugSubstance,
@@ -123,13 +124,14 @@ def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDist
     """
     if d50_um <= 0:
         raise DomainError("d50 must be > 0")
-    if geo_sigma < 1.0:
-        raise DomainError("geo_sigma must be >= 1")
+    if not 1.0 <= geo_sigma < np.inf:
+        raise DomainError("geo_sigma must be finite and >= 1")
     if n_bins < 1:
         raise DomainError("n_bins must be >= 1")
     u = np.linspace(-3.0, 3.0, n_bins)
-    sizes = d50_um * np.exp(np.log(geo_sigma) * u)
-    if n_bins == 1 or np.any(np.diff(sizes) <= 0.0):
+    with np.errstate(over="ignore"):                  # SizeDistribution rejects what overflows
+        sizes = d50_um * np.exp(np.log(geo_sigma) * u)
+    if n_bins == 1 or sizes[0] >= SIZE_RANGE_UM[0] and np.any(np.diff(sizes) <= 0.0):
         return SizeDistribution(np.array([d50_um]), np.array([1.0]))
     fractions = np.exp(-0.5 * u ** 2)
     fractions /= fractions.sum()
@@ -273,7 +275,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     Raises
     ------
     IntegrationError
-        If rounding swamps the driving force (a dose ~1e16 x the capacity).
+        If rounding swamps the driving force (dose ~1e16 x capacity) or the clock overflows.
     """
     grid_hr = _check_grid(output_grid_hr)
     grid_s = grid_hr * S_PER_HR
@@ -326,13 +328,14 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         tau_end = float(lifetime.max())
         if late_rate == 0.0:
             # Newton steps on the convex, falling driving force (> 0 at lo, <= 0 at hi).
-            lo, hi, tau, force, rtol = 0.0, tau_end, 0.0, 1.0, 4.0 * np.finfo(float).eps
+            hi = tau_end if excess != -dose_over_v else 0.0   # C_sat lost next to dose/V
+            lo, tau, force, rtol = 0.0, 0.0, 1.0, 4.0 * np.finfo(float).eps
             while force and hi - lo > rtol * hi:
                 y = sizes(tau)
                 force = excess + dose_over_v * (y ** 1.5 @ mass_w)
                 lo, hi = (tau, hi) if force > 0.0 else (lo, tau)
                 tau += force / fall(y)
-                tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo <= tau < hi else 0.5 * (lo + hi)
+                tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo < tau < hi else 0.5 * (lo + hi)
             if hi == 0.0:
                 raise IntegrationError("dose too far past the capacity to resolve")
             tau_end = hi
@@ -354,10 +357,13 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
                            _TAU_RTOL * c_sat * gap / tau_end)
         # dt/ds on each panel, s in [-1, 1], as the polynomial through its nodes
         # (einsum, not a BLAS matrix product, whose work buffer costs memory).
-        coef = np.einsum("pk,kj->pj", half[:, None] * gap / (rate_base * force), _GL_LAGRANGE)
         k = np.arange(_GL_NODES.size)
-        t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            coef = np.einsum("pk,kj->pj", half[:, None] * gap / (rate_base * force), _GL_LAGRANGE)
+            t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
         t_cut = t_edges[-1]
+        if not np.isfinite(t_cut):
+            raise IntegrationError("the run's clock overflows: dissolution too slow to resolve")
 
         def powers(s):
             """s^k and its integral from -1 to s, for each power k."""

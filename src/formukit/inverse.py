@@ -8,19 +8,19 @@ Two parameterizations are supported: log-normal (d50, geo_sigma), fitted in
 the log-transformed parameters, and free mass fractions on a fixed geometric
 size grid. Both run the same bounded Gauss-Newton rounds. Each round models
 released % as base + J (x' - x), solves one bounded linear least-squares
-problem (BVLS) for x' with the target rows stacked on the penalty rows (for
-free bins the roughness and a row holding the fractions' sum at 1), and
-steps toward the projected solution, halving the step until the objective
-falls. J is exact and comes with each run: the solver's derivatives of
-released % in each bin's fraction (the free-bin columns) and ln y0_i, which
-log-normal chains through ln y0_i = 2 ln d50 + 2 u_i ln geo_sigma.
+problem (``_bvls``) for x' with the target rows stacked on the penalty rows
+(for free bins the roughness and a row holding the fractions' sum at 1), and
+steps toward the solution, renormalised for free bins, halving the step until
+the objective falls. J is exact and comes with each run: the solver's
+derivatives of released % in each bin's fraction (the free-bin columns) and
+ln y0_i, which log-normal chains through ln y0_i = 2 ln d50 + 2 u_i ln geo_sigma.
 
 A search stops by itself, converged, when no step toward a round's solution
 lowers the objective, when an accepted step lowers it by at most 1e-6
-relative or moves no coordinate by more than 1e-12, or, for free bins only,
-once the objective is below ``CONVERGED_OBJECTIVE``. Each accepted iterate
-lowers the objective, and identical specs plus seed give bit-identical
-results.
+relative or moves no coordinate by more than 1e-12, or once the objective is
+below ``CONVERGED_OBJECTIVE`` (free bins) or ``ROUNDING_OBJECTIVE`` (log-normal).
+Each accepted iterate lowers the objective, and identical specs plus seed
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .types import (
 
 #: Objective level treated as a perfect fit [%^2].
 CONVERGED_OBJECTIVE = 1e-3
+#: Log-normal fit exact to rounding [%^2] (released % to 1e-12 pp): steps below it gain nothing.
+ROUNDING_OBJECTIVE = 1e-24
 #: Weight of the least-squares row that holds the free-bin fractions' sum at 1.
 _SUM_WEIGHT = 1e3
 #: Steps toward a round's least-squares solution, as shares of the way, tried in turn.
@@ -50,6 +52,8 @@ _STEPS = 0.5 ** np.arange(7)
 #: _RTOL of its value or moves no coordinate by more than _XTOL.
 _RTOL = 1e-6
 _XTOL = 1e-12
+#: ``_bvls`` gives up, unconverged, after this many variables entering per variable.
+_BVLS_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -162,15 +166,53 @@ class DesignResult:
     evaluations: int = 0                     # simulations run, rejected steps included
 
 
-def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, project, penalty,
-                  perfect: float, max_rounds: float, max_evals: float):
+def _bvls(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The x within [lo, hi] that minimises |a x - b|, and whether it was reached.
+
+    Lawson & Hanson's active-set NNLS with two-sided bounds (Stark & Parker's
+    BVLS): from the lower bounds, head for the least-squares solution on the
+    free variables (at first all), fixing each bound crossed on the way; then
+    free the fixed variable whose gradient, beyond its rounding, is steepest
+    along its column, and repeat. A freeing that leaves x where it was is not
+    retried until x moves; after ``_BVLS_ROUNDS`` freeings per variable the
+    point reached is returned with False.
+    """
+    m, n = a.shape
+    norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
+    x, free, freed, skip = lo.copy(), np.ones(n, bool), np.zeros(n, bool), np.zeros(n, bool)
+    for _ in range(_BVLS_ROUNDS * n + 1):
+        before = x
+        while True:
+            z = np.where(free, 0.0, x)
+            z[free] = np.linalg.lstsq(a[:, free], b - a @ z, rcond=None)[0]
+            out = free & ((z < lo) | (z > hi))
+            if not out.any():
+                x = z
+                break
+            bound = np.where(z < lo, lo, hi)
+            share = (bound - x)[out] / (z - x)[out]
+            k = np.flatnonzero(out)[np.argmin(share)]
+            x = np.clip(x + share.min() * (z - x), lo, hi)
+            x[k], free[k] = bound[k], False
+        skip = skip | freed if np.array_equal(x, before) else np.zeros(n, bool)
+        gain = (a.T @ (b - a @ x)) * np.where(x == lo, 1.0, -1.0) / norms     # per unit column
+        scale = np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(x)   # of a x - b's terms
+        enter = ~(free | skip) & (gain > (m + n) * np.finfo(float).eps * scale)
+        if not enter.any():
+            return x, True
+        freed = np.arange(n) == np.argmax(np.where(enter, gain, -np.inf))
+        free |= freed
+    return x, False
+
+
+def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
+                  perfect: float, max_rounds: float, max_evals: float, project=lambda x: x):
     """The rounds of the module docstring from ``x``. ``columns(d_f, d_ln_y0)``
     maps the solver's sensitivities to the Jacobian in x, ``penalty`` is the
-    (matrix, right-hand side) stacked under the target rows, and ``perfect``
-    the perfect-fit objective level. Returns the accepted objective values,
-    the runs made, whether the search stopped by itself rather than on a cap,
-    and the last accepted iterate and its run."""
-    from scipy.optimize import lsq_linear
+    (matrix, right-hand side) stacked under the target rows, ``perfect`` the
+    perfect-fit objective level, and ``project`` maps a solve's solution to the
+    step's end. Returns the accepted objective values, the runs made, whether the
+    search stopped by itself rather than on a cap, and the last accepted iterate and its run."""
 
     def run(x):
         psd = make_psd(x)[0]
@@ -184,10 +226,10 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, project, penal
     while not stopped and rounds < max_rounds and evals < max_evals:
         rounds += 1
         base = result.profile.released_pct
-        solution = project(lsq_linear(
+        solution = project(_bvls(
             np.vstack((scale * jac, penalty[0])),
             np.concatenate((scale * (spec.target.released_pct - base + jac @ x), penalty[1])),
-            bounds=bounds, method="bvls").x)
+            *bounds)[0])
         for step in _STEPS:
             candidate = x + step * (solution - x)
             cand_value, cand_result, cand_jac = run(candidate)
@@ -222,9 +264,8 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
     starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
     return _multi_start(spec, lognormal, starts, columns=columns, bounds=(lb, ub),
-                        project=lambda z: np.clip(z, lb, ub),
-                        penalty=(np.empty((0, 2)), np.empty(0)),
-                        perfect=0.0, max_rounds=np.inf, max_evals=max_evals_per_start)
+                        penalty=(np.empty((0, 2)), np.empty(0)), perfect=ROUNDING_OBJECTIVE,
+                        max_rounds=np.inf, max_evals=max_evals_per_start)
 
 
 def _project(fractions: np.ndarray, bounds) -> np.ndarray:

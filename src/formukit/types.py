@@ -187,12 +187,12 @@ class DissolutionConditions:
         if type(sink) is not bool or any(type(v) is bool or not isinstance(v, Real) for v in nums):
             raise ConfigurationError("sink_override must be a bool, the other conditions numbers")
         for name in ("medium_volume_ml", "dose_mg", "fluid_density_kg_m3", "fluid_viscosity_pa_s"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0")
         if not (0.0 < self.velocity_factor <= 1.0):
             raise DomainError("velocity_factor must be in (0, 1]")
-        if not self.paddle_rpm >= 0:
-            raise DomainError("paddle_rpm must be >= 0")
+        if not 0.0 <= self.paddle_rpm < math.inf:
+            raise DomainError("paddle_rpm must be finite and >= 0")
 
     @property
     def slip_velocity_m_s(self) -> float:

@@ -56,7 +56,11 @@ class TestSimulate:
         assert "d50" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--d50", "inf"], ["--d50", "nan"],
-                                       ["--d50", "50", "--ssa", "inf"]])
+                                       ["--d50", "50", "--ssa", "inf"],
+                                       ["--d50", "50", "--medium-volume", "inf"],
+                                       ["--d50", "50", "--rpm", "inf"],
+                                       ["--d50", "50", "--geo-sigma", "inf"],
+                                       ["--d50", "50", "--geo-sigma", "1e300"]])
     def test_non_finite_feature_exit_2(self, tmp_path, capsys, flags):
         code = main(["simulate", *flags, "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
         assert code == 2
@@ -499,14 +503,49 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_import_loads_no_scipy(tmp_path):
-    # scipy is imported where it is used, and only the inverse design (design,
-    # through scipy.optimize) uses it. Importing the CLI loads none of it, and
-    # neither do simulating, retrieving, predicting, benchmarking with the mock
-    # backend or scoring, each in a fresh interpreter.
+def _fresh_env():
     src = str(Path(formukit.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_runs_at_the_end_of_the_float_range_finish(tmp_path):
+    # A dose or dose/V so large that C_sat is lost next to it once hung the
+    # saturation root (simulate, design and the mock predict all reach it), and
+    # so did one whose root slope overflows; a clock too slow to hold in a float
+    # ended in a traceback. The unresolvable runs exit 2, the last one has a
+    # root. One fresh interpreter runs them all under a timeout, so a hang fails.
+    (tmp_path / "target.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
+    cases = [(["simulate", "--d50", "100", "--dose", "1e308"], 2),
+             (["simulate", "--d50", "100", "--medium-volume", "1e-300"], 2),
+             (["simulate", "--d50", "100", "--solubility", "1e-300"], 2),
+             (["simulate", "--d50", "100", "--diffusivity", "1e-300", "--solubility", "1e-10"], 2),
+             (["design", "--target", "target.csv", "--dose", "1e308", "--n-starts", "1"], 2),
+             (["predict", "--strategy", "zs", "--backend", "mock", "--d50", "100",
+               "--solubility", "1e-300"], 2),
+             (["simulate", "--d50", "0.01", "--solubility", "1e285", "--dose", "1e300"], 0)]
+    code = ("import contextlib, io, json, sys; from formukit.cli import main\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = main([*argv, '--output-dir', 'out', '--run-id', str(i)])\n"
+            "    print(json.dumps([code, err.getvalue()]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([argv for argv, _ in cases])],
+                         cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
+                         timeout=60)
+    results = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")]
+    assert len(results) == len(cases), out.stderr
+    for (argv, expected), (exit_code, err) in zip(cases, results):
+        assert exit_code == expected, (argv, err)
+        assert err.startswith("error: ") if expected else "error" not in err, (argv, err)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # No command loads scipy, which only the tests use. Importing the CLI
+    # loads none of it, and neither do simulating, designing, retrieving,
+    # predicting, benchmarking with the mock backend or scoring, each in a
+    # fresh interpreter.
+    env = _fresh_env()
     code = ("import sys, formukit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -519,7 +558,8 @@ def test_import_loads_no_scipy(tmp_path):
                     "profile": [[0, 0], [1, 90 - 12 * i], [2, 95 - 10 * i]]}) + "\n"
         for i in range(6)))
     (tmp_path / "input.json").write_text(json.dumps({"Input": REFERENCE_INPUT}))
-    for name, values in (("ref.csv", (0, 40, 70)), ("pred.csv", (0, 35, 75))):
+    for name, values in (("ref.csv", (0, 40, 70)), ("pred.csv", (0, 35, 75)),
+                         ("target.csv", (0, 50, 80))):
         (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
             f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
     code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
@@ -527,6 +567,7 @@ def test_import_loads_no_scipy(tmp_path):
     for argv in (["simulate", "--d50", "50", "--sink"],
                  ["simulate", "--d50", "50", "--dose", "600"],
                  ["simulate", "--d50", "50", "--n-bins", "200"],
+                 ["design", "--target", "target.csv", "--n-bins", "12"],
                  ["store", "retrieve", "--store", str(store), "--d50", "50"],
                  ["predict", "--strategy", "rag", "--backend", "mock", "--input", "input.json",
                   "--store", str(store)],
