@@ -17,7 +17,7 @@ from formukit import (
 )
 
 drug = HYDROCHLOROTHIAZIDE
-sphere = ParticleMorphology()          # psi_A = pi, psi_v = pi/6, diameter-based
+sphere = ParticleMorphology()          # aspect ratio 1: surface/volume = 6/x, x the diameter
 vessel = DissolutionConditions()       # 900 mL, 37 degC, 50 rpm paddle, 10 mg dose
 
 # --- a 97.5 um (mass-median) powder with a log-normal spread -----------------

@@ -59,13 +59,13 @@ EXIT_TRANSPORT = 3
 EXIT_PARSE = 4
 
 
-def _fields_of(kind, obj, where: str):
-    """A ``kind`` dataclass from the keys of the JSON object ``obj`` that name its fields."""
+def _from_json(kind, obj, where: str):
+    """A ``kind`` dataclass whose fields are the keys of the JSON object ``obj``."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {obj!r}")
     try:
-        return kind(**{k: v for k, v in obj.items() if k in kind.__dataclass_fields__})
-    except TypeError as exc:                  # a value of the wrong type met a check
+        return kind(**obj)
+    except TypeError as exc:                  # an unknown key, or a wrong-typed value met a check
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
@@ -92,9 +92,9 @@ class AppConfig:
             return cls()
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        config = _fields_of(cls, obj, path)        # its two sections are read next
-        config.llm = _fields_of(LLMConfig, obj.get("llm", {}), f"{path}: llm")
-        config.conditions = _fields_of(DissolutionConditions, obj.get("conditions", {}),
+        config = _from_json(cls, obj, path)        # its two sections are read next
+        config.llm = _from_json(LLMConfig, obj.get("llm", {}), f"{path}: llm")
+        config.conditions = _from_json(DissolutionConditions, obj.get("conditions", {}),
                                        f"{path}: conditions")
         return config
 

@@ -9,7 +9,9 @@ linearly with size, so Sh = 2 + b * x^0.52, and in the squared size y = x^2
 
     dy/dt = -A * (C_sat - C_b) * (2 + b * y^0.26),   A = 2 * D * psi_A / (psi_v * rho_s),
 
-which is regular at extinction (the 1/x factor cancels). Every bin sees the
+which is regular at extinction (the 1/x factor cancels). With x the
+equal-volume sphere diameter, psi_A / psi_v is 6 for a sphere, times the
+prolate-spheroid area excess for an elongated particle. Every bin sees the
 same driving force C_sat - C_b, so in the reduced time
 tau = integral of A * (C_sat - C_b) dt all bins follow one law,
 dy/dtau = -(2 + b * y^0.26), solved by y_i(tau) = G^-1(G(y0_i) - tau), with
@@ -144,12 +146,12 @@ def derived_metrics(psd: SizeDistribution, morph: ParticleMorphology,
 
     SSA is the mass-weighted Sauter-type surface-to-mass ratio
     sum_i f_i * psi_A / (psi_v * rho_s * x_i); the volume-equivalent size is
-    the mass-weighted diameter of the equal-volume sphere.
+    the mass-weighted size, as sizes are equal-volume sphere diameters.
     """
     rho_s = drug.true_density_g_ml * KG_M3_PER_G_ML
     x_m = psd.sizes_um * M_PER_UM
-    ssa_m2_kg = np.sum(psd.fractions * morph.psi_a_effective / (morph.psi_v * rho_s * x_m))
-    vol_eq_um = np.sum(psd.fractions * psd.sizes_um * (6.0 * morph.psi_v / np.pi) ** (1.0 / 3.0))
+    ssa_m2_kg = np.sum(psd.fractions * morph.surface_to_volume_ratio / (rho_s * x_m))
+    vol_eq_um = np.sum(psd.fractions * psd.sizes_um)
     return float(ssa_m2_kg / M2_KG_PER_M2_G), float(vol_eq_um)
 
 
@@ -334,7 +336,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
                 y = sizes(tau)
                 force = excess + dose_over_v * (y ** 1.5 @ mass_w)
                 lo, hi = (tau, hi) if force > 0.0 else (lo, tau)
-                tau += force / fall(y)
+                with np.errstate(over="ignore"):              # an infinite slope: bisect
+                    tau += force / fall(y)
                 tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo < tau < hi else 0.5 * (lo + hi)
             if hi == 0.0:
                 raise IntegrationError("dose too far past the capacity to resolve")

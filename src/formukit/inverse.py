@@ -44,6 +44,8 @@ from .types import (
 CONVERGED_OBJECTIVE = 1e-3
 #: Log-normal fit exact to rounding [%^2] (released % to 1e-12 pp): steps below it gain nothing.
 ROUNDING_OBJECTIVE = 1e-24
+#: Weight of the free-bin roughness penalty in the objective.
+_ROUGHNESS_WEIGHT = 1e-2
 #: Weight of the least-squares row that holds the free-bin fractions' sum at 1.
 _SUM_WEIGHT = 1e3
 #: Steps toward a round's least-squares solution, as shares of the way, tried in turn.
@@ -67,19 +69,12 @@ class LognormalParameterization:
 
 @dataclass(frozen=True)
 class FreeBinsParameterization:
-    """Mass fractions on a fixed geometric size grid."""
+    """Mass fractions on a fixed geometric size grid, started uniform."""
 
     sizes_um: np.ndarray
-    fractions: np.ndarray | None = None     # uniform start when omitted
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes_um, dtype=float)
-        object.__setattr__(self, "sizes_um", sizes)
-        if self.fractions is not None:
-            fr = np.asarray(self.fractions, dtype=float)
-            object.__setattr__(self, "fractions", fr)
-            if fr.shape != sizes.shape:
-                raise ConfigurationError("fractions must match the size grid")
+        object.__setattr__(self, "sizes_um", np.asarray(self.sizes_um, dtype=float))
 
     @classmethod
     def geometric(cls, n: int, x_min_um: float, x_max_um: float
@@ -107,15 +102,12 @@ class DesignSpec:
     parameterization: LognormalParameterization | FreeBinsParameterization = field(
         default_factory=lambda: LognormalParameterization(100.0, 1.5))
     bounds: tuple | None = None              # per optimized parameter (lo, hi)
-    regularization_weight: float = 1e-2      # roughness weight, free bins only
 
     def __post_init__(self):
         if self.target.n_points < 2:
             raise ConfigurationError("target must have at least 2 points")
         if not self.target.starts_at_zero:
             raise ConfigurationError("target profile must start at (0, 0)")
-        if self.regularization_weight < 0:
-            raise ConfigurationError("regularization_weight must be >= 0")
         n = 2 if self.is_lognormal else self.parameterization.n
         if self.bounds is None:
             self.bounds = DEFAULT_LOGNORMAL_BOUNDS if self.is_lognormal else ((0.0, 1.0),) * n
@@ -149,7 +141,7 @@ def objective(psd: SizeDistribution, spec: DesignSpec) -> float:
 def _misfit(psd: SizeDistribution, spec: DesignSpec, achieved: DissolutionProfile) -> float:
     value = mse(align_profiles(spec.target, achieved))
     if not spec.is_lognormal:
-        value += spec.regularization_weight * roughness(psd)
+        value += _ROUGHNESS_WEIGHT * roughness(psd)
     return value
 
 
@@ -283,7 +275,7 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
     sizes = param.sizes_um
     n = param.n
     # Roughness rows, then one row holding the sum at 1.
-    rows = np.vstack((np.sqrt(spec.regularization_weight) * np.diff(np.eye(n), n=2, axis=0),
+    rows = np.vstack((np.sqrt(_ROUGHNESS_WEIGHT) * np.diff(np.eye(n), n=2, axis=0),
                       np.full((1, n), _SUM_WEIGHT)))
     penalty = rows, np.append(np.zeros(len(rows) - 1), _SUM_WEIGHT)
 
@@ -291,9 +283,8 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
         return SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}
 
     rng = np.random.default_rng(seed)
-    f0 = param.fractions if param.fractions is not None else np.full(n, 1.0 / n)
-    starts = [_project(f, spec.bounds)
-              for f in [f0] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
+    starts = [_project(f, spec.bounds) for f in
+              [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
     return _multi_start(spec, free_bins, starts, columns=lambda d_f, d_ln_y0: d_f,
                         bounds=np.array(spec.bounds).T,
                         project=lambda f: _project(f, spec.bounds), penalty=penalty,

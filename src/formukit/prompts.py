@@ -233,15 +233,12 @@ def build_prompt(strategy: PromptStrategy, features: FormulationInput,
 
     Parameters
     ----------
-    examples : list of FormulationRecord, str, or None
-        Required for FS/FS_CoT/RAG; rendered into the Examples section
-        (a pre-rendered string is used as-is). ZS variants get the literal
-        "no examples provided".
+    examples : list of FormulationRecord, or None
+        Required for FS/FS_CoT/RAG; rendered into the Examples section.
+        ZS variants get the literal "no examples provided".
     """
     if not strategy.needs_examples:
         examples_body = NO_EXAMPLES_TEXT
-    elif isinstance(examples, str):
-        examples_body = examples
     elif examples is None or not (examples := list(examples)):   # an iterator is read once
         raise StrategyPreconditionError(f"{strategy.value} requires at least one example record")
     else:
@@ -392,7 +389,7 @@ def parse_profile_response(text: str, full_output: bool = False):
     for i, name in enumerate(columns):
         if isinstance(name, str) and "time" in name.lower():
             time_idx = i
-            value_idx = 1 - i if len(columns) == 2 else (0 if i != 0 else 1)
+            value_idx = 0 if i else 1
             break
     time_name = columns[time_idx] if len(columns) > time_idx else ""
     minutes = isinstance(time_name, str) and "min" in time_name.lower()

@@ -115,8 +115,7 @@ def features_from_verbatim(obj) -> dict[str, float]:
     return canonical
 
 
-def record_from_verbatim(obj: dict, record_id: str, provenance: str = "experimental",
-                         source: str = "") -> FormulationRecord:
+def record_from_verbatim(obj: dict, record_id: str) -> FormulationRecord:
     """Import adapter for records keyed with the verbatim prompt-block names.
 
     Accepts ``{"Input": {...}, "Output": {"columns": ..., "data": ...}}``
@@ -139,8 +138,8 @@ def record_from_verbatim(obj: dict, record_id: str, provenance: str = "experimen
         id=record_id,
         features=FormulationInput(**canonical),
         profile=DissolutionProfile.from_points(points),
-        provenance=obj.get("provenance", provenance),
-        source=obj.get("source", source),
+        provenance=obj.get("provenance", "experimental"),
+        source=obj.get("source", ""),
     )
 
 
@@ -211,8 +210,7 @@ class RecordStore:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._records: dict[str, FormulationRecord] = {}
-        self._order: list[str] = []
+        self._records: dict[str, FormulationRecord] = {}     # in first-ingest order
         self._matrix = self._weights = None     # retrieval state: built on use, reset by ingest
         self._torn_bytes = 0                    # size of a truncated final line, dropped on ingest
         if self.path is not None and self.path.exists():
@@ -222,8 +220,6 @@ class RecordStore:
         rows = JsonlRows(self.path)
         for row in rows:
             record = FormulationRecord.from_dict(row)
-            if record.id not in self._records:
-                self._order.append(record.id)
             self._records[record.id] = record
         self._torn_bytes = rows.torn_bytes
 
@@ -235,7 +231,7 @@ class RecordStore:
 
     @property
     def records(self) -> list[FormulationRecord]:
-        return [self._records[rid] for rid in self._order]
+        return list(self._records.values())
 
     def get(self, record_id: str) -> FormulationRecord:
         return self._records[record_id]
@@ -244,8 +240,6 @@ class RecordStore:
         """Add a record; appends to the JSONL file when the store is backed."""
         if record.id in self._records and not overwrite:
             raise ConflictError(f"record id {record.id!r} already in store")
-        if record.id not in self._records:
-            self._order.append(record.id)
         self._records[record.id] = record
         self._matrix = self._weights = None
         if self.path is not None:
@@ -323,8 +317,9 @@ class RecordStore:
                                        weights.scales)
         diff = np.abs(query.feature_vector() - self.feature_matrix())
         scores = np.exp(-np.sum(weights.weights * diff / weights.scales, axis=1))
-        top = np.lexsort((np.array(self._order), -scores))[:k]
-        return [(self._records[self._order[i]], float(scores[i])) for i in top]
+        ids = list(self._records)
+        top = np.lexsort((np.array(ids), -scores))[:k]
+        return [(self._records[ids[i]], float(scores[i])) for i in top]
 
 
 def to_examples(records) -> str:

@@ -47,8 +47,8 @@ class DrugSubstance:
 
     def __post_init__(self):
         for name in ("c_sat_mg_ml", "diffusivity_m2_s", "true_density_g_ml"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0")
 
 
 #: Diuretic powder used throughout the bundled example data.
@@ -71,41 +71,23 @@ def _prolate_area_factor(aspect_ratio: float) -> float:
 
 @dataclass(frozen=True)
 class ParticleMorphology:
-    """Particle shape descriptors.
+    """Particle shape: the size x is the equal-volume sphere's diameter.
 
-    ``psi_a`` and ``psi_v`` are the area and volume shape factors
-    (surface = psi_a * x^2, volume = psi_v * x^3 for characteristic size x).
-    Sphere defaults: psi_a = pi, psi_v = pi/6 with x the diameter. An aspect
-    ratio above 1 scales the effective surface factor by the prolate-spheroid
-    area excess; roundness is carried but inert.
+    A sphere has surface pi x^2 and volume (pi/6) x^3, so 6/x of surface per
+    volume. An aspect ratio above 1 scales that surface by the
+    prolate-spheroid area excess.
     """
 
     aspect_ratio: float = 1.0
-    roundness: float = 1.0
-    psi_a: float = math.pi
-    psi_v: float = math.pi / 6.0
 
     def __post_init__(self):
-        if not self.aspect_ratio >= 1.0:
-            raise DomainError("aspect_ratio must be >= 1")
-        if not (0.0 < self.roundness <= 1.0):
-            raise DomainError("roundness must be in (0, 1]")
-        if not (self.psi_a > 0 and self.psi_v > 0):
-            raise DomainError("shape factors must be > 0")
-        # Isoperimetric bound: no convex-like shape packs more volume per
-        # surface than the sphere (psi_v/psi_a = 1/6).
-        if self.psi_v / self.psi_a > (1.0 / 6.0) * (1.0 + 1e-9):
-            raise DomainError("psi_v/psi_a exceeds the spherical bound 1/6")
-
-    @property
-    def psi_a_effective(self) -> float:
-        """Area shape factor including the aspect-ratio correction."""
-        return self.psi_a * _prolate_area_factor(self.aspect_ratio)
+        if not 1.0 <= self.aspect_ratio < math.inf:
+            raise DomainError("aspect_ratio must be finite and >= 1")
 
     @property
     def surface_to_volume_ratio(self) -> float:
-        """psi_a_effective / psi_v; 6.0 for the default sphere."""
-        return self.psi_a_effective / self.psi_v
+        """Surface over volume, times the size x: 6.0 for the sphere."""
+        return 6.0 * _prolate_area_factor(self.aspect_ratio)
 
 
 @dataclass(frozen=True)
@@ -305,13 +287,13 @@ class FormulationInput:
     def feature_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
-    def drug(self, name: str = "unnamed") -> DrugSubstance:
+    def drug(self) -> DrugSubstance:
         return DrugSubstance(
-            name=name,
+            name="unnamed",
             c_sat_mg_ml=self.solubility_mg_ml,
             diffusivity_m2_s=self.diffusivity_m2_s,
             true_density_g_ml=self.true_density_g_ml,
         )
 
     def morphology(self) -> ParticleMorphology:
-        return ParticleMorphology(aspect_ratio=self.aspect_ratio, roundness=self.roundness)
+        return ParticleMorphology(aspect_ratio=self.aspect_ratio)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import formukit
-from formukit.cli import main
+from formukit.cli import AppConfig, main
 
 SEED_FILE = str(files("formukit") / "data" / "seed_records.json")
 
@@ -427,6 +427,22 @@ class TestConfigFile:
         assert code == 0
         assert (tmp_path / "configured_out" / "t" / "profile.csv").exists()
 
+    def test_readme_config_loads(self, tmp_path, monkeypatch, capsys):
+        # The README's example config is read as written, and the misspelt key
+        # it warns of is named in the error.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("--config app.json", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "app.json").write_text(block)
+        config = AppConfig.load("app.json")
+        assert (config.llm.model, config.conditions.dose_mg) == ("deepseek-r1", 10.0)
+        assert main(["simulate", "--d50", "50", "--config", "app.json", "--run-id", "t"]) == 0
+        assert (tmp_path / config.output_dir / "t" / "profile.csv").exists()
+        (tmp_path / "app.json").write_text(block.replace('"dose_mg"', '"dose"'))
+        capsys.readouterr()
+        assert main(["simulate", "--d50", "50", "--config", "app.json", "--run-id", "u"]) == 2
+        assert "'dose'" in capsys.readouterr().err
+
     def test_help_mentions_units(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])
@@ -493,6 +509,12 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
                  '{"seed": 1.7}', id="config-float-seed"),
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"seed": true}', id="config-bool-seed"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"conditions": {"dose": 600}}', id="config-unknown-conditions-key"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"modle": "x"}}', id="config-unknown-llm-key"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"seeds": 1}', id="config-unknown-key"),
 ])
 def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
     monkeypatch.chdir(tmp_path)               # the ingest cases name a relative store
@@ -500,7 +522,10 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     path.write_text(text)
     code = main([*argv, str(path), "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    unknown = [key for key in ("dose", "modle", "seeds") if f'"{key}"' in text]
+    assert all(f"'{key}'" in err for key in unknown), err
 
 
 def _fresh_env():
@@ -537,7 +562,7 @@ def test_runs_at_the_end_of_the_float_range_finish(tmp_path):
     assert len(results) == len(cases), out.stderr
     for (argv, expected), (exit_code, err) in zip(cases, results):
         assert exit_code == expected, (argv, err)
-        assert err.startswith("error: ") if expected else "error" not in err, (argv, err)
+        assert err.startswith("error: ") if expected else err == "", (argv, err)
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from formukit.dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
 from formukit.errors import ConfigurationError
+from formukit.evaluate import align_profiles, mse
 from formukit.inverse import (
     ROUNDING_OBJECTIVE,
     DesignSpec,
@@ -37,18 +38,17 @@ class TestObjective:
         assert objective(uniform, spec) > 1e-4
 
     def test_regularization_term(self, drug, sphere, conditions, round_trip_target):
+        # A free-bin objective is the release MSE plus 1e-2 times the roughness.
         param = FreeBinsParameterization.geometric(12, 30.0, 400.0)
-        rough_spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
-                                conditions=conditions, parameterization=param,
-                                regularization_weight=10.0)
-        smooth_spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
-                                 conditions=conditions, parameterization=param,
-                                 regularization_weight=0.0)
+        spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
+                          conditions=conditions, parameterization=param)
         spiky = np.zeros(12)
         spiky[3] = 1.0
         psd = SizeDistribution(param.sizes_um, spiky)
-        assert objective(psd, rough_spec) == pytest.approx(
-            objective(psd, smooth_spec) + 10.0 * roughness(psd))
+        achieved = simulate_dissolution(drug, sphere, psd, conditions,
+                                        output_grid_hr=round_trip_target.times_hr)
+        assert objective(psd, spec) == pytest.approx(
+            mse(align_profiles(round_trip_target, achieved)) + 1e-2 * roughness(psd))
 
     def test_roughness_of_smooth_distribution(self):
         psd = psd_from_lognormal(100.0, 1.5, 20)

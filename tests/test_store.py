@@ -71,6 +71,7 @@ class TestIngest:
             store.ingest(example_records[0])
         store.ingest(example_records[0], overwrite=True)   # explicit overwrite ok
         assert len(store) == 3
+        assert [r.id for r in store.records] == [r.id for r in example_records]   # kept in place
 
     def test_invalid_provenance_rejected(self, example_records):
         with pytest.raises(ValidationError):

@@ -30,38 +30,28 @@ class TestDrugSubstance:
 
 class TestParticleMorphology:
     def test_sphere_defaults(self):
-        sphere = ParticleMorphology()
-        assert sphere.psi_a == pytest.approx(math.pi)
-        assert sphere.psi_v == pytest.approx(math.pi / 6)
-        assert sphere.surface_to_volume_ratio == pytest.approx(6.0)
-
-    def test_convexity_bound(self):
-        # more volume per surface than a sphere is geometrically impossible
-        with pytest.raises(DomainError):
-            ParticleMorphology(psi_a=1.0, psi_v=0.2)
+        assert ParticleMorphology().surface_to_volume_ratio == 6.0
 
     def test_prolate_correction_increases_area(self):
         sphere = ParticleMorphology()
         elongated = ParticleMorphology(aspect_ratio=2.0)
-        assert elongated.psi_a_effective > sphere.psi_a_effective
+        assert elongated.surface_to_volume_ratio > sphere.surface_to_volume_ratio
         barely = ParticleMorphology(aspect_ratio=1.0 + 1e-9)
-        assert barely.psi_a_effective == pytest.approx(sphere.psi_a_effective, rel=1e-6)
+        assert barely.surface_to_volume_ratio == pytest.approx(6.0, rel=1e-6)
 
     def test_invalid_shape_parameters(self):
         with pytest.raises(DomainError):
             ParticleMorphology(aspect_ratio=0.5)
-        with pytest.raises(DomainError):
-            ParticleMorphology(roundness=0.0)
-        with pytest.raises(DomainError):
-            ParticleMorphology(psi_a=-1.0)
 
 
 @pytest.mark.parametrize("make", [
     lambda: DrugSubstance("x", c_sat_mg_ml=math.nan, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
     lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.nan),
     lambda: ParticleMorphology(aspect_ratio=math.nan),
-    lambda: ParticleMorphology(psi_a=math.nan),
-    lambda: ParticleMorphology(psi_v=math.nan),
+    lambda: DrugSubstance("x", c_sat_mg_ml=math.inf, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
+    lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=math.inf, true_density_g_ml=1.5),
+    lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.inf),
+    lambda: ParticleMorphology(aspect_ratio=math.inf),
 ])
 def test_nan_constants_rejected(make):
     with pytest.raises(DomainError):
