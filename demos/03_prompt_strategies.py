@@ -19,6 +19,7 @@ from formukit import (
     parse_profile_response,
     validate_profile,
 )
+from formukit.prompts import SECTION_HEADERS
 
 powder = FormulationInput(
     d50_um=97.5, aspect_ratio=1.0, roundness=1.0,
@@ -32,8 +33,8 @@ examples = import_verbatim_file(files("formukit") / "data" / "seed_records.json"
 # --- zero-shot: structured sections, no worked examples ---------------------
 zs = build_prompt(PromptStrategy.ZS, powder)
 print("zero-shot prompt sections:")
-for name, _ in zs.sections:
-    print(f"  - {name}")
+for header in SECTION_HEADERS:
+    print(f"  - {header}")
 
 # --- chain-of-thought differs by exactly one appended line ------------------
 zs_cot = build_prompt(PromptStrategy.ZS_CoT, powder)

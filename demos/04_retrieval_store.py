@@ -15,7 +15,7 @@ from formukit import (
     FormulationInput,
     RecordStore,
     import_verbatim_file,
-    to_examples,
+    render_example_blocks,
 )
 
 workdir = Path(tempfile.mkdtemp(prefix="formukit_demo_"))
@@ -49,5 +49,5 @@ for rank, (rec, score) in enumerate(hits, start=1):
     print(f"  {rank}. {rec.id:<18} score {score:.4f} (d50 {rec.features.d50_um:g} um)")
 
 # --- retrieved records render straight into a prompt Examples section -------
-block = to_examples([hits[0][0]])
+block = render_example_blocks([hits[0][0]])
 print(f"\nexample block for the top hit starts:\n{block.splitlines()[0]}")

@@ -52,6 +52,7 @@ from .prompts import (
     PromptStrategy,
     build_prompt,
     parse_profile_response,
+    render_example_blocks,
     validate_profile,
 )
 from .store import (
@@ -61,7 +62,6 @@ from .store import (
     import_verbatim_file,
     load_records,
     record_from_verbatim,
-    to_examples,
 )
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
@@ -88,6 +88,6 @@ __all__ = [
     "derived_metrics", "design_psd", "design_report", "import_verbatim_file",
     "load_records", "make_backend", "mse", "objective", "parse_profile_response",
     "profile_metrics", "prompt_sha256", "psd_from_lognormal", "r_squared",
-    "record_from_verbatim", "reynolds_schmidt", "run_benchmark", "sherwood", "simulate",
-    "simulate_dissolution", "to_examples", "validate_profile",
+    "record_from_verbatim", "render_example_blocks", "reynolds_schmidt", "run_benchmark",
+    "sherwood", "simulate", "simulate_dissolution", "validate_profile",
 ]

@@ -17,7 +17,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import evaluate as ev
@@ -48,6 +48,7 @@ from .store import RecordStore, features_from_verbatim, import_verbatim_file, lo
 from .svgplot import profile_overlay_svg
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
+    FEATURE_NAMES,
     DissolutionConditions,
     DissolutionProfile,
     FormulationInput,
@@ -115,10 +116,9 @@ def _run_dir(config: AppConfig, args) -> Path:
             path = base / f"{stamp}-{suffix}"
 
 
-def _given(args, flags) -> dict:
-    """{name: value} for each (flag, name) pair whose flag was given."""
-    return {name: getattr(args, flag) for flag, name in flags
-            if getattr(args, flag, None) is not None}
+def _given(args, names) -> dict:
+    """{name: value} for each of ``names`` whose flag (with that ``dest``) was given."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _load_features(args) -> FormulationInput:
@@ -129,20 +129,14 @@ def _load_features(args) -> FormulationInput:
             raise ValidationError(
                 f"input file {args.input} is missing required field(s): d50_um")
         return FormulationInput(**canonical)
-    if args.d50 is None:
+    if args.d50_um is None:
         raise ValidationError("provide --input FILE or --d50 (required field: d50_um)")
-    return FormulationInput(d50_um=args.d50, **_given(args, (
-        ("aspect_ratio", "aspect_ratio"), ("roundness", "roundness"),
-        ("solubility", "solubility_mg_ml"), ("diffusivity", "diffusivity_m2_s"),
-        ("density", "true_density_g_ml"), ("ssa", "ssa_m2_g"), ("vol_eq", "vol_eq_um"))))
+    return FormulationInput(**_given(args, FEATURE_NAMES))
 
 
 def _conditions_with_overrides(config: AppConfig, args) -> DissolutionConditions:
-    overrides = _given(args, (("medium_volume", "medium_volume_ml"), ("dose", "dose_mg"),
-                              ("rpm", "paddle_rpm"), ("velocity_factor", "velocity_factor")))
-    if getattr(args, "sink", False):
-        overrides["sink_override"] = True
-    return replace(config.conditions, **overrides)
+    names = (f.name for f in fields(DissolutionConditions))
+    return replace(config.conditions, **_given(args, names))
 
 
 def _parse_grid(text: str | None):
@@ -216,7 +210,7 @@ def cmd_design(config: AppConfig, args) -> int:
     bounds = [tuple(float(x) for x in given.split(",")) if given else default
               for given, default in zip((args.d50_bounds, args.sigma_bounds),
                                         DEFAULT_LOGNORMAL_BOUNDS)]
-    features = _load_features(args) if (args.input or args.d50 is not None) else \
+    features = _load_features(args) if (args.input or args.d50_um is not None) else \
         FormulationInput(d50_um=args.start_d50)
     spec = DesignSpec(
         target=target,
@@ -311,9 +305,7 @@ def cmd_store(config: AppConfig, args) -> int:
         print(f"{len(store)} record(s)")
         return EXIT_OK
     if args.store_cmd == "retrieve":
-        query_fields = {"d50_um": args.d50, **_given(args, (
-            ("ssa", "ssa_m2_g"), ("vol_eq", "vol_eq_um"),
-            ("aspect_ratio", "aspect_ratio"), ("roundness", "roundness")))}
+        query_fields = _given(args, FEATURE_NAMES)
         query = FormulationInput(**query_fields)
         hits = store.retrieve(query, k=args.k, feature_subset=tuple(query_fields))
         print(f"{'rank':<5} {'id':<20} {'score':>10} {'d50_um':>8}")
@@ -371,26 +363,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="formulation JSON file (canonical or verbatim keys)")
-    parser.add_argument("--d50", type=float, help="mass-median particle size [um]")
+    parser.add_argument("--d50", dest="d50_um", type=float, help="mass-median particle size [um]")
     parser.add_argument("--aspect-ratio", dest="aspect_ratio", type=float,
                         help="particle aspect ratio [-], >= 1")
     parser.add_argument("--roundness", type=float, help="particle roundness [-], (0, 1]")
-    parser.add_argument("--solubility", type=float, help="drug solubility [mg/mL]")
-    parser.add_argument("--diffusivity", type=float, help="diffusion coefficient [m^2/s]")
-    parser.add_argument("--density", type=float, help="true density [g/mL]")
-    parser.add_argument("--ssa", type=float, help="specific surface area [m^2/g]")
-    parser.add_argument("--vol-eq", dest="vol_eq", type=float,
+    parser.add_argument("--solubility", dest="solubility_mg_ml", type=float,
+                        help="drug solubility [mg/mL]")
+    parser.add_argument("--diffusivity", dest="diffusivity_m2_s", type=float,
+                        help="diffusion coefficient [m^2/s]")
+    parser.add_argument("--density", dest="true_density_g_ml", type=float,
+                        help="true density [g/mL]")
+    parser.add_argument("--ssa", dest="ssa_m2_g", type=float, help="specific surface area [m^2/g]")
+    parser.add_argument("--vol-eq", dest="vol_eq_um", type=float,
                         help="volume-equivalent particle size [um]")
 
 
 def _add_condition_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--medium-volume", dest="medium_volume", type=float,
+    parser.add_argument("--medium-volume", dest="medium_volume_ml", type=float,
                         help="dissolution medium volume [mL]")
-    parser.add_argument("--dose", type=float, help="drug dose [mg]")
-    parser.add_argument("--rpm", type=float, help="paddle speed [rev/min]")
+    parser.add_argument("--dose", dest="dose_mg", type=float, help="drug dose [mg]")
+    parser.add_argument("--rpm", dest="paddle_rpm", type=float, help="paddle speed [rev/min]")
     parser.add_argument("--velocity-factor", dest="velocity_factor", type=float,
                         help="fraction of paddle tip speed felt by particles [-]")
-    parser.add_argument("--sink", action="store_true", help="force sink conditions (C_b = 0)")
+    # None when absent, so a config's sink_override stands
+    parser.add_argument("--sink", dest="sink_override", action="store_true", default=None,
+                        help="force sink conditions (C_b = 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,9 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = store_sub.add_parser("retrieve", help="retrieve nearest records")
     _add_common(ps)
     ps.add_argument("--store", help="store path (JSONL)")
-    ps.add_argument("--d50", type=float, required=True, help="query d50 [um]")
-    ps.add_argument("--ssa", type=float, help="query specific surface area [m^2/g]")
-    ps.add_argument("--vol-eq", dest="vol_eq", type=float,
+    ps.add_argument("--d50", dest="d50_um", type=float, required=True, help="query d50 [um]")
+    ps.add_argument("--ssa", dest="ssa_m2_g", type=float,
+                    help="query specific surface area [m^2/g]")
+    ps.add_argument("--vol-eq", dest="vol_eq_um", type=float,
                     help="query volume-equivalent size [um]")
     ps.add_argument("--aspect-ratio", dest="aspect_ratio", type=float,
                     help="query aspect ratio [-]")

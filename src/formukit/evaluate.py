@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, DegenerateReferenceError, ParseError
+from .prompts import PromptStrategy
 from .types import DissolutionProfile
 
-STRATEGY_ORDER = ("ZS", "ZS_CoT", "FS", "FS_CoT", "RAG")
+STRATEGY_ORDER = tuple(s.value for s in PromptStrategy)
 #: Example records a few-shot prompt gets, and records a RAG prompt retrieves.
 N_EXAMPLES = 3
 RETRIEVE_K = 3
@@ -95,6 +96,10 @@ class EvalRow:
         return self.mse is not None
 
 
+#: Report column names, one per EvalRow field in field order.
+REPORT_COLUMNS = ("strategy", "mse_pct2", "r_squared", "n_records", "n_parse_failures", "notes")
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-strategy metric table in the fixed ZS..RAG order."""
@@ -117,26 +122,20 @@ class EvalReport:
                          f"{r.n_parse_failures:>6}  {r.notes}")
         return "\n".join(lines) + "\n"
 
+    def _row_dicts(self) -> list[dict]:
+        """The rows keyed by :data:`REPORT_COLUMNS`; an unevaluable metric is None."""
+        return [dict(zip(REPORT_COLUMNS, astuple(r), strict=True)) for r in self.rows]
+
     def to_csv(self) -> str:
+        """The rows as CSV: None is written as an empty cell, a float as its repr."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["strategy", "mse_pct2", "r_squared", "n_records",
-                         "n_parse_failures", "notes"])
-        for r in self.rows:
-            writer.writerow([r.strategy,
-                             "" if r.mse is None else repr(r.mse),
-                             "" if r.r2 is None else repr(r.r2),
-                             r.n_records, r.n_parse_failures, r.notes])
+        writer = csv.DictWriter(buf, REPORT_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self._row_dicts())
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = [
-            {"strategy": r.strategy, "mse_pct2": r.mse, "r_squared": r.r2,
-             "n_records": r.n_records, "n_parse_failures": r.n_parse_failures,
-             "notes": r.notes}
-            for r in self.rows
-        ]
-        return json.dumps({"rows": payload}, indent=2) + "\n"
+        return json.dumps({"rows": self._row_dicts()}, indent=2) + "\n"
 
 
 @dataclass
@@ -183,7 +182,7 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
     from itertools import product
 
     from .errors import StrategyPreconditionError
-    from .prompts import PromptStrategy, build_prompt, parse_profile_response
+    from .prompts import build_prompt, parse_profile_response
     from .store import RecordStore
 
     records = list(dataset)

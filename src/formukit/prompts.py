@@ -49,28 +49,14 @@ class PromptStrategy(enum.Enum):
         return self in (PromptStrategy.FS, PromptStrategy.FS_CoT, PromptStrategy.RAG)
 
 
-#: CLI-facing spellings.
-STRATEGY_ALIASES = {
-    "zs": PromptStrategy.ZS,
-    "zs-cot": PromptStrategy.ZS_CoT,
-    "zs_cot": PromptStrategy.ZS_CoT,
-    "fs": PromptStrategy.FS,
-    "fs-cot": PromptStrategy.FS_CoT,
-    "fs_cot": PromptStrategy.FS_CoT,
-    "rag": PromptStrategy.RAG,
-}
+#: CLI-facing spellings: each value in lower case, with "-" or "_".
+STRATEGY_ALIASES = {alias: s for s in PromptStrategy
+                    for alias in (s.value.lower().replace("_", "-"), s.value.lower())}
 
 COT_INSTRUCTION = "Do the step-by-step analysis"
 
-SECTION_HEADERS = (
-    ("role", "Role"),
-    ("background", "Background"),
-    ("request", "Reqeust"),
-    ("input_format", "Input Format"),
-    ("output_format", "Outout Format"),
-    ("examples", "Examples"),
-    ("constraints", "Constrains"),
-)
+SECTION_HEADERS = ("Role", "Background", "Reqeust", "Input Format", "Outout Format", "Examples",
+                   "Constrains")
 
 _ROLE_BODY = """\
 Hi, You are an expert on the Drug development.
@@ -134,17 +120,18 @@ Where  $k = \\frac{Sh}{D} \\cdot x$ ,
 
 NO_EXAMPLES_TEXT = "no examples provided"
 
-#: Verbatim record keys used inside prompt blocks, in render order.
-VERBATIM_KEYS = (
-    ("Mean Particle Size, D50", "d50_um"),
-    ("Aspect ratio", "aspect_ratio"),
-    ("Roundness", "roundness"),
-    ("solubility of drug (mg/mL)", "solubility_mg_ml"),
-    ("Diffusion coefficient of drug (m^2/s)", "diffusivity_m2_s"),
-    ("True Density of drug (g/mL)", "true_density_g_ml"),
-    ("Specific surface area (m^2/g)", "ssa_m2_g"),
-    ("volume-based equivalent particle size (micrometer)", "vol_eq_um"),
-)
+#: Verbatim record keys used inside prompt blocks, in render order, paired
+#: with the feature each one labels.
+VERBATIM_KEYS = tuple(zip((
+    "Mean Particle Size, D50",
+    "Aspect ratio",
+    "Roundness",
+    "solubility of drug (mg/mL)",
+    "Diffusion coefficient of drug (m^2/s)",
+    "True Density of drug (g/mL)",
+    "Specific surface area (m^2/g)",
+    "volume-based equivalent particle size (micrometer)",
+), FEATURE_NAMES, strict=True))
 
 
 def format_number(value: float) -> str:
@@ -216,14 +203,11 @@ def render_example_blocks(records) -> str:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """An assembled prompt: ordered sections plus the rendered text."""
+    """An assembled prompt: the rendered text and the strategy behind it.
+    :func:`extract_section` reads one section back."""
 
-    sections: tuple[tuple[str, str], ...]
     rendered: str
     strategy: PromptStrategy
-
-    def section(self, name: str) -> str:
-        return dict(self.sections)[name]
 
 
 def build_prompt(strategy: PromptStrategy, features: FormulationInput,
@@ -237,20 +221,15 @@ def build_prompt(strategy: PromptStrategy, features: FormulationInput,
         Required for FS/FS_CoT/RAG; rendered into the Examples section.
         ZS variants get the literal "no examples provided".
     """
-    if not strategy.needs_examples:
-        examples_body = NO_EXAMPLES_TEXT
-    elif examples is None or not (examples := list(examples)):   # an iterator is read once
-        raise StrategyPreconditionError(f"{strategy.value} requires at least one example record")
-    else:
-        examples_body = render_example_blocks(examples)
+    examples_body = (render_example_blocks(examples or ()) if strategy.needs_examples
+                     else NO_EXAMPLES_TEXT)
     bodies = (_ROLE_BODY, _BACKGROUND_BODY, _FORWARD_REQUEST_BODY, render_input_block(features),
               _FORWARD_OUTPUT_BODY, examples_body, _CONSTRAINTS_BODY)
-    sections = tuple((key, body) for (key, _), body in zip(SECTION_HEADERS, bodies))
     rendered = "\n\n".join(f"### {header}: ###\n{body}"
-                           for (_, header), body in zip(SECTION_HEADERS, bodies))
+                           for header, body in zip(SECTION_HEADERS, bodies))
     if strategy.is_cot:
         rendered += "\n" + COT_INSTRUCTION
-    return PromptBundle(sections=sections, rendered=rendered, strategy=strategy)
+    return PromptBundle(rendered=rendered, strategy=strategy)
 
 
 def extract_section(rendered: str, header: str) -> str:
@@ -265,7 +244,7 @@ def extract_section(rendered: str, header: str) -> str:
     if start < 0:
         raise ParseError(f"prompt has no section {header!r}")
     body_start = start + len(marker)
-    ends = (rendered.find(f"\n\n### {name}: ###\n", body_start) for _, name in SECTION_HEADERS)
+    ends = (rendered.find(f"\n\n### {name}: ###\n", body_start) for name in SECTION_HEADERS)
     return rendered[body_start:min((e for e in ends if e >= 0), default=len(rendered))]
 
 
@@ -361,6 +340,39 @@ def _candidate_json_objects(text: str):
         yield obj
 
 
+def read_profile_table(table: dict) -> tuple[list[float], list[float], bool]:
+    """Times [hr] and released values of a columns/data table, and whether
+    its times were given in minutes (then converted to hours).
+
+    The time column is the first column whose name contains "time" (else
+    the first), and the value column the first other one; a time column
+    whose name contains "min" is in minutes. Values are not range-checked.
+    """
+    columns = table.get("columns") or []
+    if not isinstance(columns, list):
+        raise ParseError(f"'columns' is not a list: {columns!r}")
+    time_idx = next((i for i, name in enumerate(columns)
+                     if isinstance(name, str) and "time" in name.lower()), 0)
+    value_idx = 0 if time_idx else 1
+    time_name = columns[time_idx] if len(columns) > time_idx else ""
+    minutes = isinstance(time_name, str) and "min" in time_name.lower()
+
+    rows = table.get("data")
+    if not isinstance(rows, list) or len(rows) == 0:
+        raise EmptyProfileError("profile table has an empty data array")
+    times, released = [], []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) <= max(time_idx, value_idx):
+            raise ParseError(f"malformed data row: {row!r}")
+        try:
+            t = float(row[time_idx])
+            released.append(float(row[value_idx]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"non-numeric data row: {row!r}") from exc
+        times.append(t / 60.0 if minutes else t)
+    return times, released, minutes
+
+
 def parse_profile_response(text: str, full_output: bool = False):
     """Extract the first columns/data profile table from response text.
 
@@ -373,51 +385,20 @@ def parse_profile_response(text: str, full_output: bool = False):
     full_output : bool
         When true, returns ``(profile, ParseReport)``.
     """
-    report = ParseReport()
-    table = None
-    for obj in _candidate_json_objects(text):
-        if "columns" in obj and "data" in obj:
-            table = obj
-            break
+    table = next((obj for obj in _candidate_json_objects(text)
+                  if "columns" in obj and "data" in obj), None)
     if table is None:
         raise ParseError("no JSON object with 'columns' and 'data' keys found")
-
-    columns = table.get("columns") or []
-    if not isinstance(columns, list):
-        raise ParseError(f"'columns' is not a list: {columns!r}")
-    time_idx, value_idx = 0, 1
-    for i, name in enumerate(columns):
-        if isinstance(name, str) and "time" in name.lower():
-            time_idx = i
-            value_idx = 0 if i else 1
-            break
-    time_name = columns[time_idx] if len(columns) > time_idx else ""
-    minutes = isinstance(time_name, str) and "min" in time_name.lower()
+    times, released, minutes = read_profile_table(table)
+    report = ParseReport()
     if minutes:
         report.unit = "min"
         report.converted_from_minutes = True
         report.notes.append("time column given in minutes; converted to hours")
-
-    rows = table["data"]
-    if not isinstance(rows, list) or len(rows) == 0:
-        raise EmptyProfileError("profile table has an empty data array")
-
-    times, released = [], []
-    for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) <= max(time_idx, value_idx):
-            raise ParseError(f"malformed data row: {row!r}")
-        try:
-            t = float(row[time_idx])
-            v = float(row[value_idx])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"non-numeric data row: {row!r}") from exc
-        if minutes:
-            t = t / 60.0
+    for i, (t, v) in enumerate(zip(times, released)):
         if v < 0.0 or v > 100.0:
             report.clamped_points.append((t, v))
-            v = min(max(v, 0.0), 100.0)
-        times.append(t)
-        released.append(v)
+            released[i] = min(max(v, 0.0), 100.0)
     if report.clamped_points:
         report.notes.append(
             f"{len(report.clamped_points)} value(s) clamped into [0, 100]")
@@ -441,7 +422,7 @@ class RuleViolation:
 def validate_profile(profile: DissolutionProfile) -> list[RuleViolation]:
     """Rule findings for a parsed profile; empty list means fully compliant.
 
-    Checks the (0, 0) start, the value range, the dissolution-rule target
+    Checks the (0, 0) start, the dissolution-rule target
     (>= 85% released at some point within 1 hr; advisory when missed) and
     flags drops of more than 5 percentage points between consecutive points.
     """
@@ -450,10 +431,6 @@ def validate_profile(profile: DissolutionProfile) -> list[RuleViolation]:
         findings.append(RuleViolation(
             "initial-condition", "error",
             f"first point is ({profile.times_hr[0]:g}, {profile.released_pct[0]:g}), expected (0, 0)"))
-    out_of_range = (profile.released_pct < 0) | (profile.released_pct > 100)
-    if np.any(out_of_range):
-        findings.append(RuleViolation(
-            "range", "error", "released % outside [0, 100]"))
     within_hour = profile.times_hr <= 1.0
     if not np.any(profile.released_pct[within_hour] >= 85.0):
         findings.append(RuleViolation(

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConflictError, EmptyStoreError, ValidationError
-from .prompts import VERBATIM_KEYS
+from .errors import ConflictError, EmptyStoreError, ParseError, ValidationError
+from .prompts import VERBATIM_KEYS, read_profile_table
 from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 PROVENANCE_VALUES = ("experimental", "simulated")
@@ -120,24 +120,27 @@ def record_from_verbatim(obj: dict, record_id: str) -> FormulationRecord:
 
     Accepts ``{"Input": {...}, "Output": {"columns": ..., "data": ...}}``
     (the worked-example shape) with either verbatim or canonical feature
-    keys.
+    keys. The Output table is read as a model response's is, its time
+    column found by name and minutes converted to hours; a bare list of
+    rows is read as (time [hr], released [%]).
     """
     canonical = features_from_verbatim(obj)
     missing = [name for name in FEATURE_NAMES if name not in canonical]
     if missing:
         raise ValidationError(f"verbatim record is missing fields: {', '.join(missing)}")
 
-    profile_obj = obj.get("Output", obj.get("output", obj.get("profile")))
-    if profile_obj is None:
+    table = obj.get("Output", obj.get("output", obj.get("profile")))
+    if table is None:
         raise ValidationError("verbatim record has no Output/profile block")
-    if isinstance(profile_obj, dict) and "data" in profile_obj:
-        points = profile_obj["data"]
-    else:
-        points = profile_obj
+    try:
+        times, released, _ = read_profile_table(table if isinstance(table, dict)
+                                                else {"data": table})
+    except ParseError as exc:
+        raise ValidationError(f"verbatim record {record_id!r}: {exc}") from exc
     return FormulationRecord(
         id=record_id,
         features=FormulationInput(**canonical),
-        profile=DissolutionProfile.from_points(points),
+        profile=DissolutionProfile(times, released),
         provenance=obj.get("provenance", "experimental"),
         source=obj.get("source", ""),
     )
@@ -225,9 +228,6 @@ class RecordStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self._records
 
     @property
     def records(self) -> list[FormulationRecord]:
@@ -320,13 +320,6 @@ class RecordStore:
         ids = list(self._records)
         top = np.lexsort((np.array(ids), -scores))[:k]
         return [(self._records[ids[i]], float(scores[i])) for i in top]
-
-
-def to_examples(records) -> str:
-    """Records rendered as prompt Example blocks, in the given order."""
-    from .prompts import render_example_blocks
-
-    return render_example_blocks(records)
 
 
 def load_records(path: str | Path) -> list[FormulationRecord]:

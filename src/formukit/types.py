@@ -8,7 +8,7 @@ and are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -30,8 +30,6 @@ class DrugSubstance:
 
     Parameters
     ----------
-    name : str
-        Label for reports.
     c_sat_mg_ml : float
         Equilibrium solubility in the medium [mg/mL].
     diffusivity_m2_s : float
@@ -40,7 +38,6 @@ class DrugSubstance:
         True (crystal) density [g/mL].
     """
 
-    name: str
     c_sat_mg_ml: float
     diffusivity_m2_s: float
     true_density_g_ml: float
@@ -53,7 +50,6 @@ class DrugSubstance:
 
 #: Diuretic powder used throughout the bundled example data.
 HYDROCHLOROTHIAZIDE = DrugSubstance(
-    name="hydrochlorothiazide",
     c_sat_mg_ml=0.45,
     diffusivity_m2_s=7.5e-10,
     true_density_g_ml=1.512,
@@ -243,19 +239,6 @@ class DissolutionProfile:
         return cls(pts[:, 0], pts[:, 1])
 
 
-# Canonical feature order used by storage and retrieval.
-FEATURE_NAMES = (
-    "d50_um",
-    "aspect_ratio",
-    "roundness",
-    "solubility_mg_ml",
-    "diffusivity_m2_s",
-    "true_density_g_ml",
-    "ssa_m2_g",
-    "vol_eq_um",
-)
-
-
 @dataclass(frozen=True)
 class FormulationInput:
     """The numeric feature set describing one formulation.
@@ -289,7 +272,6 @@ class FormulationInput:
 
     def drug(self) -> DrugSubstance:
         return DrugSubstance(
-            name="unnamed",
             c_sat_mg_ml=self.solubility_mg_ml,
             diffusivity_m2_s=self.diffusivity_m2_s,
             true_density_g_ml=self.true_density_g_ml,
@@ -297,3 +279,7 @@ class FormulationInput:
 
     def morphology(self) -> ParticleMorphology:
         return ParticleMorphology(aspect_ratio=self.aspect_ratio)
+
+
+#: Canonical feature order used by storage and retrieval: the fields of FormulationInput.
+FEATURE_NAMES = tuple(f.name for f in fields(FormulationInput))

@@ -237,6 +237,24 @@ class TestStore:
         assert "d50_um must be a finite number" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("output", [
+        {"columns": ["Time (min)", "Drug Released (%)"], "data": [[0, "x"]]},
+        {"columns": "Time (hr)", "data": [[0, 0], [1, 50]]},
+        {"columns": ["Time (hr)", "Drug Released (%)"], "data": []},
+        {"columns": ["Time (hr)", "Drug Released (%)"]},
+        [[0]],
+    ])
+    def test_ingest_malformed_verbatim_output_exit_2(self, tmp_path, capsys, output):
+        # The table reader raises ParseError (exit 4 for a model response);
+        # a record file is input, so its errors exit 2.
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps([{"id": "bad", "Input": REFERENCE_INPUT, "Output": output}]))
+        store = tmp_path / "store.jsonl"
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: verbatim record 'bad': ")
+        assert not store.exists()
+
     def test_list_empty_store(self, tmp_path, capsys):
         code = main(["store", "list", "--store", str(tmp_path / "nothing.jsonl"),
                      "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
@@ -426,6 +444,18 @@ class TestConfigFile:
                      "--run-id", "t"])
         assert code == 0
         assert (tmp_path / "configured_out" / "t" / "profile.csv").exists()
+
+    def test_config_sink_override_stands_without_the_flag(self, tmp_path):
+        # An absent --sink leaves the config's value; a given flag overrides it.
+        config = tmp_path / "app.json"
+        config.write_text(json.dumps({"conditions": {"sink_override": True}}))
+        common = ["simulate", "--d50", "120", "--dose", "600", "--output-dir", str(tmp_path)]
+        assert main(common + ["--config", str(config), "--run-id", "config"]) == 0
+        assert main(common + ["--sink", "--run-id", "flag"]) == 0
+        assert main(common + ["--run-id", "coupled"]) == 0
+        profile = {run: (tmp_path / run / "profile.csv").read_text()
+                   for run in ("config", "flag", "coupled")}
+        assert profile["config"] == profile["flag"] != profile["coupled"]
 
     def test_readme_config_loads(self, tmp_path, monkeypatch, capsys):
         # The README's example config is read as written, and the misspelt key

@@ -144,7 +144,7 @@ class TestShrinkRate:
 
     def test_linear_in_driving_force(self, drug, sphere):
         # Under sink the driving force is C_sat: halving it takes twice as long.
-        half = DrugSubstance(name="half", c_sat_mg_ml=drug.c_sat_mg_ml / 2,
+        half = DrugSubstance(c_sat_mg_ml=drug.c_sat_mg_ml / 2,
                              diffusivity_m2_s=drug.diffusivity_m2_s,
                              true_density_g_ml=drug.true_density_g_ml)
         cond = DissolutionConditions(sink_override=True)
@@ -466,7 +466,7 @@ class TestSimulate:
     def test_sink_extinction_at_run_end_stays_in_the_run(self, sphere):
         # The run ends at the stagnant lifetime of the one bin, and
         # lifetime / speed rounds one ulp past it.
-        drug = DrugSubstance(name="slow", c_sat_mg_ml=1.0, diffusivity_m2_s=float(np.exp(-23.0)),
+        drug = DrugSubstance(c_sat_mg_ml=1.0, diffusivity_m2_s=float(np.exp(-23.0)),
                              true_density_g_ml=1.75)
         d50 = float(np.exp(3.5))
         t_d = (d50 * 1e-6) ** 2 * drug.true_density_g_ml * 1e3 / (24.0 * drug.diffusivity_m2_s)

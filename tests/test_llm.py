@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,10 +62,8 @@ class TestMockBackend:
 
     def test_unparseable_prompt(self, reference_input):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
-        bundle = type(prompt)(
-            sections=prompt.sections,
-            rendered=prompt.rendered.replace('"Mean Particle Size, D50" : 97.5,', ""),
-            strategy=prompt.strategy)
+        bundle = replace(
+            prompt, rendered=prompt.rendered.replace('"Mean Particle Size, D50" : 97.5,', ""))
         with pytest.raises(MockParseError):
             _client(MockBackend()).complete(bundle)
 
@@ -204,10 +203,7 @@ class TestTranscripts:
         path = tmp_path / "t.jsonl"
         recorder = TranscriptRecorder(path)
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
-        broken = type(prompt)(
-            sections=prompt.sections,
-            rendered="### Role: ###\nnothing else",
-            strategy=prompt.strategy)
+        broken = replace(prompt, rendered="### Role: ###\nnothing else")
         client = _client(MockBackend(), recorder=recorder)
         with pytest.raises(MockParseError):
             client.complete(broken)

@@ -19,6 +19,7 @@ from formukit.prompts import (
     parse_input_block,
     parse_number,
     parse_profile_response,
+    render_example_blocks,
     render_input_block,
     render_profile_json,
     validate_profile,
@@ -116,9 +117,10 @@ class TestBuildPrompt:
     def test_extract_section_keeps_example_markers(self, strategy, reference_input,
                                                    example_records):
         bundle = build_prompt(strategy, reference_input, examples=example_records)
-        assert extract_section(bundle.rendered, "Examples") == bundle.section("examples")
+        assert extract_section(bundle.rendered, "Examples") == \
+            render_example_blocks(example_records)
         assert extract_section(bundle.rendered, "Input Format") == \
-            bundle.section("input_format")
+            render_input_block(reference_input)
 
     def test_fs_without_examples_raises(self, reference_input):
         with pytest.raises(StrategyPreconditionError):

@@ -20,8 +20,7 @@ def _log_uniform(lo, hi):
     return st.floats(np.log(lo), np.log(hi)).map(np.exp)
 
 
-_DRUGS = st.builds(DrugSubstance, name=st.just("random"),
-                   c_sat_mg_ml=_log_uniform(0.01, 50.0),
+_DRUGS = st.builds(DrugSubstance, c_sat_mg_ml=_log_uniform(0.01, 50.0),
                    diffusivity_m2_s=_log_uniform(1e-10, 5e-9),
                    true_density_g_ml=st.floats(1.0, 3.0))
 _POWDERS = st.tuples(_log_uniform(5.0, 400.0), st.just(1.0) | st.floats(1.0, 2.5),

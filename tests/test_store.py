@@ -16,12 +16,22 @@ from formukit.store import (
     import_verbatim_file,
     load_records,
     record_from_verbatim,
-    to_examples,
 )
+from formukit.prompts import render_example_blocks
 from formukit.types import FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 GOLDENS = Path(__file__).parent / "goldens"
 SEED_FILE = files("formukit") / "data" / "seed_records.json"
+REFERENCE_VERBATIM_INPUT = {
+    "Mean Particle Size, D50": 45,
+    "Aspect ratio": 1.0,
+    "Roundness": 1.0,
+    "solubility of drug (mg/mL)": 0.45,
+    "Diffusion coefficient of drug (m^2/s)": 7.5e-10,
+    "True Density of drug (g/mL)": 1.512,
+    "Specific surface area (m^2/g)": 1.7,
+    "volume-based equivalent particle size (micrometer)": 1.17,
+}
 
 
 def _store_with(records):
@@ -153,22 +163,25 @@ class TestVerbatimImport:
 
     def test_verbatim_keys_map_to_canonical(self):
         entry = {
-            "Input": {
-                "Mean Particle Size, D50": 45,
-                "Aspect ratio": 1.0,
-                "Roundness": 1.0,
-                "solubility of drug (mg/mL)": 0.45,
-                "Diffusion coefficient of drug (m^2/s)": 7.5e-10,
-                "True Density of drug (g/mL)": 1.512,
-                "Specific surface area (m^2/g)": 1.7,
-                "volume-based equivalent particle size (micrometer)": 1.17,
-            },
+            "Input": REFERENCE_VERBATIM_INPUT,
             "Output": {"columns": ["Time (hr)", "Drug Released (%)"],
                        "data": [[0, 0], [1, 89]]},
         }
         rec = record_from_verbatim(entry, "r1")
         assert rec.features.d50_um == 45.0
         assert rec.features.diffusivity_m2_s == 7.5e-10
+
+    @pytest.mark.parametrize("columns, data", [
+        (["Time (min)", "Drug Released (%)"], [[0, 0], [15, 50], [60, 90]]),
+        (["Drug Released (%)", "Time (hr)"], [[0, 0], [50, 0.25], [90, 1]]),
+        (["Drug Released (%)", "Time (min)"], [[90, 60], [0, 0], [50, 15]]),
+    ], ids=["minutes", "swapped", "swapped-minutes"])
+    def test_output_table_read_by_its_columns(self, columns, data, example_records):
+        # The time column is found by name and minutes become hours, as in
+        # parse_profile_response.
+        entry = {"Input": REFERENCE_VERBATIM_INPUT, "Output": {"columns": columns, "data": data}}
+        rec = record_from_verbatim(entry, "r1")
+        assert rec.profile.points() == [(0.0, 0.0), (0.25, 50.0), (1.0, 90.0)]
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValidationError, match="d50_um"):
@@ -336,22 +349,23 @@ class TestRetrieve:
 
 
 class TestToExamples:
+    # The example blocks a store's records render to, via render_example_blocks.
     def test_single_record_matches_golden_fragment(self, example_records):
         fragment = (GOLDENS / "example_block_45.txt").read_text(encoding="utf-8")
-        assert to_examples(example_records[:1]) == fragment
+        assert render_example_blocks(example_records[:1]) == fragment
 
     def test_order_preserved(self, example_records):
-        text = to_examples(example_records)
+        text = render_example_blocks(example_records)
         i45 = text.find('"Mean Particle Size, D50" : 45,')
         i200 = text.find('"Mean Particle Size, D50" : 200,')
         i975 = text.find('"Mean Particle Size, D50" : 97.5,')
         assert 0 < i45 < i200 < i975
-        reordered = to_examples(example_records[::-1])
+        reordered = render_example_blocks(example_records[::-1])
         assert reordered != text
 
     def test_zero_records(self):
         with pytest.raises(Exception):
-            to_examples([])
+            render_example_blocks([])
 
 
 def test_load_records_missing_file_is_empty(tmp_path):

@@ -23,9 +23,9 @@ from formukit.types import (
 class TestDrugSubstance:
     def test_positive_constants_required(self):
         with pytest.raises(DomainError):
-            DrugSubstance("x", c_sat_mg_ml=0.0, diffusivity_m2_s=1e-9, true_density_g_ml=1.5)
+            DrugSubstance(c_sat_mg_ml=0.0, diffusivity_m2_s=1e-9, true_density_g_ml=1.5)
         with pytest.raises(DomainError):
-            DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=-1e-9, true_density_g_ml=1.5)
+            DrugSubstance(c_sat_mg_ml=0.45, diffusivity_m2_s=-1e-9, true_density_g_ml=1.5)
 
 
 class TestParticleMorphology:
@@ -45,12 +45,12 @@ class TestParticleMorphology:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: DrugSubstance("x", c_sat_mg_ml=math.nan, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
-    lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.nan),
+    lambda: DrugSubstance(c_sat_mg_ml=math.nan, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
+    lambda: DrugSubstance(c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.nan),
     lambda: ParticleMorphology(aspect_ratio=math.nan),
-    lambda: DrugSubstance("x", c_sat_mg_ml=math.inf, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
-    lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=math.inf, true_density_g_ml=1.5),
-    lambda: DrugSubstance("x", c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.inf),
+    lambda: DrugSubstance(c_sat_mg_ml=math.inf, diffusivity_m2_s=1e-9, true_density_g_ml=1.5),
+    lambda: DrugSubstance(c_sat_mg_ml=0.45, diffusivity_m2_s=math.inf, true_density_g_ml=1.5),
+    lambda: DrugSubstance(c_sat_mg_ml=0.45, diffusivity_m2_s=1e-9, true_density_g_ml=math.inf),
     lambda: ParticleMorphology(aspect_ratio=math.inf),
 ])
 def test_nan_constants_rejected(make):
