@@ -15,12 +15,13 @@ prolate-spheroid area excess for an elongated particle. Every bin sees the
 same driving force C_sat - C_b, so in the reduced time
 tau = integral of A * (C_sat - C_b) dt all bins follow one law,
 dy/dtau = -(2 + b * y^0.26), solved by y_i(tau) = G^-1(G(y0_i) - tau), with
-G(y) the integral of 1 / (2 + b * y^0.26) summed along a log-spaced table. Under
-sink conditions tau is linear in t; when the bulk C_b = dissolved mass /
-medium volume couples back, t(tau) is a quadrature of 1 / (dtau/dt), with the
-saturating tail integrated in log form. Bin i vanishes exactly at
-tau = G(y0_i) and stays at zero size; dissolved mass is closed algebraically
-against the remaining sizes, so the mass balance holds exactly.
+G(y) the integral of 1 / (2 + b * y^0.26), which is lambda * G1(y / lambda) with
+lambda = b^(-1/0.26) and G1 its value at b = 1: one table of G1 and one of its
+inverse, built at import, serve every run. Under sink conditions tau is linear in
+t; when the bulk C_b = dissolved mass / medium volume couples back, t(tau) is a
+quadrature of 1 / (dtau/dt), with the saturating tail integrated in log form.
+Bin i vanishes exactly at tau = G(y0_i) and stays at zero size; dissolved mass is
+closed algebraically against the remaining sizes, so the mass balance holds exactly.
 
 External units are um/mg/mL/hr; everything here converts to SI at entry.
 """
@@ -66,11 +67,65 @@ _MAX_PANEL_U = 1.0
 #: that glibc's malloc returns to the system and faults in again on every call (8192
 #: ran 1.5x slower where no big import had grown the heap); smaller cost more per slice.
 _CHUNK = 4096
-#: Knots of the per-call G^-1 table, log-spaced in squared size: enough for G(G^-1(g)) = g to 1e-9.
-_TABLE_POINTS = 257
-#: Bottom of that table relative to the smallest initial squared size; a bin
-#: this small holds under 1e-18 of its starting mass.
-_TABLE_FLOOR = 1e-12
+#: The G1 table's knots in ln z: a Gauss-Legendre panel of their step is exact to rounding.
+#: Below them G1 = z/2 to 2e-13; above, ln(z / G1) goes on at its asymptotic slope, to 1e-13.
+_LN_Z_LO, _LN_Z_HI, _G1_STEP = -110.0, 120.0, 0.25
+#: Knot step of the ln(z / G1) table in ln G1: a power of two, so that its knots and the offset
+#: into an interval are exact. Its cubic pieces hold G(G^-1(g)) = g to 1e-10, and their slopes
+#: are close enough to the exact ones for finite differences to match the exact Jacobian.
+_RATIO_STEP = 2.0 ** -4
+
+
+def _panels(lo, hi):
+    """Integral of 1 / (2 + z^0.26) dz from e^lo to e^hi, one Gauss-Legendre panel in ln z each."""
+    half = 0.5 * (hi - lo)
+    z = np.exp(lo[..., None] + half[..., None] * (_GL_NODES + 1.0))
+    return half * (z / (2.0 + z ** _SH_POWER) @ _GL_WEIGHTS)
+
+
+_LN_Z = np.arange(_LN_Z_LO, _LN_Z_HI + 0.5 * _G1_STEP, _G1_STEP)
+# G1 at those knots: z/2 at the first, then panel by panel.
+_G1 = 0.5 * np.exp(_LN_Z_LO) + np.concatenate(([0.0], np.cumsum(_panels(_LN_Z[:-1], _LN_Z[1:]))))
+
+
+def _log_g1(lz):
+    """ln G1(e^lz): the knot below plus one panel; z / G1 held below the table, and
+    d ln G1 / d ln z at its asymptote 0.74 above it."""
+    inside = np.clip(lz, _LN_Z_LO, _LN_Z_HI)
+    k = np.minimum(((inside - _LN_Z_LO) / _G1_STEP).astype(np.intp), _LN_Z.size - 2)
+    out = lz - inside
+    return np.log(_G1[k] + _panels(_LN_Z[k], inside)) + out * np.where(out < 0.0, 1.0, 0.74)
+
+
+def _ratio_table():
+    """ln(z / G1) as cubic Hermite pieces on the knots ln G1 = k * _RATIO_STEP over the G1 table,
+    placed by Newton steps, with exact slopes. Returns the first column's k and the columns of
+    s^3 ... s^0 per unit interval, after one that holds and before one that rises 0.26/0.74."""
+    k0, k1 = np.floor(np.log(_G1[0]) / _RATIO_STEP), np.ceil(np.log(_G1[-1]) / _RATIO_STEP)
+    v = _RATIO_STEP * np.arange(k0, k1 + 1.0)
+    lz = np.interp(v, np.log(_G1), _LN_Z)
+    for _ in range(3):
+        lg = _log_g1(lz)
+        lz -= (lg - v) * (2.0 + np.exp(_SH_POWER * lz)) * np.exp(lg - lz)
+    ratio = lz - v
+    m = _RATIO_STEP * (np.exp(-ratio) * (2.0 + np.exp(_SH_POWER * lz)) - 1.0)   # per knot step
+    rise = np.diff(ratio)
+    return k0 - 1.0, np.column_stack((
+        [0.0, 0.0, 0.0, ratio[0]],
+        [m[:-1] + m[1:] - 2.0 * rise, 3.0 * rise - 2.0 * m[:-1] - m[1:], m[:-1], ratio[:-1]],
+        [0.0, 0.0, _RATIO_STEP * _SH_POWER / (1.0 - _SH_POWER), ratio[-1]]))
+
+
+_RATIO_K0, _RATIO = _ratio_table()
+
+
+def _log_ratio(v):
+    """ln(z / G1) at ln G1 = v: the interval by arithmetic, the offset into it exact."""
+    u = v * (1.0 / _RATIO_STEP)
+    knot = np.clip(np.floor(u), _RATIO_K0, _RATIO_K0 + _RATIO.shape[1] - 1.0)
+    s = u - knot
+    c3, c2, c1, c0 = _RATIO.take((knot - _RATIO_K0).astype(np.intp), axis=1)
+    return ((c3 * s + c2) * s + c1) * s + c0
 
 
 def sherwood(re, sc):
@@ -191,7 +246,7 @@ def reduced_lifetime(y, b):
     In reduced time every bin obeys dy/dtau = -(2 + b * y^0.26), where
     ``b = Sh(x = 1 m) - 2``, so G(y) is the integral of 1 / (2 + b * y'^0.26) from 0
     to y, (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2), here summed as in
-    :func:`_size_law` to about 1e-14. ``b = 0`` (no agitation) gives exactly y/2.
+    :func:`_size_law` to about 1e-13. ``b = 0`` (no agitation) gives exactly y/2.
     """
     y = np.asarray(y, dtype=float)
     g, live = np.zeros_like(y), y > 0.0                       # no size, no lifetime
@@ -202,48 +257,23 @@ def reduced_lifetime(y, b):
 def _size_law(y0: np.ndarray, b: float):
     """Per-bin lifetimes G(y0_i) and the map tau -> squared sizes G^-1(G(y0_i) - tau).
 
-    G is summed along a table log-spaced in y: a series at its floor, then one
-    Gauss-Legendre panel in ln y per interval and one from each bin's knot below.
-    G^-1 is a cubic Hermite table of ln(y / G), slowly varying (ln 2 at b = 0), against
-    ln G on the same knots, with the exact slopes G * (2 + b * y^0.26) / y - 1,
-    shifted per bin so that tau = 0 returns y0 to rounding. Below the floor
-    y / G is held, and a bin whose lifetime has run out is exactly zero.
+    The tables of G1 = G(.; b = 1) built at import serve every b, as G(y) = lambda * G1(y / lambda)
+    (lambda = b^(-1/0.26), kept as its log: it under- or overflows at extreme b). A lifetime
+    is G1 at the knot below plus one Gauss-Legendre panel. G^-1 reads ln(z / G1), ln 2 at
+    small z, as cubic pieces on knots uniform in ln G1, shifted per bin so that tau = 0
+    returns y0 to rounding. A spent bin is exactly zero; b = 0 is exactly G = y / 2.
     """
-    y_tab = np.geomspace(y0.min() * _TABLE_FLOOR, y0.max(), _TABLE_POINTS)
-    g_tab, lifetime = 0.5 * y_tab, 0.5 * y0                   # exact at b = 0
-    if b:
-        def panels(lo, hi):                                   # G(hi) - G(lo), one panel each
-            half = 0.5 * np.log(hi / lo)
-            y = lo[:, None] * np.exp(half[:, None] * (_GL_NODES + 1.0))
-            return half * (y / (2.0 + b * y ** _SH_POWER) @ _GL_WEIGHTS)
-        # G(floor) = (y/2)/(1 + q) * sum n!/(1 + 1/0.26)_n (q/(1 + q))^n, q = b y^0.26 / 2:
-        # under 1e-8 of any lifetime, as G grows at least as y^0.74.
-        q, series = 0.5 * b * float(y_tab[0]) ** _SH_POWER, 1.0
-        for n in range(60, 0, -1):
-            series = 1.0 + series * q / (1.0 + q) * n / (n + 1.0 / _SH_POWER)
-        floor = 0.5 * float(y_tab[0]) / (1.0 + q) * series
-        g_tab = np.cumsum(np.concatenate(([floor], panels(y_tab[:-1], y_tab[1:]))))
-        below = np.searchsorted(y_tab, y0, "right") - 1
-        lifetime = g_tab[below] + panels(y_tab[below], y0)
-    log_g, ratio = np.log(g_tab), np.log(y_tab / g_tab)
-    slope = g_tab * (2.0 + b * y_tab ** _SH_POWER) / y_tab - 1.0       # d ln(y/G) / d ln G
-    h, rise = np.diff(log_g), np.diff(ratio) / np.diff(log_g)
-    # Per interval: its knot, then ratio(knot + d) as a cubic in d, highest power first.
-    table = np.array([log_g[:-1], (slope[:-1] + slope[1:] - 2.0 * rise) / h ** 2,
-                      (3.0 * rise - 2.0 * slope[:-1] - slope[1:]) / h, slope[:-1], ratio[:-1]])
-
-    def log_ratio(v):
-        # v's interval: np.interp on the knot numbers finds it faster than searchsorted.
-        below = np.interp(v, log_g[:-1], np.arange(log_g.size - 1.0)).astype(np.intp)
-        knot, c3, c2, c1, c0 = table.take(below, axis=1)
-        d = v - knot
-        return ((c3 * d + c2) * d + c1) * d + c0
-
-    shift = np.log(y0 / lifetime) - log_ratio(np.log(lifetime))
+    if not b:
+        lifetime = 0.5 * y0
+        return lifetime, lambda tau: 2.0 * np.maximum(lifetime - np.asarray(tau)[..., None], 0.0)
+    log_lam = -np.log(b) / _SH_POWER
+    lifetime = np.exp(log_lam + _log_g1(np.log(y0) - log_lam))
+    shift = np.log(y0 / lifetime) - _log_ratio(np.log(lifetime) - log_lam)
+    tiny = np.finfo(float).tiny
 
     def sizes(tau):
         left = np.maximum(lifetime - np.asarray(tau, dtype=float)[..., None], 0.0)
-        return left * np.exp(log_ratio(np.log(np.maximum(left, g_tab[0]))) + shift)
+        return left * np.exp(_log_ratio(np.log(left + tiny) - log_lam) + shift)   # finite at 0
 
     return lifetime, sizes
 
@@ -277,7 +307,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     Raises
     ------
     IntegrationError
-        If rounding swamps the driving force (dose ~1e16 x capacity) or the clock overflows.
+        If rounding swamps the driving force (dose ~1e16 x capacity), or the clock's
+        rate underflows or its time overflows.
     """
     grid_hr = _check_grid(output_grid_hr)
     grid_s = grid_hr * S_PER_HR
@@ -303,8 +334,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     mass_w = psd.fractions / y0 ** 1.5
     excess = c_sat - dose_over_v                              # < 0 past the capacity
 
-    def driving(tau):                                         # C_sat - C_b, unclamped
-        return excess + dose_over_v * ((y := sizes(tau)) * np.sqrt(y) @ mass_w)
+    def driving(y):                                           # C_sat - C_b at sizes y, unclamped
+        return excess + dose_over_v * (y * np.sqrt(y) @ mass_w)
 
     def fall(y):                                              # -d driving / dtau
         return 1.5 * dose_over_v * (np.sqrt(y) * (2.0 + b * y ** _SH_POWER) @ mass_w)
@@ -322,7 +353,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         extinction = np.where(lifetime <= speed * t_end, np.minimum(lifetime / speed, t_end), np.nan)
         drift = None
     else:
-        # dtau/dt = rate_base * driving(tau), so t(tau) is an integral, taken
+        # dtau/dt = rate_base * driving(sizes(tau)), so t(tau) is an integral, taken
         # in u = -ln(1 - tau / tau_end): tau_end is the last lifetime or, past
         # the capacity, the root where C_b = C_sat, and in u the approach to it
         # is smooth. Past u_cut tau runs on at the last rate (holds, saturated).
@@ -356,13 +387,16 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         # of about _CHUNK sizes to keep temporaries small; its floor binds
         # only where rounding swamps it.
         taus = np.array_split((tau_end - gap).ravel(), -(-gap.size * y0.size // _CHUNK))
-        force = np.maximum(np.concatenate([driving(part) for part in taus]).reshape(gap.shape),
+        y_nodes = [sizes(part) for part in taus] if _jacobian else map(sizes, taus)
+        force = np.maximum(np.concatenate([driving(y) for y in y_nodes]).reshape(gap.shape),
                            _TAU_RTOL * c_sat * gap / tau_end)
+        if np.min(rate := rate_base * force) < np.finfo(float).tiny:
+            raise IntegrationError("the clock's rate underflows: dissolution too slow to resolve")
         # dt/ds on each panel, s in [-1, 1], as the polynomial through its nodes
         # (einsum, not a BLAS matrix product, whose work buffer costs memory).
         k = np.arange(_GL_NODES.size)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            coef = np.einsum("pk,kj->pj", half[:, None] * gap / (rate_base * force), _GL_LAGRANGE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.einsum("pk,kj->pj", half[:, None] * gap / rate, _GL_LAGRANGE)
             t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
         t_cut = t_edges[-1]
         if not np.isfinite(t_cut):
@@ -393,7 +427,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
             # with dF = -(dose/V) / 100 * the held column; the integral is taken on
             # the clock's panels, whole ones before each grid point and the
             # integrated node polynomials on its own.
-            spread = held(sizes(tau_end - gap)) * (half[:, None] * gap / force ** 2)[..., None]
+            spread = (held(np.concatenate(y_nodes).reshape(*gap.shape, -1))
+                      * (half[:, None] * gap / force ** 2)[..., None])
             before = np.cumsum(np.einsum("k,pkc->pc", _GL_WEIGHTS, spread), axis=0)
             drift = (np.concatenate((np.zeros((1, spread.shape[2])), before))[p]
                      + np.einsum("gk,gkc->gc", powers(s)[1] @ _GL_LAGRANGE.T, spread[p]))
@@ -426,7 +461,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     if drift is not None:
         # d released / dtau = 100 fall / (dose/V), times d tau = -(dose/V) / 100 * F * drift.
         m = len(drift)
-        jac[:m] -= (fall(y_grid[:m]) * driving(tau_grid[:m]))[:, None] * drift
+        jac[:m] -= (fall(y_grid[:m]) * driving(y_grid[:m]))[:, None] * drift
         jac[m:] = 0.0                                         # past t_cut: saturated or done
     raw = 100.0 * (1.0 - y_grid ** 1.5 @ mass_w)
     jac[(raw <= 0.0) | (raw >= cap_pct) | (grid_s == 0.0)] = 0.0    # where the clip binds

@@ -214,7 +214,7 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
 
     scale = 1.0 / np.sqrt(spec.target.n_points)
     value, result, jac = run(x)
-    history, evals, rounds, stopped = [value], 1, 0, value < CONVERGED_OBJECTIVE
+    history, evals, rounds, stopped = [value], 1, 0, value < perfect
     while not stopped and rounds < max_rounds and evals < max_evals:
         rounds += 1
         base = result.profile.released_pct

@@ -73,10 +73,14 @@ class FormulationRecord:
             if name not in row:
                 raise ValidationError(f"record {row['id']!r} is missing feature {name!r}")
             feature_kwargs[name] = _number(name, row[name])
+        try:
+            profile = DissolutionProfile.from_points(row["profile"])
+        except ParseError as exc:                         # repeated times
+            raise ValidationError(f"record {row['id']!r}: {exc}") from exc
         return cls(
             id=str(row["id"]),
             features=FormulationInput(**feature_kwargs),
-            profile=DissolutionProfile.from_points(row["profile"]),
+            profile=profile,
             provenance=row.get("provenance", "experimental"),
             source=row.get("source", ""),
         )
@@ -135,12 +139,13 @@ def record_from_verbatim(obj: dict, record_id: str) -> FormulationRecord:
     try:
         times, released, _ = read_profile_table(table if isinstance(table, dict)
                                                 else {"data": table})
+        profile = DissolutionProfile(times, released)
     except ParseError as exc:
         raise ValidationError(f"verbatim record {record_id!r}: {exc}") from exc
     return FormulationRecord(
         id=record_id,
         features=FormulationInput(**canonical),
-        profile=DissolutionProfile(times, released),
+        profile=profile,
         provenance=obj.get("provenance", "experimental"),
         source=obj.get("source", ""),
     )

@@ -495,6 +495,16 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
     pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "f.json", "[1, 2]",
                  id="ingest-list-of-numbers"),
     pytest.param(["store", "list", "--store"], "s.jsonl", "5\n", id="list-number-line"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "r.jsonl",
+                 json.dumps({**_RECORD, "profile": [[0, 0], [1, 50], [1, 60]]}) + "\n",
+                 id="ingest-repeated-time"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "r.json",
+                 json.dumps([{"id": "dup", "Input": REFERENCE_INPUT, "Output": {
+                     "columns": ["Time (hr)", "Drug Released (%)"],
+                     "data": [[0, 0], [1, 50], [1, 60]]}}]), id="ingest-verbatim-repeated-time"),
+    pytest.param(["bench", "--backend", "mock", "--dataset"], "d.jsonl",
+                 json.dumps({**_RECORD, "profile": [[0, 0], [1, 50], [1, 60]]}) + "\n",
+                 id="bench-dataset-repeated-time"),
     pytest.param(["store", "list", "--store"], "s.jsonl",
                  json.dumps({**_RECORD, "profile": 5}) + "\n", id="list-number-profile"),
     pytest.param(["store", "list", "--store"], "s.jsonl",

@@ -13,7 +13,7 @@ from formukit.dissolution import (
     simulate,
     simulate_dissolution,
 )
-from formukit.errors import DomainError
+from formukit.errors import DomainError, IntegrationError
 from formukit.types import (
     DissolutionConditions,
     DrugSubstance,
@@ -174,15 +174,24 @@ class TestShrinkRate:
 
 
 class TestReducedLifetime:
-    @pytest.mark.parametrize("b", [0.5, 40.0, 2e3, 1e5, 1e6])
+    @pytest.mark.parametrize("b", [1e-8, 0.5, 40.0, 2e3, 1e5, 1e6, 1e12])
     @pytest.mark.parametrize("y", [1e-24, 1e-14, 1e-10, 1e-8, 2.25e-6])
     def test_matches_quadrature(self, b, y):
         # G(y) = integral_0^y dy' / (2 + b y'^0.26), substituted y' = y s^(1/0.26),
-        # which leaves quad a smooth integrand up to b = 1e6 and the 1500 um top.
+        # which leaves quad a smooth integrand up to b = 1e12 and the 1500 um top.
+        # G(y; b) is read off one table of G(z; 1) at z = y b^(1/0.26): b = 1e-8 puts
+        # the smallest y below its floor (ln z = -126), b = 1e12 the largest high in it (93).
         a = 1.0 / 0.26
         expected = a * y * quad(lambda s: s ** (a - 1.0) / (2.0 + b * y ** 0.26 * s), 0.0, 1.0,
                                 epsabs=0.0, epsrel=1e-13)[0]
         assert reduced_lifetime(y, b) == pytest.approx(expected, rel=1e-12)
+
+    def test_asymptote_above_the_table(self):
+        # For b y^0.26 >> 2, G = y^0.74 / (0.74 b), off by a share of about 3 / (b y^0.26).
+        # At b = 1e100, lambda = b^(-1/0.26) = 1e-385 is not even a float.
+        y = np.geomspace(1e-14, 2.25e-6, 9)
+        np.testing.assert_allclose(reduced_lifetime(y, 1e100), y ** 0.74 / (0.74 * 1e100),
+                                   rtol=1e-12, atol=0.0)
 
     def test_stagnant_limit_is_half(self):
         y = np.geomspace(1e-14, 1e-6, 9)
@@ -200,6 +209,21 @@ class TestReducedLifetime:
             got = reduced_lifetime(sizes(tau), b)
             assert np.all(np.abs(got[alive] / left[alive] - 1.0) <= 1e-9), b
             assert np.all(got[~alive] == 0.0)
+
+    @pytest.mark.parametrize("b", [7e-11, 6e15, 1e100], ids=["floor", "top", "asymptote"])
+    def test_size_table_round_trips_at_its_ends(self, b):
+        # ln(y0 / lambda) spans the table's floor (-110) at b = 7e-11 and its top (120) at
+        # b = 6e15, and lies about 740 above the top at b = 1e100; as a bin dissolves,
+        # its remaining lifetime sweeps the table down to the floor.
+        y0 = np.geomspace(1e-10, 1e-7, 40)
+        lifetime, sizes = _size_law(y0, b)
+        np.testing.assert_allclose(sizes(0.0), y0, rtol=1e-13, atol=0.0)
+        tau = np.linspace(0.0, 1.0, 301) * lifetime.max()
+        left = lifetime - tau[:, None]
+        alive = left > 0.0
+        got = reduced_lifetime(sizes(tau), b)
+        assert np.all(np.abs(got[alive] / left[alive] - 1.0) <= 1e-9)
+        assert np.all(got[~alive] == 0.0)
 
 
 class TestMetamorphic:
@@ -401,6 +425,13 @@ class TestSimulate:
         assert result.released_cap_pct == pytest.approx(cap)
         assert np.all(result.profile.released_pct <= cap + 1e-9)
         assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
+
+    def test_clock_too_slow_for_a_float_raises(self, sphere):
+        # At D = 1e-300 m^2/s the clock's rate, rate_base * (C_sat - C_b), falls below the
+        # smallest normal float; its time would be rounding noise, so the run refuses.
+        drug = DrugSubstance(c_sat_mg_ml=1e-10, diffusivity_m2_s=1e-300, true_density_g_ml=1.512)
+        with pytest.raises(IntegrationError, match="rate underflows"):
+            simulate(drug, sphere, psd_from_lognormal(100.0, 1.5, 50), DissolutionConditions())
 
     @pytest.mark.parametrize("n_bins", [1, 12, 50])
     @pytest.mark.parametrize("dose_mg", [600.0, 1000.0, 1e6])

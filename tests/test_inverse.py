@@ -122,6 +122,19 @@ class TestDesignLognormal:
         assert result.parameters["d50_um"] == pytest.approx(220.0, rel=1e-6)
         assert result.parameters["geo_sigma"] == pytest.approx(1.6, rel=1e-6)
 
+    def test_start_near_the_target_still_moves(self, drug, sphere):
+        # A start already within 1e-3 %^2 of the target is not yet a log-normal fit:
+        # the search goes on to the rounding level.
+        cond = DissolutionConditions(dose_mg=10.0)
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(90.0, 1.6, 50), cond)
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=cond,
+                          parameterization=LognormalParameterization(100.0, 1.5))
+        result = design_psd(spec, seed=0)
+        assert result.converged
+        assert result.residual_mse <= ROUNDING_OBJECTIVE
+        assert result.parameters["d50_um"] == pytest.approx(90.0, rel=1e-6)
+        assert result.parameters["geo_sigma"] == pytest.approx(1.6, rel=1e-6)
+
     @pytest.mark.parametrize("true_d50, true_sigma, start", [
         (180.0, 1.4, 1.5), (180.0, 1.4, 1 / 1.5), (320.0, 1.6, 1.5), (320.0, 1.6, 1 / 1.5)])
     def test_simulation_count(self, drug, sphere, conditions, true_d50, true_sigma, start):
