@@ -24,6 +24,7 @@ from . import evaluate as ev
 from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
 from .errors import (
     ConfigurationError,
+    DuplicateTimeError,
     FormukitError,
     ParseError,
     RequestError,
@@ -160,7 +161,10 @@ def _read_profile_file(path: str) -> DissolutionProfile:
         if not rows or rows[0][:2] != ["time_hr", "released_pct"]:
             raise ValidationError(f"{path}: expected header time_hr,released_pct")
         points = [(float(t), float(v)) for t, v, *_ in rows[1:] if t.strip()]
-        return DissolutionProfile.from_points(points)
+        try:
+            return DissolutionProfile.from_points(points)
+        except DuplicateTimeError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     return parse_profile_response(text)
 
 

@@ -19,8 +19,8 @@ A search stops by itself, converged, when no step toward a round's solution
 lowers the objective, when an accepted step lowers it by at most 1e-6
 relative or moves no coordinate by more than 1e-12, or once the objective is
 below ``CONVERGED_OBJECTIVE`` (free bins) or ``ROUNDING_OBJECTIVE`` (log-normal).
-Each accepted iterate lowers the objective, and identical specs plus seed
-give bit-identical results.
+Otherwise it stops, unconverged, on its round cap. Each accepted iterate
+lowers the objective, and identical specs plus seed give bit-identical results.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ _STEPS = 0.5 ** np.arange(7)
 #: _RTOL of its value or moves no coordinate by more than _XTOL.
 _RTOL = 1e-6
 _XTOL = 1e-12
+#: Rounds each log-normal start may take, and a free-bin search by default.
+_MAX_ROUNDS = 40
 #: ``_bvls`` gives up, unconverged, after this many variables entering per variable.
 _BVLS_ROUNDS = 3
 
@@ -101,22 +103,24 @@ class DesignSpec:
     conditions: DissolutionConditions = field(default_factory=DissolutionConditions)
     parameterization: LognormalParameterization | FreeBinsParameterization = field(
         default_factory=lambda: LognormalParameterization(100.0, 1.5))
-    bounds: tuple | None = None              # per optimized parameter (lo, hi)
+    bounds: tuple | None = None              # log-normal only: (lo, hi) of d50, geo_sigma
 
     def __post_init__(self):
         if self.target.n_points < 2:
             raise ConfigurationError("target must have at least 2 points")
         if not self.target.starts_at_zero:
             raise ConfigurationError("target profile must start at (0, 0)")
-        n = 2 if self.is_lognormal else self.parameterization.n
-        if self.bounds is None:
-            self.bounds = DEFAULT_LOGNORMAL_BOUNDS if self.is_lognormal else ((0.0, 1.0),) * n
-        if len(self.bounds) != n:
-            raise ConfigurationError(f"need {n} (lo, hi) bounds, got {len(self.bounds)}")
+        if not self.is_lognormal:
+            if self.bounds is not None:
+                raise ConfigurationError("free-bin fractions lie in [0, 1]: give no bounds")
+            return
+        self.bounds = DEFAULT_LOGNORMAL_BOUNDS if self.bounds is None else self.bounds
+        if len(self.bounds) != 2:
+            raise ConfigurationError(f"need 2 (lo, hi) bounds, got {len(self.bounds)}")
         for lo, hi in self.bounds:
             if not -np.inf < lo < hi < np.inf:
                 raise ConfigurationError(f"infeasible bound ({lo}, {hi}): need finite lo < hi")
-        if self.is_lognormal and not (self.bounds[0][0] > 0.0 and self.bounds[1][0] >= 1.0):
+        if not (self.bounds[0][0] > 0.0 and self.bounds[1][0] >= 1.0):
             raise ConfigurationError("d50 bounds must be > 0 and geo_sigma bounds >= 1")
 
     @property
@@ -198,13 +202,14 @@ def _bvls(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple
 
 
 def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
-                  perfect: float, max_rounds: float, max_evals: float, project=lambda x: x):
-    """The rounds of the module docstring from ``x``. ``columns(d_f, d_ln_y0)``
-    maps the solver's sensitivities to the Jacobian in x, ``penalty`` is the
-    (matrix, right-hand side) stacked under the target rows, ``perfect`` the
-    perfect-fit objective level, and ``project`` maps a solve's solution to the
-    step's end. Returns the accepted objective values, the runs made, whether the
-    search stopped by itself rather than on a cap, and the last accepted iterate and its run."""
+                  perfect: float, max_rounds: int, project=lambda x: x):
+    """At most ``max_rounds`` rounds of the module docstring from ``x``.
+    ``columns(d_f, d_ln_y0)`` maps the solver's sensitivities to the Jacobian
+    in x, ``penalty`` is the (matrix, right-hand side) stacked under the target
+    rows, ``perfect`` the perfect-fit objective level, and ``project`` maps a
+    solve's solution to the step's end. Returns the accepted objective values,
+    the runs made, whether the search stopped by itself rather than on the
+    cap, and the last accepted iterate and its run."""
 
     def run(x):
         psd = make_psd(x)[0]
@@ -215,7 +220,7 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
     scale = 1.0 / np.sqrt(spec.target.n_points)
     value, result, jac = run(x)
     history, evals, rounds, stopped = [value], 1, 0, value < perfect
-    while not stopped and rounds < max_rounds and evals < max_evals:
+    while not stopped and rounds < max_rounds:
         rounds += 1
         base = result.profile.released_pct
         solution = project(_bvls(
@@ -226,10 +231,10 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
             candidate = x + step * (solution - x)
             cand_value, cand_result, cand_jac = run(candidate)
             evals += 1
-            if cand_value < value or evals >= max_evals:
+            if cand_value < value:
                 break
-        if cand_value >= value:               # no step falls (stationary), or the cap
-            return history, evals, step == _STEPS[-1], x, result
+        else:                                 # no step falls: stationary
+            return history, evals, True, x, result
         stopped = (value - cand_value <= _RTOL * value or np.max(np.abs(candidate - x)) <= _XTOL
                    or cand_value < perfect)
         x, value, result, jac = candidate, cand_value, cand_result, cand_jac
@@ -237,8 +242,7 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
     return history, evals, stopped, x, result
 
 
-def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
-                      max_evals_per_start: int) -> DesignResult:
+def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int) -> DesignResult:
     param = spec.parameterization
     lb, ub = np.log(spec.bounds).T
 
@@ -257,20 +261,18 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int,
     starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
     return _multi_start(spec, lognormal, starts, columns=columns, bounds=(lb, ub),
                         penalty=(np.empty((0, 2)), np.empty(0)), perfect=ROUNDING_OBJECTIVE,
-                        max_rounds=np.inf, max_evals=max_evals_per_start)
+                        max_rounds=_MAX_ROUNDS)
 
 
-def _project(fractions: np.ndarray, bounds) -> np.ndarray:
-    lo, hi = np.array(bounds, dtype=float).T
-    clipped = np.clip(fractions, np.maximum(lo, 0.0), hi)
+def _project(fractions: np.ndarray) -> np.ndarray:
+    clipped = np.clip(fractions, 0.0, 1.0)
     total = clipped.sum()
     if total <= 0:
         raise ValidationError("projection produced an empty distribution")
     return clipped / total
 
 
-def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
-                      max_rounds: int) -> DesignResult:
+def _design_free_bins(spec: DesignSpec, max_rounds: int) -> DesignResult:
     param = spec.parameterization
     sizes = param.sizes_um
     n = param.n
@@ -282,13 +284,10 @@ def _design_free_bins(spec: DesignSpec, seed: int, n_starts: int,
     def free_bins(f):
         return SizeDistribution(sizes, f), {"sizes_um": sizes.tolist(), "fractions": f.tolist()}
 
-    rng = np.random.default_rng(seed)
-    starts = [_project(f, spec.bounds) for f in
-              [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]]
-    return _multi_start(spec, free_bins, starts, columns=lambda d_f, d_ln_y0: d_f,
-                        bounds=np.array(spec.bounds).T,
-                        project=lambda f: _project(f, spec.bounds), penalty=penalty,
-                        perfect=CONVERGED_OBJECTIVE, max_rounds=max_rounds, max_evals=np.inf)
+    return _multi_start(spec, free_bins, [_project(np.full(n, 1.0 / n))],
+                        columns=lambda d_f, d_ln_y0: d_f, bounds=(np.zeros(n), np.ones(n)),
+                        project=_project, penalty=penalty, perfect=CONVERGED_OBJECTIVE,
+                        max_rounds=max_rounds)
 
 
 def _multi_start(spec: DesignSpec, make_psd, starts, **search) -> DesignResult:
@@ -314,29 +313,25 @@ def _multi_start(spec: DesignSpec, make_psd, starts, **search) -> DesignResult:
 
 
 def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
-               max_evals_per_start: int = 160, max_iter_free: int = 40
-               ) -> DesignResult:
+               max_iter_free: int = _MAX_ROUNDS) -> DesignResult:
     """Find a size distribution whose simulated release matches the target.
 
-    Multi-start bounded Gauss-Newton (``n_starts`` seeded starts, the first
-    being the parameterization's own values); starts after one that fits
-    below ``CONVERGED_OBJECTIVE`` are skipped. The best residual wins, ties
-    broken by fewer iterations then lower start index. ``converged`` is True
-    when the chosen start's search stopped by itself (see the module
-    docstring): for a free-bin design that means the objective fell below
-    ``CONVERGED_OBJECTIVE`` or stalled, roughness penalty included. The caps
-    differ by parameterization: ``max_evals_per_start`` caps the simulations
-    of each log-normal start (its first run and every step tried), and
-    ``max_iter_free`` caps the rounds of each free-bin start (one
-    least-squares solve and its step trials each); neither applies to the
-    other kind. Hitting a cap first returns the last accepted iterate with
-    ``converged=False`` rather than raising.
+    A log-normal design runs ``n_starts`` bounded Gauss-Newton searches, the
+    first from the parameterization's own values and the rest from ``seed``'s
+    draws within the bounds, each of at most ``_MAX_ROUNDS`` rounds; starts
+    after one that fits below ``CONVERGED_OBJECTIVE`` are skipped. The best
+    residual wins, ties broken by fewer iterations then lower start index. A
+    free-bin design runs one search of at most ``max_iter_free`` rounds from
+    uniform fractions, each kept in [0, 1]. A round is one least-squares solve
+    and its step trials. ``converged`` is True when the chosen search stopped
+    by itself (module docstring), as when no step falls; one that reached its
+    cap returns its last accepted iterate with ``converged=False``.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")
     if spec.is_lognormal:
-        return _design_lognormal(spec, seed, n_starts, max_evals_per_start)
-    return _design_free_bins(spec, seed, n_starts, max_iter_free)
+        return _design_lognormal(spec, seed, n_starts)
+    return _design_free_bins(spec, max_iter_free)
 
 
 def design_report(result: DesignResult, spec: DesignSpec) -> str:

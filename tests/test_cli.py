@@ -485,6 +485,7 @@ class TestConfigFile:
 _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
            "solubility_mg_ml": 0.45, "diffusivity_m2_s": 7.5e-10, "true_density_g_ml": 1.512,
            "ssa_m2_g": 1.0, "vol_eq_um": 1.0, "profile": [[0, 0], [1, 50]]}
+_REPEATED_TIME_CSV = "time_hr,released_pct\n0,0\n1,50\n1,60\n2,80\n"
 
 
 @pytest.mark.parametrize("argv, name, text", [
@@ -505,6 +506,12 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
     pytest.param(["bench", "--backend", "mock", "--dataset"], "d.jsonl",
                  json.dumps({**_RECORD, "profile": [[0, 0], [1, 50], [1, 60]]}) + "\n",
                  id="bench-dataset-repeated-time"),
+    pytest.param(["design", "--n-starts", "1", "--target"], "t.csv", _REPEATED_TIME_CSV,
+                 id="design-target-repeated-time"),
+    pytest.param(["eval", "--predicted", "ok.csv", "--reference"], "t.csv", _REPEATED_TIME_CSV,
+                 id="eval-reference-repeated-time"),
+    pytest.param(["eval", "--reference", "ok.csv", "--predicted"], "t.csv", _REPEATED_TIME_CSV,
+                 id="eval-predicted-repeated-time"),
     pytest.param(["store", "list", "--store"], "s.jsonl",
                  json.dumps({**_RECORD, "profile": 5}) + "\n", id="list-number-profile"),
     pytest.param(["store", "list", "--store"], "s.jsonl",
@@ -557,7 +564,8 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
                  '{"seeds": 1}', id="config-unknown-key"),
 ])
 def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
-    monkeypatch.chdir(tmp_path)               # the ingest cases name a relative store
+    monkeypatch.chdir(tmp_path)               # the ingest and eval cases name relative files
+    (tmp_path / "ok.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
     path = tmp_path / name
     path.write_text(text)
     code = main([*argv, str(path), "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
