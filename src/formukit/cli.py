@@ -45,7 +45,7 @@ from .prompts import (
     parse_profile_response,
     validate_profile,
 )
-from .store import RecordStore, features_from_verbatim, import_verbatim_file, load_records
+from .store import RecordStore, import_verbatim_file, load_records, read_features
 from .svgplot import profile_overlay_svg
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
@@ -122,17 +122,13 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
-def _load_features(args) -> FormulationInput:
+def _load_features(args, required=("d50_um",)) -> dict[str, float]:
+    """The --input file's features, overridden by the feature flags given."""
+    obj, where = {}, "the feature flags"
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            canonical = features_from_verbatim(json.load(fh))
-        if "d50_um" not in canonical:
-            raise ValidationError(
-                f"input file {args.input} is missing required field(s): d50_um")
-        return FormulationInput(**canonical)
-    if args.d50_um is None:
-        raise ValidationError("provide --input FILE or --d50 (required field: d50_um)")
-    return FormulationInput(**_given(args, FEATURE_NAMES))
+            obj, where = json.load(fh), f"input file {args.input}"
+    return read_features(obj, where, required, given=_given(args, FEATURE_NAMES))
 
 
 def _conditions_with_overrides(config: AppConfig, args) -> DissolutionConditions:
@@ -155,17 +151,18 @@ def _write_profile_csv(path: Path, profile: DissolutionProfile) -> None:
 
 
 def _read_profile_file(path: str) -> DissolutionProfile:
+    """A CSV profile, or a file read as a model response (exit 4 without a table)."""
     text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".csv"):
+    try:
+        if not path.endswith(".csv"):
+            return parse_profile_response(text)
         rows = list(csv.reader(text.splitlines()))
         if not rows or rows[0][:2] != ["time_hr", "released_pct"]:
             raise ValidationError(f"{path}: expected header time_hr,released_pct")
         points = [(float(t), float(v)) for t, v, *_ in rows[1:] if t.strip()]
-        try:
-            return DissolutionProfile.from_points(points)
-        except DuplicateTimeError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-    return parse_profile_response(text)
+        return DissolutionProfile.from_points(points)
+    except DuplicateTimeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _emit_profile(out: Path, profile: DissolutionProfile) -> None:
@@ -190,7 +187,7 @@ def _load_dataset(path: str):
 
 
 def cmd_simulate(config: AppConfig, args) -> int:
-    features = _load_features(args)
+    features = FormulationInput(**_load_features(args))
     conditions = _conditions_with_overrides(config, args)
     psd = psd_from_lognormal(features.d50_um, args.geo_sigma, args.n_bins)
     grid = _parse_grid(args.grid)
@@ -214,8 +211,7 @@ def cmd_design(config: AppConfig, args) -> int:
     bounds = [tuple(float(x) for x in given.split(",")) if given else default
               for given, default in zip((args.d50_bounds, args.sigma_bounds),
                                         DEFAULT_LOGNORMAL_BOUNDS)]
-    features = _load_features(args) if (args.input or args.d50_um is not None) else \
-        FormulationInput(d50_um=args.start_d50)
+    features = FormulationInput(**{"d50_um": args.start_d50, **_load_features(args, ())})
     spec = DesignSpec(
         target=target,
         drug=features.drug(),
@@ -269,7 +265,7 @@ def _examples_for_predict(config: AppConfig, args, strategy, features: Formulati
 def cmd_predict(config: AppConfig, args) -> int:
     if args.strategy not in STRATEGY_ALIASES:
         raise ValidationError(f"unknown strategy {args.strategy!r}")
-    features = _load_features(args)
+    features = FormulationInput(**_load_features(args))
     strategy = STRATEGY_ALIASES[args.strategy]
     examples = _examples_for_predict(config, args, strategy, features)
     prompt = build_prompt(strategy, features, examples=examples)
@@ -292,31 +288,33 @@ def cmd_predict(config: AppConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_store(config: AppConfig, args) -> int:
+def cmd_store_ingest(config: AppConfig, args) -> int:
     store = _open_store(config, args)
-    if args.store_cmd == "ingest":
-        records = _load_dataset(args.file)
-        for record in records:
-            store.ingest(record, overwrite=args.overwrite)
-        print(f"ingested {len(records)} record(s) into {store.path} "
-              f"(store size {len(store)})")
-        return EXIT_OK
-    if args.store_cmd == "list":
-        print(f"{'id':<20} {'d50_um':>8} {'ssa_m2_g':>9} {'provenance':>12}  source")
-        for record in store.records:
-            print(f"{record.id:<20} {record.features.d50_um:>8g} "
-                  f"{record.features.ssa_m2_g:>9g} {record.provenance:>12}  {record.source}")
-        print(f"{len(store)} record(s)")
-        return EXIT_OK
-    if args.store_cmd == "retrieve":
-        query_fields = _given(args, FEATURE_NAMES)
-        query = FormulationInput(**query_fields)
-        hits = store.retrieve(query, k=args.k, feature_subset=tuple(query_fields))
-        print(f"{'rank':<5} {'id':<20} {'score':>10} {'d50_um':>8}")
-        for rank, (record, score) in enumerate(hits, start=1):
-            print(f"{rank:<5} {record.id:<20} {score:>10.6f} {record.features.d50_um:>8g}")
-        return EXIT_OK
-    raise ValidationError(f"unknown store subcommand {args.store_cmd!r}")
+    records = _load_dataset(args.file)
+    for record in records:
+        store.ingest(record, overwrite=args.overwrite)
+    print(f"ingested {len(records)} record(s) into {store.path} (store size {len(store)})")
+    return EXIT_OK
+
+
+def cmd_store_list(config: AppConfig, args) -> int:
+    store = _open_store(config, args)
+    print(f"{'id':<20} {'d50_um':>8} {'ssa_m2_g':>9} {'provenance':>12}  source")
+    for record in store.records:
+        print(f"{record.id:<20} {record.features.d50_um:>8g} "
+              f"{record.features.ssa_m2_g:>9g} {record.provenance:>12}  {record.source}")
+    print(f"{len(store)} record(s)")
+    return EXIT_OK
+
+
+def cmd_store_retrieve(config: AppConfig, args) -> int:
+    store = _open_store(config, args)
+    query = _given(args, FEATURE_NAMES)
+    hits = store.retrieve(FormulationInput(**query), k=args.k, feature_subset=tuple(query))
+    print(f"{'rank':<5} {'id':<20} {'score':>10} {'d50_um':>8}")
+    for rank, (record, score) in enumerate(hits, start=1):
+        print(f"{rank:<5} {record.id:<20} {score:>10.6f} {record.features.d50_um:>8g}")
+    return EXIT_OK
 
 
 def cmd_bench(config: AppConfig, args) -> int:
@@ -358,28 +356,44 @@ def cmd_eval(config: AppConfig, args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """The parser of a subcommand that runs ``func``, with the options every command takes."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(func=func)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--output-dir", help="base directory for run outputs")
     parser.add_argument("--run-id", help="name of the run subdirectory (default: timestamp)")
     parser.add_argument("--seed", type=int, help="seed for stochastic components")
+    return parser
 
 
-def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="formulation JSON file (canonical or verbatim keys)")
-    parser.add_argument("--d50", dest="d50_um", type=float, help="mass-median particle size [um]")
-    parser.add_argument("--aspect-ratio", dest="aspect_ratio", type=float,
-                        help="particle aspect ratio [-], >= 1")
-    parser.add_argument("--roundness", type=float, help="particle roundness [-], (0, 1]")
-    parser.add_argument("--solubility", dest="solubility_mg_ml", type=float,
-                        help="drug solubility [mg/mL]")
-    parser.add_argument("--diffusivity", dest="diffusivity_m2_s", type=float,
-                        help="diffusion coefficient [m^2/s]")
-    parser.add_argument("--density", dest="true_density_g_ml", type=float,
-                        help="true density [g/mL]")
-    parser.add_argument("--ssa", dest="ssa_m2_g", type=float, help="specific surface area [m^2/g]")
-    parser.add_argument("--vol-eq", dest="vol_eq_um", type=float,
-                        help="volume-equivalent particle size [um]")
+#: The feature flags, as (flag, field, help); each command adds the ones it reads.
+FEATURE_FLAGS = (
+    ("--d50", "d50_um", "mass-median particle size [um]"),
+    ("--aspect-ratio", "aspect_ratio", "particle aspect ratio [-], >= 1"),
+    ("--roundness", "roundness", "particle roundness [-], (0, 1]"),
+    ("--solubility", "solubility_mg_ml", "drug solubility [mg/mL]"),
+    ("--diffusivity", "diffusivity_m2_s", "diffusion coefficient [m^2/s]"),
+    ("--density", "true_density_g_ml", "true density [g/mL]"),
+    ("--ssa", "ssa_m2_g", "specific surface area [m^2/g]"),
+    ("--vol-eq", "vol_eq_um", "volume-equivalent particle size [um]"),
+)
+#: The features the solver reads: the size, the shape and the drug.
+SOLVER_FEATURES = ("d50_um", "aspect_ratio", "solubility_mg_ml", "diffusivity_m2_s",
+                   "true_density_g_ml")
+
+
+def _add_feature_flags(parser: argparse.ArgumentParser, names, required=()) -> None:
+    for flag, name, text in FEATURE_FLAGS:
+        if name in names:
+            parser.add_argument(flag, dest=name, type=float, required=name in required, help=text)
+
+
+def _add_input(parser: argparse.ArgumentParser, names) -> None:
+    parser.add_argument("--input", help="formulation JSON file: any of the eight features by "
+                        "canonical or verbatim key, bare or in an \"Input\" block; the feature "
+                        "flags override it, and an unknown key exits 2")
+    _add_feature_flags(parser, names)
 
 
 def _add_condition_flags(parser: argparse.ArgumentParser) -> None:
@@ -402,20 +416,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "prompt strategies and benchmark them (MSE [%^2], R^2).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate a release curve from particle properties")
-    _add_common(p)
-    _add_feature_flags(p)
+    p = _command(sub, "simulate", cmd_simulate,
+                 help="simulate a release curve from particle properties",
+                 description="Simulate a release curve [% vs hr]; also prints the derived "
+                             "SSA [m^2/g] and volume-equivalent size [um].")
+    _add_input(p, SOLVER_FEATURES)
     _add_condition_flags(p)
     p.add_argument("--geo-sigma", dest="geo_sigma", type=float, default=1.5,
                    help="geometric standard deviation of the log-normal PSD [-]")
     p.add_argument("--n-bins", dest="n_bins", type=int, default=50, help="PSD bin count")
     p.add_argument("--grid", help="comma-separated output times [hr], e.g. 0,0.5,1")
     p.add_argument("--svg", action="store_true", help="also write an SVG plot")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("design", help="inverse-design a PSD for a target release curve")
-    _add_common(p)
-    _add_feature_flags(p)
+    # no abbreviations, so a --d50 is not read as --d50-bounds
+    p = _command(sub, "design", cmd_design, allow_abbrev=False,
+                 help="inverse-design a PSD for a target release curve")
+    _add_input(p, SOLVER_FEATURES[1:])                  # it starts from --start-d50
     _add_condition_flags(p)
     p.add_argument("--target", required=True,
                    help="target profile file (CSV time_hr,released_pct or JSON table)")
@@ -428,11 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bins", dest="n_bins", type=int, default=50, help="PSD bin count")
     p.add_argument("--n-starts", dest="n_starts", type=int, default=4,
                    help="number of optimizer starts")
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("predict", help="predict a release curve through an LLM backend")
-    _add_common(p)
-    _add_feature_flags(p)
+    p = _command(sub, "predict", cmd_predict,
+                 help="predict a release curve through an LLM backend")
+    _add_input(p, FEATURE_NAMES)
     p.add_argument("--strategy", required=True,
                    help="zs | zs-cot | fs | fs-cot | rag")
     p.add_argument("--backend", default="mock", choices=("live", "mock", "replay"))
@@ -440,48 +455,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", help="record store for RAG retrieval (JSONL)")
     p.add_argument("--replay", help="transcript JSONL for the replay backend")
     p.add_argument("-k", type=int, default=3, help="retrieved examples for RAG")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("store", help="manage the formulation record store")
     store_sub = p.add_subparsers(dest="store_cmd", required=True)
-    ps = store_sub.add_parser("ingest", help="ingest records from a file")
-    _add_common(ps)
+    ps = _command(store_sub, "ingest", cmd_store_ingest, help="ingest records from a file")
     ps.add_argument("--file", required=True, help="records file (JSONL canonical or JSON verbatim)")
     ps.add_argument("--store", help="store path (JSONL)")
     ps.add_argument("--overwrite", action="store_true", help="replace records with existing ids")
-    ps.set_defaults(func=cmd_store)
-    ps = store_sub.add_parser("list", help="list store contents")
-    _add_common(ps)
+    ps = _command(store_sub, "list", cmd_store_list, help="list store contents")
     ps.add_argument("--store", help="store path (JSONL)")
-    ps.set_defaults(func=cmd_store)
-    ps = store_sub.add_parser("retrieve", help="retrieve nearest records")
-    _add_common(ps)
+    ps = _command(store_sub, "retrieve", cmd_store_retrieve, help="retrieve nearest records")
     ps.add_argument("--store", help="store path (JSONL)")
-    ps.add_argument("--d50", dest="d50_um", type=float, required=True, help="query d50 [um]")
-    ps.add_argument("--ssa", dest="ssa_m2_g", type=float,
-                    help="query specific surface area [m^2/g]")
-    ps.add_argument("--vol-eq", dest="vol_eq_um", type=float,
-                    help="query volume-equivalent size [um]")
-    ps.add_argument("--aspect-ratio", dest="aspect_ratio", type=float,
-                    help="query aspect ratio [-]")
-    ps.add_argument("--roundness", type=float, help="query roundness [-]")
+    _add_feature_flags(ps, ("d50_um", "aspect_ratio", "roundness", "ssa_m2_g", "vol_eq_um"),
+                       required=("d50_um",))
     ps.add_argument("-k", type=int, default=3, help="number of records to return")
-    ps.set_defaults(func=cmd_store)
 
-    p = sub.add_parser("bench", help="run the five-strategy benchmark on a dataset")
-    _add_common(p)
+    p = _command(sub, "bench", cmd_bench, help="run the five-strategy benchmark on a dataset")
     p.add_argument("--dataset", required=True,
                    help="measured records (JSONL canonical or JSON verbatim)")
     p.add_argument("--backend", default="mock", choices=("live", "mock", "replay"))
     p.add_argument("--replay", help="transcript JSONL for the replay backend")
     p.add_argument("--store", help="record store for RAG (defaults to the dataset)")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("eval", help="MSE [%%^2] and R^2 between two profile files")
-    _add_common(p)
+    p = _command(sub, "eval", cmd_eval, help="MSE [%%^2] and R^2 between two profile files")
     p.add_argument("--reference", required=True, help="measured profile (CSV or JSON)")
     p.add_argument("--predicted", required=True, help="predicted profile (CSV or JSON)")
-    p.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -493,14 +491,14 @@ def main(argv=None) -> int:
         config = AppConfig.load(args.config)
         return args.func(config, args)
     except (TransportError, RequestError) as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+        code, kind, message = EXIT_TRANSPORT, "transport error", str(exc)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, kind, message = EXIT_PARSE, "parse error", str(exc)
     except (FormukitError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, kind, message = EXIT_USAGE, "error", str(exc)
+    # one line, even where the message quotes a line break from the input
+    print(f"{kind}: {message if message.isprintable() else repr(message)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

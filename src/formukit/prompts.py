@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DuplicateTimeError,
     DomainError,
     EmptyProfileError,
     ParseError,
@@ -405,8 +404,6 @@ def parse_profile_response(text: str, full_output: bool = False):
 
     try:
         profile = DissolutionProfile(np.asarray(times), np.asarray(released))
-    except DuplicateTimeError:
-        raise
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     return (profile, report) if full_output else profile

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +31,11 @@ from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 PROVENANCE_VALUES = ("experimental", "simulated")
 
-#: Mapping from the verbatim record keys used in published prompt blocks to
-#: canonical snake_case keys, for the import adapter.
-VERBATIM_TO_CANONICAL = dict(VERBATIM_KEYS)
+#: Each name a feature goes by, canonical or verbatim (as in prompt blocks), to its field.
+_FEATURE_KEYS = {**dict(zip(FEATURE_NAMES, FEATURE_NAMES)), **dict(VERBATIM_KEYS)}
+#: The keys a record holds besides its features: canonical rows keep the profile
+#: under "profile", worked examples under "Output".
+_RECORD_KEYS = frozenset(("id", "profile", "Output", "output", "provenance", "source"))
 
 
 @dataclass(frozen=True)
@@ -63,32 +66,18 @@ class FormulationRecord:
 
     @classmethod
     def from_dict(cls, row: dict) -> "FormulationRecord":
+        """A record from a row with an id and a profile, as ``to_dict`` writes it."""
         if not isinstance(row, dict):
             raise ValidationError(f"a record must be a JSON object, got {row!r}")
         missing = [k for k in ("id", "profile") if k not in row]
         if missing:
             raise ValidationError(f"record is missing keys: {', '.join(missing)}")
-        feature_kwargs = {}
-        for name in FEATURE_NAMES:
-            if name not in row:
-                raise ValidationError(f"record {row['id']!r} is missing feature {name!r}")
-            feature_kwargs[name] = _number(name, row[name])
-        try:
-            profile = DissolutionProfile.from_points(row["profile"])
-        except ParseError as exc:                         # repeated times
-            raise ValidationError(f"record {row['id']!r}: {exc}") from exc
-        return cls(
-            id=str(row["id"]),
-            features=FormulationInput(**feature_kwargs),
-            profile=profile,
-            provenance=row.get("provenance", "experimental"),
-            source=row.get("source", ""),
-        )
+        return record_from_verbatim(row, str(row["id"]))
 
 
 def _number(name: str, value) -> float:
     try:
-        if np.isfinite(number := float(value)):
+        if math.isfinite(number := float(value)):
             return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -103,48 +92,63 @@ def _spearman(x, y) -> float:
         return float(np.corrcoef(*ranks)[0, 1])
 
 
-def features_from_verbatim(obj) -> dict[str, float]:
-    """Canonical features of an Input block (bare or under "Input"/"input"), keyed by
-    verbatim or canonical names with whitespace stripped; other keys are dropped."""
-    features = obj.get("Input", obj.get("input", obj)) if isinstance(obj, dict) else obj
-    if isinstance(features, dict) and "Input" in features:
-        features = features["Input"]
-    if not isinstance(features, dict):
-        raise ValidationError("formulation input must be a JSON object")
-    canonical = {}
-    for key, value in features.items():
-        name = VERBATIM_TO_CANONICAL.get(key.strip() if isinstance(key, str) else key, key)
-        if name in FEATURE_NAMES:
-            canonical[name] = _number(name, value)
-    return canonical
+def read_features(obj, where: str, required=FEATURE_NAMES, given=None) -> dict[str, float]:
+    """The features of a record or formulation input by field, updated by ``given``.
+
+    They sit in an "Input" (or "input") block or beside the record keys, by canonical
+    or verbatim name (spaces around it ignored). ValidationError names each key that
+    names no feature or record key, a feature named twice, a value that is not a finite
+    number, and the ``required`` features still missing after the update.
+    """
+    unknown, record_keys = [], _RECORD_KEYS
+    if isinstance(obj, dict) and ("Input" in obj or "input" in obj):
+        block = "Input" if "Input" in obj else "input"
+        unknown = [key for key in obj if key != block and key not in _RECORD_KEYS]
+        obj, record_keys = obj[block], ()
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: a formulation input must be a JSON object")
+    features = {}
+    for key, value in obj.items():
+        name = _FEATURE_KEYS.get(key) or _FEATURE_KEYS.get(str(key).strip())
+        if name in features:
+            raise ValidationError(f"{where}: feature {name!r} is named twice")
+        if name is not None:
+            features[name] = _number(name, value)
+        elif key not in record_keys:
+            unknown.append(key)
+    if unknown:
+        raise ValidationError(f"{where}: no feature or record key is named "
+                              f"{', '.join(map(repr, unknown))}")
+    features.update(given or {})
+    missing = [name for name in required if name not in features]
+    if missing:
+        raise ValidationError(f"{where}: missing required field(s): {', '.join(missing)}")
+    return features
 
 
 def record_from_verbatim(obj: dict, record_id: str) -> FormulationRecord:
-    """Import adapter for records keyed with the verbatim prompt-block names.
+    """A record from a canonical row or a worked example keyed as in prompt blocks.
 
     Accepts ``{"Input": {...}, "Output": {"columns": ..., "data": ...}}``
-    (the worked-example shape) with either verbatim or canonical feature
-    keys. The Output table is read as a model response's is, its time
-    column found by name and minutes converted to hours; a bare list of
-    rows is read as (time [hr], released [%]).
+    (the worked-example shape) or the features beside the other record keys,
+    each keyed canonically or verbatim. The Output table is read as a model
+    response's is, its time column found by name and minutes converted to
+    hours; a bare list of rows is read as (time [hr], released [%]).
     """
-    canonical = features_from_verbatim(obj)
-    missing = [name for name in FEATURE_NAMES if name not in canonical]
-    if missing:
-        raise ValidationError(f"verbatim record is missing fields: {', '.join(missing)}")
-
+    where = f"record {record_id!r}"
+    features = read_features(obj, where)
     table = obj.get("Output", obj.get("output", obj.get("profile")))
     if table is None:
-        raise ValidationError("verbatim record has no Output/profile block")
+        raise ValidationError(f"{where} has no Output or profile table")
     try:
         times, released, _ = read_profile_table(table if isinstance(table, dict)
                                                 else {"data": table})
         profile = DissolutionProfile(times, released)
-    except ParseError as exc:
-        raise ValidationError(f"verbatim record {record_id!r}: {exc}") from exc
+    except ParseError as exc:                      # a malformed table, or a repeated time
+        raise ValidationError(f"{where}: {exc}") from exc
     return FormulationRecord(
         id=record_id,
-        features=FormulationInput(**canonical),
+        features=FormulationInput(**features),
         profile=profile,
         provenance=obj.get("provenance", "experimental"),
         source=obj.get("source", ""),

@@ -55,14 +55,16 @@ class TestSimulate:
         assert code == 2
         assert "d50" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--d50", "inf"], ["--d50", "nan"],
-                                       ["--d50", "50", "--ssa", "inf"],
-                                       ["--d50", "50", "--medium-volume", "inf"],
-                                       ["--d50", "50", "--rpm", "inf"],
-                                       ["--d50", "50", "--geo-sigma", "inf"],
-                                       ["--d50", "50", "--geo-sigma", "1e300"]])
+    # --ssa is predict's: the solver reads no SSA, and simulate takes no --ssa
+    @pytest.mark.parametrize("flags", [["simulate", "--d50", "inf"], ["simulate", "--d50", "nan"],
+                                       ["predict", "--strategy", "zs", "--d50", "50",
+                                        "--ssa", "inf"],
+                                       ["simulate", "--d50", "50", "--medium-volume", "inf"],
+                                       ["simulate", "--d50", "50", "--rpm", "inf"],
+                                       ["simulate", "--d50", "50", "--geo-sigma", "inf"],
+                                       ["simulate", "--d50", "50", "--geo-sigma", "1e300"]])
     def test_non_finite_feature_exit_2(self, tmp_path, capsys, flags):
-        code = main(["simulate", *flags, "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        code = main([*flags, "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
@@ -92,7 +94,10 @@ class TestSimulate:
     @pytest.mark.parametrize("obj", [
         {"input": {"Mean Particle Size, D50": 50}},
         {"Input": {"Mean Particle Size, D50 ": 50}},
-    ], ids=["lowercase-input", "key-with-space"])
+        {"id": "r1", "Input": {"Mean Particle Size, D50": 50}, "Output": [[0, 0], [1, 50]],
+         "provenance": "experimental", "source": ""},
+        {"d50_um": 50, "id": "r1", "profile": [[0, 0], [1, 50]]},
+    ], ids=["lowercase-input", "key-with-space", "verbatim-record", "canonical-record"])
     def test_input_read_as_store_ingest_reads_it(self, tmp_path, obj):
         # The same Input shapes that store ingest accepts.
         path = tmp_path / "input.json"
@@ -103,6 +108,52 @@ class TestSimulate:
                      "--output-dir", str(tmp_path / "out"), "--run-id", "flag"]) == 0
         csv_text = (_out(tmp_path, "file") / "profile.csv").read_text()
         assert csv_text == (_out(tmp_path, "flag") / "profile.csv").read_text()
+
+
+    @pytest.mark.parametrize("obj, named", [
+        ({"Input": {"Mean Particle Size, D50": 50, "solubility of drug (mg/ml)": 5}},
+         "'solubility of drug (mg/ml)'"),
+        ({"d50_um": 50, "solubilty_mg_ml": 5}, "'solubilty_mg_ml'"),
+        ({"Input": {"d50_um": 50}, "Outptu": [[0, 0]]}, "'Outptu'"),
+        ({"d50_um": 50, "Mean Particle Size, D50": 60}, "'d50_um' is named twice"),
+        ({"Input": {"Roundness": 1.0, "Roundness ": 0.5, "d50_um": 50}},
+         "'roundness' is named twice"),
+    ], ids=["misspelt-verbatim-key", "misspelt-canonical-key", "misspelt-record-key",
+            "canonical-and-verbatim", "verbatim-twice"])
+    def test_input_key_naming_no_feature_or_one_twice_exit_2(self, tmp_path, capsys, obj,
+                                                               named):
+        # Such a key used to be dropped, or the last of two names to win, without a word.
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        assert main(["simulate", "--input", str(path),
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+    def test_flags_override_the_input_file(self, tmp_path, input_file):
+        common = ["simulate", "--output-dir", str(tmp_path / "out")]
+        assert main(common + ["--input", input_file, "--solubility", "5", "--d50", "300",
+                              "--run-id", "both"]) == 0
+        assert main(common + ["--solubility", "5", "--d50", "300", "--run-id", "flags"]) == 0
+        assert main(common + ["--input", input_file, "--run-id", "file"]) == 0
+        csv_text = {run: (_out(tmp_path, run) / "profile.csv").read_text()
+                    for run in ("both", "flags", "file")}
+        assert csv_text["both"] == csv_text["flags"] != csv_text["file"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--d50", "80", "--roundness", "0.3"],
+        ["simulate", "--d50", "80", "--ssa", "9"],
+        ["simulate", "--d50", "80", "--vol-eq", "400"],
+        ["design", "--target", "t.csv", "--roundness", "0.3"],
+        ["design", "--target", "t.csv", "--ssa", "9"],
+        ["design", "--target", "t.csv", "--vol-eq", "400"],
+        ["design", "--target", "t.csv", "--d50", "80"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flags_the_solver_never_reads_are_gone(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 class TestDesign:
@@ -142,6 +193,27 @@ class TestDesign:
                      "--output-dir", str(tmp_path / "out"), "--run-id", "des"])
         assert code == 2
         assert "bound" in capsys.readouterr().err
+
+
+    def _design(self, tmp_path, run_id, *flags):
+        target = tmp_path / "target.csv"
+        target.write_text("time_hr,released_pct\n0,0\n1,20\n2,35\n6,70\n")
+        assert main(["design", "--target", str(target), "--n-bins", "12", "--n-starts", "1",
+                     "--start-d50", "400", *flags,
+                     "--output-dir", str(tmp_path / "out"), "--run-id", run_id]) == 0
+        return (_out(tmp_path, run_id) / "design.json").read_text()
+
+    def test_feature_flags_apply_without_d50(self, tmp_path):
+        # These flags were read only when --d50, itself unread, was also given.
+        assert (self._design(tmp_path, "flags", "--solubility", "5", "--aspect-ratio", "2")
+                != self._design(tmp_path, "plain"))
+
+    def test_input_without_d50_runs(self, tmp_path):
+        # A design reads no d50: it starts from --start-d50.
+        path = tmp_path / "powder.json"
+        path.write_text(json.dumps({"solubility of drug (mg/mL)": 5, "aspect_ratio": 2}))
+        assert (self._design(tmp_path, "file", "--input", str(path))
+                == self._design(tmp_path, "flags", "--solubility", "5", "--aspect-ratio", "2"))
 
 
 class TestPredict:
@@ -252,7 +324,7 @@ class TestStore:
         store = tmp_path / "store.jsonl"
         code = main(["store", "ingest", "--file", str(records), "--store", str(store)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: verbatim record 'bad': ")
+        assert capsys.readouterr().err.startswith("error: record 'bad': ")
         assert not store.exists()
 
     def test_list_empty_store(self, tmp_path, capsys):
@@ -486,6 +558,8 @@ _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
            "solubility_mg_ml": 0.45, "diffusivity_m2_s": 7.5e-10, "true_density_g_ml": 1.512,
            "ssa_m2_g": 1.0, "vol_eq_um": 1.0, "profile": [[0, 0], [1, 50]]}
 _REPEATED_TIME_CSV = "time_hr,released_pct\n0,0\n1,50\n1,60\n2,80\n"
+_REPEATED_TIME_JSON = json.dumps({"columns": ["Time (hr)", "Drug Released (%)"],
+                                  "data": [[0, 0], [1, 50], [1, 60], [2, 80]]})
 
 
 @pytest.mark.parametrize("argv, name, text", [
@@ -512,6 +586,17 @@ _REPEATED_TIME_CSV = "time_hr,released_pct\n0,0\n1,50\n1,60\n2,80\n"
                  id="eval-reference-repeated-time"),
     pytest.param(["eval", "--reference", "ok.csv", "--predicted"], "t.csv", _REPEATED_TIME_CSV,
                  id="eval-predicted-repeated-time"),
+    pytest.param(["design", "--n-starts", "1", "--target"], "t.json", _REPEATED_TIME_JSON,
+                 id="design-target-json-repeated-time"),
+    pytest.param(["eval", "--predicted", "ok.csv", "--reference"], "t.json", _REPEATED_TIME_JSON,
+                 id="eval-reference-json-repeated-time"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "r.jsonl",
+                 json.dumps({**_RECORD, "sorce": "lab"}) + "\n", id="ingest-unknown-record-key"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "r.json",
+                 json.dumps([{"Input": REFERENCE_INPUT, "Output": [[0, 0]], "sorce": "lab"}]),
+                 id="ingest-verbatim-unknown-record-key"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "r.jsonl",
+                 json.dumps({**_RECORD, "ssa_m2_g ": 2.0}) + "\n", id="ingest-feature-twice"),
     pytest.param(["store", "list", "--store"], "s.jsonl",
                  json.dumps({**_RECORD, "profile": 5}) + "\n", id="list-number-profile"),
     pytest.param(["store", "list", "--store"], "s.jsonl",
@@ -572,7 +657,7 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    unknown = [key for key in ("dose", "modle", "seeds") if f'"{key}"' in text]
+    unknown = [key for key in ("dose", "modle", "seeds", "sorce") if f'"{key}"' in text]
     assert all(f"'{key}'" in err for key in unknown), err
 
 

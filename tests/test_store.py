@@ -193,8 +193,9 @@ class TestVerbatimImport:
         row = {**example_records[0].to_dict(), "ssa_m2_g": value}
         with pytest.raises(ValidationError, match="ssa_m2_g must be a finite number"):
             FormulationRecord.from_dict(row)
+        block = {name: row[name] for name in FEATURE_NAMES if name != "ssa_m2_g"}
         with pytest.raises(ValidationError, match="ssa_m2_g must be a finite number"):
-            record_from_verbatim({"Input": {**row, "Specific surface area (m^2/g)": value},
+            record_from_verbatim({"Input": {**block, "Specific surface area (m^2/g)": value},
                                   "Output": [[0, 0], [1, 50]]}, "bad")
 
 
