@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateReferenceError, ParseError
+from .errors import AlignmentError, DegenerateReferenceError, ParseError, ValidationError
 from .prompts import PromptStrategy
 from .types import DissolutionProfile
 
@@ -170,12 +170,13 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
     examples come from the other dataset records (leave-one-out, first
     :data:`N_EXAMPLES` by id); RAG retrieves the :data:`RETRIEVE_K` nearest
     from ``store`` (defaulting to the dataset itself), always excluding the
-    record under evaluation. Parse
-    failures are counted per strategy; a strategy whose parses all fail is
-    reported as unevaluable rather than raising; any other error stops
-    further prompts and calls and is re-raised. Up to
-    ``client.config.max_inflight`` model calls run at once, so transcript
-    lines come in completion order; the report does not depend on it.
+    record under evaluation. A record whose profile has fewer than 2 points
+    or constant values raises ValidationError before any call. Parse failures
+    are counted per strategy; a strategy whose parses all fail is reported as
+    unevaluable rather than raising; any other error stops further prompts
+    and calls and is re-raised. Up to ``client.config.max_inflight`` model
+    calls run at once, so transcript lines come in completion order; the
+    report does not depend on it.
     """
     import threading
     from concurrent.futures import CancelledError, ThreadPoolExecutor
@@ -189,6 +190,10 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
     if not records:
         raise AlignmentError("benchmark dataset is empty")
     records.sort(key=lambda r: r.id)
+    for rec in records:                     # bad input, not a failed parse: before any call
+        if rec.profile.n_points < 2 or np.ptp(rec.profile.released_pct) == 0.0:
+            raise ValidationError(f"record {rec.id!r}: a reference profile needs at least "
+                                  "2 points and released values that vary")
 
     if store is None:
         store = RecordStore()

@@ -16,9 +16,10 @@ derivatives of released % in each bin's fraction (the free-bin columns) and
 ln y0_i, which log-normal chains through ln y0_i = 2 ln d50 + 2 u_i ln geo_sigma.
 
 A search stops by itself, converged, when no step toward a round's solution
-lowers the objective, when an accepted step lowers it by at most 1e-6
-relative or moves no coordinate by more than 1e-12, or once the objective is
-below ``CONVERGED_OBJECTIVE`` (free bins) or ``ROUNDING_OBJECTIVE`` (log-normal).
+lowers the objective and the Jacobian is not all zero (a flat model is a
+stall), when an accepted step lowers it by at most 1e-6 relative or moves no
+coordinate by more than 1e-12, or once the objective is below
+``CONVERGED_OBJECTIVE`` (free bins) or ``ROUNDING_OBJECTIVE`` (log-normal).
 Otherwise it stops, unconverged, on its round cap. Each accepted iterate
 lowers the objective, and identical specs plus seed give bit-identical results.
 """
@@ -233,8 +234,8 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
             evals += 1
             if cand_value < value:
                 break
-        else:                                 # no step falls: stationary
-            return history, evals, True, x, result
+        else:                   # no step falls: stationary, unless the model is flat there
+            return history, evals, bool(jac.any()), x, result
         stopped = (value - cand_value <= _RTOL * value or np.max(np.abs(candidate - x)) <= _XTOL
                    or cand_value < perfect)
         x, value, result, jac = candidate, cand_value, cand_result, cand_jac
@@ -324,8 +325,8 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
     free-bin design runs one search of at most ``max_iter_free`` rounds from
     uniform fractions, each kept in [0, 1]. A round is one least-squares solve
     and its step trials. ``converged`` is True when the chosen search stopped
-    by itself (module docstring), as when no step falls; one that reached its
-    cap returns its last accepted iterate with ``converged=False``.
+    by itself (module docstring); one that reached its cap returns its last
+    accepted iterate with ``converged=False``.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")

@@ -59,7 +59,7 @@ class FormulationRecord:
         row = {"id": self.id}
         for name in FEATURE_NAMES:
             row[name] = getattr(self.features, name)
-        row["profile"] = [[float(t), float(v)] for t, v in self.profile.points()]
+        row["profile"] = np.column_stack((self.profile.times_hr, self.profile.released_pct)).tolist()
         row["provenance"] = self.provenance
         row["source"] = self.source
         return row
@@ -206,8 +206,12 @@ class JsonlRows:
 def append_jsonl(path: Path, row, torn_bytes: int = 0) -> None:
     """Append ``row`` to ``path`` as one JSON line, creating the directory,
     after cutting the file's last ``torn_bytes`` bytes (a truncated final line)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "a", encoding="utf-8")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "a", encoding="utf-8")
+    with fh:
         if torn_bytes:
             fh.truncate(fh.tell() - torn_bytes)
         fh.write(json.dumps(row) + "\n")

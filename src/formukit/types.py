@@ -109,14 +109,14 @@ class SizeDistribution:
         if sizes.ndim != 1 or fracs.shape != sizes.shape or sizes.size == 0:
             raise ValidationError("sizes and fractions must be matching non-empty 1-D arrays")
         lo, hi = SIZE_RANGE_UM
-        if not np.all((sizes >= lo) & (sizes <= hi)):
+        if not (sizes.min() >= lo and sizes.max() <= hi):             # NaN fails both
             raise DomainError(f"bin sizes must be finite and > 0, within {lo:g}-{hi:g} um")
-        if np.any(np.diff(sizes) <= 0):
+        if not (sizes[1:] > sizes[:-1]).all():
             raise DomainError("bin sizes must be strictly increasing")
-        if np.any(fracs < 0):
+        if not fracs.min() >= 0.0:                                    # NaN is not >= 0
             raise DomainError("mass fractions must be >= 0")
-        if abs(fracs.sum() - 1.0) > 1e-9:
-            raise DomainError(f"mass fractions must sum to 1 (got {fracs.sum()!r})")
+        if abs((total := fracs.sum()) - 1.0) > 1e-9:
+            raise DomainError(f"mass fractions must sum to 1 (got {total!r})")
 
     @property
     def n_bins(self) -> int:
@@ -194,22 +194,22 @@ class DissolutionProfile:
     released_pct: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times_hr, dtype=float)
-        r = np.asarray(self.released_pct, dtype=float)
+        t = np.array(self.times_hr, dtype=float)          # a copy: the profile owns its points
+        r = np.array(self.released_pct, dtype=float)
         if t.ndim != 1 or r.shape != t.shape or t.size == 0:
             raise ValidationError("times and released values must be matching non-empty 1-D arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+        if not (np.isfinite(t).all() and np.isfinite(r).all()):
             raise DomainError("times and released values must be finite")
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        r = r[order]
+        if not (t[1:] > t[:-1]).all():                    # strictly increasing: no sort, no duplicates
+            order = t.argsort(kind="stable")
+            t, r = t[order], r[order]
+            if (t[1:] == t[:-1]).any():
+                raise DuplicateTimeError("profile contains duplicate times")
         object.__setattr__(self, "times_hr", t)
         object.__setattr__(self, "released_pct", r)
-        if np.any(np.diff(t) == 0):
-            raise DuplicateTimeError("profile contains duplicate times")
-        if np.any(t < 0):
+        if t[0] < 0:
             raise DomainError("times must be >= 0")
-        if np.any((r < 0) | (r > 100)):
+        if r.min() < 0 or r.max() > 100:
             raise DomainError("released % must be within [0, 100]")
 
     @property

@@ -400,6 +400,18 @@ class TestBench:
         transcript = _out(tmp_path, "same") / "transcripts.jsonl"
         assert len(transcript.read_text().splitlines()) == 15
 
+    def test_unscorable_reference_exit_2(self, tmp_path, capsys):
+        # A reference no prediction can be scored against is bad input, not a failed parse.
+        dataset = tmp_path / "one.json"
+        dataset.write_text(json.dumps({"records": [
+            {"id": "one", "Input": REFERENCE_INPUT, "profile": [[3.5, 20]]}]}))
+        code = main(["bench", "--dataset", str(dataset), "--backend", "mock",
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "b"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "record 'one'" in err[0]
+        assert not (_out(tmp_path, "b") / "transcripts.jsonl").exists()
+
     def test_live_without_key_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FORMU_API_KEY", raising=False)
         dataset = _make_sim_dataset(tmp_path, d50s=(45.0, 97.5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from formukit.dissolution import psd_from_lognormal, simulate_dissolution
-from formukit.errors import AlignmentError, DegenerateReferenceError, RequestError
+from formukit.errors import AlignmentError, DegenerateReferenceError, RequestError, ValidationError
 from formukit.evaluate import (
     STRATEGY_ORDER,
     align_profiles,
@@ -215,6 +215,18 @@ class TestBenchmark:
         assert not result.report.row("FS").evaluable
         assert not result.report.row("RAG").evaluable
         assert "no disjoint examples" in result.report.row("FS").notes
+
+    @pytest.mark.parametrize("points", [[(3.5, 20.0)], [(0.0, 40.0), (1.0, 40.0)]])
+    def test_unscorable_reference_raises_before_any_call(self, drug, sphere, conditions,
+                                                         tmp_path, points):
+        bad = FormulationRecord("bad", FormulationInput(d50_um=60.0),
+                                DissolutionProfile.from_points(points))
+        dataset = simulated_dataset(drug, sphere, conditions, d50s=(45.0,)) + [bad]
+        recorder = TranscriptRecorder(tmp_path / "t.jsonl")
+        client = LLMClient(backend=MockBackend(), recorder=recorder, sleep=lambda s: None)
+        with pytest.raises(ValidationError, match="record 'bad'"):
+            run_benchmark(dataset, client=client)
+        assert recorder.records == [] and not (tmp_path / "t.jsonl").exists()
 
 
 class FakeTransport:

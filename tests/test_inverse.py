@@ -337,6 +337,17 @@ class TestEvaluationCount:
             assert free.evaluations <= 12
             assert free.objective_history[-1] >= (1.0 - 1e-6) * capped.objective_history[-1]
 
+    def test_a_flat_model_is_not_converged(self, drug, sphere, conditions):
+        # Every target time after 0 falls after full dissolution at the start,
+        # so the Jacobian there is zero and no step falls: a stall, not a fit.
+        target = DissolutionProfile([0.0, 1.0, 2.0, 6.0], [0.0, 20.0, 35.0, 70.0])
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=conditions,
+                          parameterization=LognormalParameterization(100.0, 1.5, n_bins=12))
+        result = design_psd(spec, seed=0, n_starts=1)
+        assert result.iterations == 0
+        assert result.residual_mse > 1000.0
+        assert not result.converged
+
 
 class TestDesignReport:
     def test_report_contents(self, drug, sphere, conditions, round_trip_target):

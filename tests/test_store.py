@@ -125,6 +125,29 @@ class TestPersistence:
         for name in FEATURE_NAMES + ("profile", "provenance", "source", "id"):
             assert name in row
 
+    def test_ingest_writes_this_exact_line(self, tmp_path):
+        record = FormulationRecord(
+            id="pin", features=FormulationInput(d50_um=45.0, aspect_ratio=1.5, ssa_m2_g=1.7,
+                                                vol_eq_um=1.17),
+            profile=DissolutionProfile([2.0, 0.0, 0.25, 6.0], [80.5, 0.0, 1e-3, 100.0]),
+            source="bench")
+        path = tmp_path / "store.jsonl"
+        RecordStore(path).ingest(record)
+        assert path.read_text(encoding="utf-8") == (
+            '{"id": "pin", "d50_um": 45.0, "aspect_ratio": 1.5, "roundness": 1.0, '
+            '"solubility_mg_ml": 0.45, "diffusivity_m2_s": 7.5e-10, "true_density_g_ml": 1.512, '
+            '"ssa_m2_g": 1.7, "vol_eq_um": 1.17, '
+            '"profile": [[0.0, 0.0], [0.25, 0.001], [2.0, 80.5], [6.0, 100.0]], '
+            '"provenance": "experimental", "source": "bench"}\n')
+        assert RecordStore(path).get("pin").to_dict() == record.to_dict()
+
+    def test_ingest_creates_missing_directories(self, tmp_path, example_records):
+        path = tmp_path / "a" / "b" / "store.jsonl"
+        store = RecordStore(path)
+        for rec in example_records:
+            store.ingest(rec)
+        assert [r.id for r in RecordStore(path).records] == [r.id for r in example_records]
+
 
     def test_torn_final_line_skipped_then_dropped_on_ingest(self, tmp_path, example_records,
                                                             caplog):

@@ -73,6 +73,11 @@ class TestSizeDistribution:
         with pytest.raises(DomainError):
             SizeDistribution([1.0, 2.0], [1.2, -0.2])
 
+    def test_nan_fraction_rejected(self):
+        # NaN is neither < 0 nor off the sum test's 1e-9, yet no run can use it.
+        with pytest.raises(DomainError, match="mass fractions must be >= 0"):
+            SizeDistribution([10.0, 20.0], [math.nan, 1.0])
+
     @pytest.mark.parametrize("sizes", [[math.inf], [1.0, math.inf], [math.nan], [0.0, 1.0]])
     def test_sizes_finite_and_positive(self, sizes):
         with pytest.raises(DomainError, match="bin sizes must be finite and > 0"):
