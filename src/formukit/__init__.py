@@ -4,90 +4,52 @@ Simulate powder dissolution from particle properties, inverse-design size
 distributions for target release curves, build and parse structured LLM
 prompts (zero-shot, chain-of-thought, few-shot, retrieval-augmented), and
 benchmark the strategies against measured data with MSE/R^2.
+
+The public names load lazily (PEP 562): ``import formukit`` imports no
+submodule, and each name imports its own module on first use, so a command
+pays only for the modules it runs.
 """
 
-from .dissolution import (
-    SimulationResult,
-    derived_metrics,
-    psd_from_lognormal,
-    reynolds_schmidt,
-    sherwood,
-    simulate,
-    simulate_dissolution,
-)
-from .evaluate import (
-    AlignedPair,
-    BenchmarkResult,
-    EvalReport,
-    EvalRow,
-    align_profiles,
-    mse,
-    profile_metrics,
-    r_squared,
-    run_benchmark,
-)
-from .inverse import (
-    DesignResult,
-    DesignSpec,
-    FreeBinsParameterization,
-    LognormalParameterization,
-    design_psd,
-    design_report,
-    objective,
-)
-from .llm import (
-    CompletionResult,
-    LiveBackend,
-    LLMClient,
-    LLMConfig,
-    MockBackend,
-    ReplayBackend,
-    Transcript,
-    TranscriptRecorder,
-    make_backend,
-    prompt_sha256,
-)
-from .prompts import (
-    PromptBundle,
-    PromptStrategy,
-    build_prompt,
-    parse_profile_response,
-    render_example_blocks,
-    validate_profile,
-)
-from .store import (
-    FormulationRecord,
-    RecordStore,
-    RetrievalWeights,
-    import_verbatim_file,
-    load_records,
-    record_from_verbatim,
-)
-from .types import (
-    DEFAULT_OUTPUT_GRID_HR,
-    HYDROCHLOROTHIAZIDE,
-    DissolutionConditions,
-    DissolutionProfile,
-    DrugSubstance,
-    FormulationInput,
-    ParticleMorphology,
-    SizeDistribution,
-)
+import importlib
+
+#: Each submodule with the public names it exports.
+_EXPORTS = {
+    "dissolution": ("SimulationResult", "derived_metrics", "psd_from_lognormal",
+                    "reynolds_schmidt", "sherwood", "simulate", "simulate_dissolution"),
+    "evaluate": ("AlignedPair", "BenchmarkResult", "EvalReport", "EvalRow", "align_profiles",
+                 "mse", "profile_metrics", "r_squared", "run_benchmark"),
+    "inverse": ("DesignResult", "DesignSpec", "FreeBinsParameterization",
+                "LognormalParameterization", "design_psd", "design_report", "objective"),
+    "llm": ("CompletionResult", "LiveBackend", "LLMClient", "LLMConfig", "MockBackend",
+            "ReplayBackend", "Transcript", "TranscriptRecorder", "make_backend",
+            "prompt_sha256"),
+    "prompts": ("PromptBundle", "PromptStrategy", "build_prompt", "parse_profile_response",
+                "render_example_blocks", "validate_profile"),
+    "store": ("FormulationRecord", "RecordStore", "RetrievalWeights", "import_verbatim_file",
+              "load_records", "record_from_verbatim"),
+    "types": ("DEFAULT_OUTPUT_GRID_HR", "HYDROCHLOROTHIAZIDE", "DissolutionConditions",
+              "DissolutionProfile", "DrugSubstance", "FormulationInput", "ParticleMorphology",
+              "SizeDistribution"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+#: The submodules that ``formukit.<name>`` reaches without importing them by name.
+_SUBMODULES = {*_EXPORTS, "errors", "units"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignedPair", "BenchmarkResult", "CompletionResult", "DEFAULT_OUTPUT_GRID_HR",
-    "DesignResult", "DesignSpec", "DissolutionConditions", "DissolutionProfile",
-    "DrugSubstance", "EvalReport", "EvalRow", "FormulationInput", "FormulationRecord",
-    "FreeBinsParameterization", "HYDROCHLOROTHIAZIDE", "LiveBackend", "LLMClient",
-    "LLMConfig", "LognormalParameterization", "MockBackend", "ParticleMorphology",
-    "PromptBundle", "PromptStrategy", "RecordStore", "ReplayBackend", "RetrievalWeights",
-    "SimulationResult", "SizeDistribution", "Transcript",
-    "TranscriptRecorder", "align_profiles", "build_prompt",
-    "derived_metrics", "design_psd", "design_report", "import_verbatim_file",
-    "load_records", "make_backend", "mse", "objective", "parse_profile_response",
-    "profile_metrics", "prompt_sha256", "psd_from_lognormal", "r_squared",
-    "record_from_verbatim", "render_example_blocks", "reynolds_schmidt", "run_benchmark",
-    "sherwood", "simulate", "simulate_dissolution", "validate_profile",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value             # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

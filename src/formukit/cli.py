@@ -19,9 +19,8 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import evaluate as ev
-from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
 from .errors import (
     ConfigurationError,
     DuplicateTimeError,
@@ -31,22 +30,6 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .inverse import (
-    DEFAULT_LOGNORMAL_BOUNDS,
-    DesignSpec,
-    LognormalParameterization,
-    design_psd,
-    design_report,
-)
-from .llm import LLMClient, LLMConfig, TranscriptRecorder, make_backend
-from .prompts import (
-    STRATEGY_ALIASES,
-    build_prompt,
-    parse_profile_response,
-    validate_profile,
-)
-from .store import RecordStore, import_verbatim_file, load_records, read_features
-from .svgplot import profile_overlay_svg
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
     FEATURE_NAMES,
@@ -54,6 +37,10 @@ from .types import (
     DissolutionProfile,
     FormulationInput,
 )
+
+if TYPE_CHECKING:                       # each command imports the modules it runs
+    from .llm import LLMClient, LLMConfig, TranscriptRecorder
+    from .store import RecordStore
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,7 +60,7 @@ def _from_json(kind, obj, where: str):
 
 @dataclass
 class AppConfig:
-    llm: LLMConfig = field(default_factory=LLMConfig)
+    llm: LLMConfig | None = None                  # None: the defaults, built with the client
     conditions: DissolutionConditions = field(default_factory=DissolutionConditions)
     store_path: str = "formukit_store.jsonl"
     output_dir: str = "formukit_out"
@@ -94,6 +81,8 @@ class AppConfig:
             return cls()
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        from .llm import LLMConfig
+
         config = _from_json(cls, obj, path)        # its two sections are read next
         config.llm = _from_json(LLMConfig, obj.get("llm", {}), f"{path}: llm")
         config.conditions = _from_json(DissolutionConditions, obj.get("conditions", {}),
@@ -124,6 +113,8 @@ def _given(args, names) -> dict:
 
 def _load_features(args, required=("d50_um",)) -> dict[str, float]:
     """The --input file's features, overridden by the feature flags given."""
+    from .store import read_features
+
     obj, where = {}, "the feature flags"
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
@@ -152,6 +143,8 @@ def _write_profile_csv(path: Path, profile: DissolutionProfile) -> None:
 
 def _read_profile_file(path: str) -> DissolutionProfile:
     """A CSV profile, or a file read as a model response (exit 4 without a table)."""
+    from .prompts import parse_profile_response
+
     text = Path(path).read_text(encoding="utf-8")
     try:
         if not path.endswith(".csv"):
@@ -177,16 +170,22 @@ def _emit_profile(out: Path, profile: DissolutionProfile) -> None:
 
 
 def _open_store(config: AppConfig, args) -> RecordStore:
+    from .store import RecordStore
+
     return RecordStore(getattr(args, "store", None) or config.store_path)
 
 
 def _load_dataset(path: str):
+    from .store import import_verbatim_file, load_records
+
     if path.endswith(".jsonl"):
         return load_records(path)
     return import_verbatim_file(path)
 
 
 def cmd_simulate(config: AppConfig, args) -> int:
+    from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
+
     features = FormulationInput(**_load_features(args))
     conditions = _conditions_with_overrides(config, args)
     psd = psd_from_lognormal(features.d50_um, args.geo_sigma, args.n_bins)
@@ -195,6 +194,8 @@ def cmd_simulate(config: AppConfig, args) -> int:
                                    conditions, grid)
     out = _run_dir(config, args)
     if args.svg:
+        from .svgplot import profile_overlay_svg
+
         (out / "profile.svg").write_text(
             profile_overlay_svg(None, {"simulated": profile}), encoding="utf-8")
     ssa, vol_eq = derived_metrics(psd, features.morphology(), features.drug())
@@ -207,6 +208,9 @@ def cmd_simulate(config: AppConfig, args) -> int:
 
 
 def cmd_design(config: AppConfig, args) -> int:
+    from .inverse import (DEFAULT_LOGNORMAL_BOUNDS, DesignSpec, LognormalParameterization,
+                          design_psd, design_report)
+
     target = _read_profile_file(args.target)
     bounds = [tuple(float(x) for x in given.split(",")) if given else default
               for given, default in zip((args.d50_bounds, args.sigma_bounds),
@@ -243,10 +247,12 @@ def cmd_design(config: AppConfig, args) -> int:
 
 
 def _build_client(config: AppConfig, args, recorder: TranscriptRecorder) -> LLMClient:
-    backend = make_backend(args.backend, config.llm,
-                           replay_path=getattr(args, "replay", None),
+    from .llm import LLMClient, LLMConfig, make_backend
+
+    llm = config.llm or LLMConfig()
+    backend = make_backend(args.backend, llm, replay_path=getattr(args, "replay", None),
                            conditions=config.conditions)
-    return LLMClient(config=config.llm, backend=backend, recorder=recorder,
+    return LLMClient(config=llm, backend=backend, recorder=recorder,
                      seed=args.seed if args.seed is not None else config.seed)
 
 
@@ -263,6 +269,9 @@ def _examples_for_predict(config: AppConfig, args, strategy, features: Formulati
 
 
 def cmd_predict(config: AppConfig, args) -> int:
+    from .llm import TranscriptRecorder
+    from .prompts import STRATEGY_ALIASES, build_prompt, parse_profile_response, validate_profile
+
     if args.strategy not in STRATEGY_ALIASES:
         raise ValidationError(f"unknown strategy {args.strategy!r}")
     features = FormulationInput(**_load_features(args))
@@ -318,6 +327,10 @@ def cmd_store_retrieve(config: AppConfig, args) -> int:
 
 
 def cmd_bench(config: AppConfig, args) -> int:
+    from . import evaluate as ev
+    from .llm import TranscriptRecorder
+    from .svgplot import profile_overlay_svg
+
     dataset = _load_dataset(args.dataset)
     store = _open_store(config, args) if args.store else None
     out = _run_dir(config, args)
@@ -343,6 +356,8 @@ def cmd_bench(config: AppConfig, args) -> int:
 
 
 def cmd_eval(config: AppConfig, args) -> int:
+    from . import evaluate as ev
+
     reference = _read_profile_file(args.reference)
     predicted = _read_profile_file(args.predicted)
     pair = ev.align_profiles(reference, predicted)

@@ -102,8 +102,8 @@ class SizeDistribution:
     fractions: np.ndarray
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes_um, dtype=float)
-        fracs = np.asarray(self.fractions, dtype=float)
+        sizes = np.array(self.sizes_um, dtype=float)      # copies: the distribution owns its bins
+        fracs = np.array(self.fractions, dtype=float)
         object.__setattr__(self, "sizes_um", sizes)
         object.__setattr__(self, "fractions", fracs)
         if sizes.ndim != 1 or fracs.shape != sizes.shape or sizes.size == 0:

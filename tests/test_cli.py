@@ -230,6 +230,15 @@ class TestPredict:
         assert report["parse"]["clamped_points"] == []
         assert (_out(tmp_path, "pred") / "transcript.jsonl").exists()
 
+    def test_default_llm_config_without_a_config_file(self, tmp_path, input_file):
+        assert main(["predict", "--strategy", "zs", "--backend", "mock", "--input", input_file,
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "p"]) == 0
+        row = json.loads((_out(tmp_path, "p") / "transcript.jsonl").read_text())
+        assert sorted(row) == ["backend", "elapsed_s", "error", "model", "prompt",
+                               "prompt_sha256", "response", "started_at", "usage"]
+        assert (row["model"], row["backend"], row["usage"], row["error"]) == (
+            "deepseek-r1", "mock", None, None)
+
     def test_fs_without_examples_exit_2(self, tmp_path, input_file):
         code = main(["predict", "--strategy", "fs", "--backend", "mock",
                      "--input", input_file,
@@ -659,6 +668,15 @@ _REPEATED_TIME_JSON = json.dumps({"columns": ["Time (hr)", "Drug Released (%)"],
                  '{"llm": {"modle": "x"}}', id="config-unknown-llm-key"),
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"seeds": 1}', id="config-unknown-key"),
+    # the llm section is read whenever a config is given, even by commands that build no client
+    *(pytest.param([*argv, "--config"], "c.json", '{"llm": {"bogus": 1}}',
+                   id=f"config-unknown-llm-key-{argv[-1]}")
+      for argv in (["store", "list"], ["store", "ingest", "--file", "ok.csv"],
+                   ["store", "retrieve", "--d50", "50"],
+                   ["eval", "--reference", "ok.csv", "--predicted", "ok.csv"],
+                   ["simulate", "--d50", "50"], ["design", "--target", "ok.csv"],
+                   ["predict", "--strategy", "zs", "--d50", "50"],
+                   ["bench", "--dataset", "ok.csv"])),
 ])
 def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, name, text):
     monkeypatch.chdir(tmp_path)               # the ingest and eval cases name relative files
@@ -669,7 +687,7 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    unknown = [key for key in ("dose", "modle", "seeds", "sorce") if f'"{key}"' in text]
+    unknown = [key for key in ("bogus", "dose", "modle", "seeds", "sorce") if f'"{key}"' in text]
     assert all(f"'{key}'" in err for key in unknown), err
 
 
@@ -746,3 +764,28 @@ def test_import_loads_no_scipy(tmp_path):
         out = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", "out"],
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert json.loads(out.stdout.splitlines()[-1]) == [0, []], (argv, out.stderr)
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # Each case runs in a fresh interpreter and lists the formukit modules
+    # loaded once main returns: the solver, the design loop, the LLM client
+    # and the evaluator load only for the commands that call them.
+    for name, values in (("ref.csv", (0, 40, 70)), ("pred.csv", (0, 35, 75))):
+        (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
+            f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
+    base = {"errors", "types", "prompts"}
+    solver = base | {"store", "dissolution", "units"}
+    cases = [(["store", "list", "--store", "s.jsonl"], base | {"store"}),
+             (["eval", "--reference", "ref.csv", "--predicted", "pred.csv"], base | {"evaluate"}),
+             (["simulate", "--d50", "50"], solver),
+             (["simulate", "--d50", "50", "--svg"], solver | {"svgplot"}),
+             (["predict", "--strategy", "zs", "--backend", "mock", "--d50", "50"],
+              solver | {"llm"})]
+    code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules "
+            "if m.startswith('formukit.') and m != 'formukit.cli')]))")
+    for argv, modules in cases:
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", "out"],
+                             cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
+                             timeout=60)
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, sorted(modules)], (argv, out.stderr)

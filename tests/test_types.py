@@ -94,6 +94,13 @@ class TestSizeDistribution:
         psd = SizeDistribution([90.0, 100.0, 110.0], [0.25, 0.5, 0.25])
         assert psd.d50_um == pytest.approx(100.0)
 
+    def test_owns_its_bins(self):
+        sizes, fracs = np.array([1.0, 2.0]), np.full(2, 0.5)
+        psd = SizeDistribution(sizes, fracs)
+        sizes[0], fracs[0] = 5.0, -5.0
+        assert (psd.sizes_um.tolist(), psd.fractions.tolist()) == ([1.0, 2.0], [0.5, 0.5])
+        assert psd.d50_um == 1.5
+
 
 class TestDissolutionConditions:
     def test_velocity_factor_range(self):
