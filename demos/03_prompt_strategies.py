@@ -15,7 +15,7 @@ from formukit import (
     MockBackend,
     PromptStrategy,
     build_prompt,
-    import_verbatim_file,
+    load_records,
     parse_profile_response,
     validate_profile,
 )
@@ -28,7 +28,7 @@ powder = FormulationInput(
 )
 
 # the bundled worked examples double as few-shot exemplars
-examples = import_verbatim_file(files("formukit") / "data" / "seed_records.json")
+examples = load_records(files("formukit") / "data" / "seed_records.json")
 
 # --- zero-shot: structured sections, no worked examples ---------------------
 zs = build_prompt(PromptStrategy.ZS, powder)

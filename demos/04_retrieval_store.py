@@ -14,7 +14,7 @@ from pathlib import Path
 from formukit import (
     FormulationInput,
     RecordStore,
-    import_verbatim_file,
+    load_records,
     render_example_blocks,
 )
 
@@ -22,7 +22,7 @@ workdir = Path(tempfile.mkdtemp(prefix="formukit_demo_"))
 store_path = workdir / "store.jsonl"
 
 # --- ingest the bundled worked examples (verbatim-key import) ---------------
-records = import_verbatim_file(files("formukit") / "data" / "seed_records.json")
+records = load_records(files("formukit") / "data" / "seed_records.json")
 store = RecordStore(store_path)
 for rec in records:
     store.ingest(rec)

@@ -25,15 +25,15 @@ _EXPORTS = {
             "prompt_sha256"),
     "prompts": ("PromptBundle", "PromptStrategy", "build_prompt", "parse_profile_response",
                 "render_example_blocks", "validate_profile"),
-    "store": ("FormulationRecord", "RecordStore", "RetrievalWeights", "import_verbatim_file",
-              "load_records", "record_from_verbatim"),
+    "store": ("FormulationRecord", "RecordStore", "RetrievalWeights", "load_records",
+              "record_from_verbatim"),
     "types": ("DEFAULT_OUTPUT_GRID_HR", "HYDROCHLOROTHIAZIDE", "DissolutionConditions",
               "DissolutionProfile", "DrugSubstance", "FormulationInput", "ParticleMorphology",
               "SizeDistribution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 #: The submodules that ``formukit.<name>`` reaches without importing them by name.
-_SUBMODULES = {*_EXPORTS, "errors", "units"}
+_SUBMODULES = {*_EXPORTS, "errors"}
 
 __version__ = "0.1.0"
 

@@ -36,6 +36,8 @@ from .types import (
     DissolutionConditions,
     DissolutionProfile,
     FormulationInput,
+    open_input,
+    read_json,
 )
 
 if TYPE_CHECKING:                       # each command imports the modules it runs
@@ -79,8 +81,7 @@ class AppConfig:
     def load(cls, path: str | None) -> "AppConfig":
         if path is None:
             return cls()
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
         from .llm import LLMConfig
 
         config = _from_json(cls, obj, path)        # its two sections are read next
@@ -117,8 +118,7 @@ def _load_features(args, required=("d50_um",)) -> dict[str, float]:
 
     obj, where = {}, "the feature flags"
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            obj, where = json.load(fh), f"input file {args.input}"
+        obj, where = read_json(args.input), f"input file {args.input}"
     return read_features(obj, where, required, given=_given(args, FEATURE_NAMES))
 
 
@@ -145,7 +145,8 @@ def _read_profile_file(path: str) -> DissolutionProfile:
     """A CSV profile, or a file read as a model response (exit 4 without a table)."""
     from .prompts import parse_profile_response
 
-    text = Path(path).read_text(encoding="utf-8")
+    with open_input(path) as fh:
+        text = fh.read()
     try:
         if not path.endswith(".csv"):
             return parse_profile_response(text)
@@ -173,14 +174,6 @@ def _open_store(config: AppConfig, args) -> RecordStore:
     from .store import RecordStore
 
     return RecordStore(getattr(args, "store", None) or config.store_path)
-
-
-def _load_dataset(path: str):
-    from .store import import_verbatim_file, load_records
-
-    if path.endswith(".jsonl"):
-        return load_records(path)
-    return import_verbatim_file(path)
 
 
 def cmd_simulate(config: AppConfig, args) -> int:
@@ -264,7 +257,9 @@ def _examples_for_predict(config: AppConfig, args, strategy, features: Formulati
         hits = store.retrieve(features, k=args.k)
         return [record for record, _ in hits]
     if args.examples:
-        return _load_dataset(args.examples)
+        from .store import load_records
+
+        return load_records(args.examples)
     raise ValidationError(f"strategy {args.strategy} requires --examples FILE")
 
 
@@ -298,8 +293,10 @@ def cmd_predict(config: AppConfig, args) -> int:
 
 
 def cmd_store_ingest(config: AppConfig, args) -> int:
+    from .store import load_records
+
     store = _open_store(config, args)
-    records = _load_dataset(args.file)
+    records = load_records(args.file)
     for record in records:
         store.ingest(record, overwrite=args.overwrite)
     print(f"ingested {len(records)} record(s) into {store.path} (store size {len(store)})")
@@ -329,9 +326,10 @@ def cmd_store_retrieve(config: AppConfig, args) -> int:
 def cmd_bench(config: AppConfig, args) -> int:
     from . import evaluate as ev
     from .llm import TranscriptRecorder
+    from .store import load_records
     from .svgplot import profile_overlay_svg
 
-    dataset = _load_dataset(args.dataset)
+    dataset = load_records(args.dataset)
     store = _open_store(config, args) if args.store else None
     out = _run_dir(config, args)
     recorder = TranscriptRecorder(out / "transcripts.jsonl")
@@ -378,7 +376,6 @@ def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--output-dir", help="base directory for run outputs")
     parser.add_argument("--run-id", help="name of the run subdirectory (default: timestamp)")
-    parser.add_argument("--seed", type=int, help="seed for stochastic components")
     return parser
 
 
@@ -459,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bins", dest="n_bins", type=int, default=50, help="PSD bin count")
     p.add_argument("--n-starts", dest="n_starts", type=int, default=4,
                    help="number of optimizer starts")
+    p.add_argument("--seed", type=int, help="seed for the random starts (default: config seed)")
 
     p = _command(sub, "predict", cmd_predict,
                  help="predict a release curve through an LLM backend")
@@ -470,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", help="record store for RAG retrieval (JSONL)")
     p.add_argument("--replay", help="transcript JSONL for the replay backend")
     p.add_argument("-k", type=int, default=3, help="retrieved examples for RAG")
+    p.add_argument("--seed", type=int, help="seed for retry jitter (default: config seed)")
 
     p = sub.add_parser("store", help="manage the formulation record store")
     store_sub = p.add_subparsers(dest="store_cmd", required=True)
@@ -491,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="mock", choices=("live", "mock", "replay"))
     p.add_argument("--replay", help="transcript JSONL for the replay backend")
     p.add_argument("--store", help="record store for RAG (defaults to the dataset)")
+    p.add_argument("--seed", type=int, help="seed for retry jitter (default: config seed)")
 
     p = _command(sub, "eval", cmd_eval, help="MSE [%%^2] and R^2 between two profile files")
     p.add_argument("--reference", required=True, help="measured profile (CSV or JSON)")
@@ -509,7 +509,7 @@ def main(argv=None) -> int:
         code, kind, message = EXIT_TRANSPORT, "transport error", str(exc)
     except ParseError as exc:
         code, kind, message = EXIT_PARSE, "parse error", str(exc)
-    except (FormukitError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FormukitError, OSError, ValueError) as exc:
         code, kind, message = EXIT_USAGE, "error", str(exc)
     # one line, even where the message quotes a line break from the input
     print(f"{kind}: {message if message.isprintable() else repr(message)}", file=sys.stderr)

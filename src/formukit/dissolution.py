@@ -23,7 +23,7 @@ quadrature of 1 / (dtau/dt), with the saturating tail integrated in log form.
 Bin i vanishes exactly at tau = G(y0_i) and stays at zero size; dissolved mass is
 closed algebraically against the remaining sizes, so the mass balance holds exactly.
 
-External units are um/mg/mL/hr; everything here converts to SI at entry.
+External units are um/mg/mL/hr; everything here converts to SI at entry (mg/mL is kg/m^3).
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ from .types import (
     ParticleMorphology,
     SizeDistribution,
 )
-from .units import KG_M3_PER_G_ML, M2_KG_PER_M2_G, M_PER_UM, S_PER_HR
+
+M_PER_UM = 1e-6
+S_PER_HR = 3600.0
+KG_M3_PER_G_ML = 1000.0   # true densities arrive in g/mL
+M2_KG_PER_M2_G = 1000.0   # specific surface area: m^2/g -> m^2/kg
 
 #: Power of the squared size y = x^2 in Sh = 2 + b * y^0.26 (Re^0.52, Re ~ x).
 _SH_POWER = 0.26

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConflictError, EmptyStoreError, ParseError, ValidationError
 from .prompts import VERBATIM_KEYS, read_profile_table
-from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
+from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput, open_input, read_json
 
 PROVENANCE_VALUES = ("experimental", "simulated")
 
@@ -190,7 +190,7 @@ class JsonlRows:
         self.torn_bytes = 0
 
     def __iter__(self):
-        with open(self.path, encoding="utf-8") as fh:
+        with open_input(self.path) as fh:
             for line_no, raw in enumerate(fh, start=1):
                 try:
                     if raw.strip():
@@ -229,15 +229,12 @@ class RecordStore:
         self._records: dict[str, FormulationRecord] = {}     # in first-ingest order
         self._matrix = self._weights = None     # retrieval state: built on use, reset by ingest
         self._torn_bytes = 0                    # size of a truncated final line, dropped on ingest
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self):
-        rows = JsonlRows(self.path)
-        for row in rows:
-            record = FormulationRecord.from_dict(row)
-            self._records[record.id] = record
-        self._torn_bytes = rows.torn_bytes
+        if self.path is not None and self.path.exists():        # a missing store is empty
+            rows = JsonlRows(self.path)
+            for row in rows:
+                record = FormulationRecord.from_dict(row)
+                self._records[record.id] = record
+            self._torn_bytes = rows.torn_bytes
 
     def __len__(self) -> int:
         return len(self._records)
@@ -336,20 +333,15 @@ class RecordStore:
 
 
 def load_records(path: str | Path) -> list[FormulationRecord]:
-    """Records from a JSONL file (canonical keys), in file order."""
-    return RecordStore(path).records
-
-
-def import_verbatim_file(path: str | Path) -> list[FormulationRecord]:
-    """Records from a JSON file using the verbatim prompt-block keys.
-
-    The file is either ``{"records": [...]}`` or a bare list; each entry
-    carries Input/Output blocks plus optional id/provenance/source.
-    """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Records from a file that must exist: a ``.jsonl`` file read as a store reads it,
+    or JSON, ``{"records": [...]}`` or a bare list whose entries are read in file order
+    by ``record_from_verbatim``, their ids defaulting to ``record-<n>``."""
+    if str(path).endswith(".jsonl"):
+        Path(path).stat()                   # raises for a missing file, unlike a store
+        return RecordStore(path).records
+    payload = read_json(path)
     entries = payload.get("records", payload) if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValidationError("verbatim import expects a list of record objects")
+        raise ValidationError(f"{path}: expected a list of record objects")
     return [record_from_verbatim(entry, str(entry.get("id", f"record-{i + 1}")))
             for i, entry in enumerate(entries)]

@@ -7,7 +7,10 @@ and are immutable.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
@@ -22,6 +25,22 @@ IMPELLER_RADIUS_M = 0.037
 #: Bin sizes a distribution may hold [um]: 1 nm to 1 m spans every powder, well
 #: inside the range where the solver's squared sizes stay finite and nonzero.
 SIZE_RANGE_UM = (1e-3, 1e6)
+
+
+def open_input(path: str | os.PathLike):
+    """``path`` opened as UTF-8 text; ValidationError unless it names a regular file."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValidationError(f"{path}: not a regular file")
+    return open(path, encoding="utf-8")
+
+
+def read_json(path: str | os.PathLike):
+    """The JSON value in the file at ``path``; a decode error names the file."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

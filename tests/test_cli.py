@@ -575,6 +575,45 @@ class TestConfigFile:
             assert unit in help_text
 
 
+@pytest.mark.parametrize("given, expected", [([], 5), (["--seed", "3"], 3)])
+def test_seed_reaches_the_design_and_the_client(tmp_path, monkeypatch, given, expected):
+    import formukit.inverse
+    import formukit.llm
+
+    seeds = []
+    design_psd, client_init = formukit.inverse.design_psd, formukit.llm.LLMClient.__init__
+
+    def spy_design(spec, *, seed, **kwargs):
+        seeds.append(("design", seed))
+        return design_psd(spec, seed=seed, **kwargs)
+
+    def spy_client(self, *args, seed, **kwargs):
+        seeds.append(("client", seed))
+        client_init(self, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(formukit.inverse, "design_psd", spy_design)
+    monkeypatch.setattr(formukit.llm.LLMClient, "__init__", spy_client)
+    (tmp_path / "c.json").write_text('{"seed": 5}')
+    (tmp_path / "t.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
+    for i, argv in enumerate((["design", "--target", str(tmp_path / "t.csv"), "--n-starts", "1",
+                               "--n-bins", "4"],
+                              ["predict", "--strategy", "zs", "--d50", "50"],
+                              ["bench", "--dataset", SEED_FILE])):
+        assert main([*argv, *given, "--config", str(tmp_path / "c.json"),
+                     "--output-dir", str(tmp_path / "out"), "--run-id", str(i)]) == 0
+    assert seeds == [("design", expected), ("client", expected), ("client", expected)]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--d50", "50"],
+                                  ["eval", "--reference", "r.csv", "--predicted", "p.csv"],
+                                  ["store", "list"], ["store", "ingest", "--file", "r.json"],
+                                  ["store", "retrieve", "--d50", "50"]])
+def test_seed_only_on_the_commands_that_draw(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "3"])
+    assert exc.value.code == 2
+
+
 _RECORD = {"id": "r1", "d50_um": 50.0, "aspect_ratio": 1.0, "roundness": 1.0,
            "solubility_mg_ml": 0.45, "diffusivity_m2_s": 7.5e-10, "true_density_g_ml": 1.512,
            "ssa_m2_g": 1.0, "vol_eq_um": 1.0, "profile": [[0, 0], [1, 50]]}
@@ -691,6 +730,28 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     assert all(f"'{key}'" in err for key in unknown), err
 
 
+@pytest.mark.parametrize("argv, name, text", [
+    *(pytest.param(argv, "absent.jsonl", None, id=f"missing-{argv[-1]}")
+      for argv in (["store", "ingest", "--store", "s.jsonl", "--file"],
+                   ["bench", "--backend", "mock", "--dataset"],
+                   ["predict", "--strategy", "fs", "--d50", "50", "--examples"])),
+    *(pytest.param(argv, "bad.json", '{"id": ', id=f"undecodable-{argv[-1]}")
+      for argv in (["simulate", "--d50", "50", "--config"], ["simulate", "--input"],
+                   ["store", "ingest", "--store", "s.jsonl", "--file"],
+                   ["bench", "--backend", "mock", "--dataset"],
+                   ["predict", "--strategy", "fs", "--d50", "50", "--examples"])),
+])
+def test_unreadable_file_exit_2_naming_it(tmp_path, monkeypatch, capsys, argv, name, text):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code = main([*argv, str(path), "--output-dir", "out", "--run-id", "t"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+
+
 def _fresh_env():
     src = str(Path(formukit.__file__).resolve().parents[1])
     return {**os.environ,
@@ -726,6 +787,41 @@ def test_runs_at_the_end_of_the_float_range_finish(tmp_path):
     for (argv, expected), (exit_code, err) in zip(cases, results):
         assert exit_code == expected, (argv, err)
         assert err.startswith("error: ") if expected else err == "", (argv, err)
+
+
+def test_a_path_that_is_not_a_regular_file_exit_2(tmp_path):
+    # /dev/zero once grew one line until memory ran out, and a FIFO blocked the
+    # read. One fresh interpreter runs every case under an address-space cap and
+    # a timeout, so a read that grows fails with MemoryError and a hang times out.
+    resource = pytest.importorskip("resource")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "ok.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
+    flags = {"--config": ["store", "list"], "--input": ["simulate"],
+             "--target": ["design"], "--reference": ["eval", "--predicted", "ok.csv"],
+             "--predicted": ["eval", "--reference", "ok.csv"],
+             "--examples": ["predict", "--strategy", "fs", "--d50", "50"],
+             "--dataset": ["bench"], "--file": ["store", "ingest", "--store", "s.jsonl"],
+             "--replay": ["predict", "--strategy", "zs", "--d50", "50", "--backend", "replay"],
+             "--store": ["store", "list"]}
+    paths = ["/dev/zero", str(fifo), str(tmp_path / "dir")]
+    cases = [([*argv, flag, path], path) for flag, argv in flags.items() for path in paths]
+    code = ("import contextlib, io, json, sys; from formukit.cli import main\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = main([*argv, '--output-dir', 'out', '--run-id', str(i)])\n"
+            "    print(json.dumps([code, err.getvalue()]), flush=True)")
+    limit = 400 * 2**20
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([argv for argv, _ in cases])],
+                         cwd=tmp_path, env={**_fresh_env(), "OPENBLAS_NUM_THREADS": "1"},
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    results = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("[")]
+    assert len(results) == len(cases), out.stderr
+    for (argv, path), (exit_code, err) in zip(cases, results):
+        assert exit_code == 2 and err == f"error: {path}: not a regular file\n", (argv, err)
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -774,7 +870,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
             f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
     base = {"errors", "types", "prompts"}
-    solver = base | {"store", "dissolution", "units"}
+    solver = base | {"store", "dissolution"}
     cases = [(["store", "list", "--store", "s.jsonl"], base | {"store"}),
              (["eval", "--reference", "ref.csv", "--predicted", "pred.csv"], base | {"evaluate"}),
              (["simulate", "--d50", "50"], solver),

@@ -109,3 +109,15 @@ def test_any_json_ends_in_an_exit_code(flag, value, pick):
         lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
         assert len(lines) == 1, lines
         assert lines[0].startswith(("error: ", "parse error: ", "transport error: ")), lines
+
+
+@pytest.mark.parametrize("kind", ["directory", "device"])
+@pytest.mark.parametrize("flag", list(_COMMANDS))
+def test_a_path_that_is_not_a_regular_file_exit_2(flag, kind, tmp_path, capsys):
+    # /dev/null reads as empty, so its read ends, unlike an endless device or a FIFO
+    path = str(tmp_path) if kind == "directory" else "/dev/null"
+    argv, _ = _COMMANDS[flag]
+    code = main([*(a.format(dir=tmp_path) for a in argv), flag, path,
+                 "--output-dir", f"{tmp_path}/out", "--run-id", "t"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: not a regular file\n"

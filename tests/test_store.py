@@ -13,7 +13,6 @@ from formukit.store import (
     RecordStore,
     RetrievalWeights,
     _spearman,
-    import_verbatim_file,
     load_records,
     record_from_verbatim,
 )
@@ -177,7 +176,7 @@ class TestPersistence:
 
 class TestVerbatimImport:
     def test_seed_file(self):
-        records = import_verbatim_file(SEED_FILE)
+        records = load_records(SEED_FILE)
         assert [r.id for r in records] == ["salish-d50-45", "salish-d50-200", "salish-d50-97p5"]
         assert [r.features.d50_um for r in records] == [45.0, 200.0, 97.5]
         assert records[0].features.ssa_m2_g == 1.70
@@ -392,10 +391,30 @@ class TestToExamples:
             render_example_blocks([])
 
 
-def test_load_records_missing_file_is_empty(tmp_path):
+def test_missing_store_is_empty(tmp_path):
     store = RecordStore(tmp_path / "absent.jsonl")
     assert len(store) == 0
-    assert load_records.__name__ == "load_records"
+
+
+@pytest.mark.parametrize("name", ["absent.jsonl", "absent.json"])
+def test_load_records_missing_file_raises(tmp_path, name):
+    with pytest.raises(FileNotFoundError, match=name):
+        load_records(tmp_path / name)
+
+
+def test_load_records_reads_jsonl_as_the_store_does(tmp_path, example_records):
+    # the last version of each id, in the order ids were first seen
+    path = tmp_path / "store.jsonl"
+    store = RecordStore(path)
+    for rec in example_records[:2]:
+        store.ingest(rec)
+    store.ingest(FormulationRecord(id=example_records[0].id, features=example_records[0].features,
+                                   profile=example_records[0].profile, provenance="simulated"),
+                 overwrite=True)
+    loaded = load_records(path)
+    assert [(r.id, r.provenance) for r in loaded] == [
+        (r.id, r.provenance) for r in RecordStore(path).records] == [
+        (example_records[0].id, "simulated"), (example_records[1].id, "experimental")]
 
 
 def test_single_record_store_still_retrieves(example_records):
