@@ -5,8 +5,8 @@ eval. Configuration comes from an optional JSON file (--config) with flags
 overriding it; the API key for live runs comes only from the environment.
 All outputs land in a run-stamped subdirectory of the output directory.
 
-Exit codes: 0 success (including non-converged designs), 2 usage/config/
-validation errors, 3 transport errors, 4 parse failures.
+Exit codes: 0 success (including non-converged designs); 2 ValidationError,
+or an OSError or ValueError met reading a file; 3 TransportError; 4 ParseError.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (
-    ConfigurationError,
-    DuplicateTimeError,
-    FormukitError,
-    ParseError,
-    RequestError,
-    TransportError,
-    ValidationError,
-)
+from .errors import DuplicateTimeError, FormukitError, ParseError, TransportError, ValidationError
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
     FEATURE_NAMES,
@@ -53,11 +45,11 @@ EXIT_PARSE = 4
 def _from_json(kind, obj, where: str):
     """A ``kind`` dataclass whose fields are the keys of the JSON object ``obj``."""
     if not isinstance(obj, dict):
-        raise ConfigurationError(f"{where} must be a JSON object, got {obj!r}")
+        raise ValidationError(f"{where} must be a JSON object, got {obj!r}")
     try:
         return kind(**obj)
     except TypeError as exc:                  # an unknown key, or a wrong-typed value met a check
-        raise ConfigurationError(f"{where}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -72,10 +64,10 @@ class AppConfig:
         seed = self.seed
         if type(seed) is bool or not isinstance(seed, (int, float)) or (
                 isinstance(seed, float) and not seed.is_integer()):
-            raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         if not (isinstance(self.store_path, str) and isinstance(self.output_dir, str)):
-            raise ConfigurationError("store_path and output_dir must be strings")
+            raise ValidationError("store_path and output_dir must be strings")
 
     @classmethod
     def load(cls, path: str | None) -> "AppConfig":
@@ -145,9 +137,9 @@ def _read_profile_file(path: str) -> DissolutionProfile:
     """A CSV profile, or a file read as a model response (exit 4 without a table)."""
     from .prompts import parse_profile_response
 
-    with open_input(path) as fh:
-        text = fh.read()
     try:
+        with open_input(path) as fh:
+            text = fh.read()
         if not path.endswith(".csv"):
             return parse_profile_response(text)
         rows = list(csv.reader(text.splitlines()))
@@ -155,7 +147,7 @@ def _read_profile_file(path: str) -> DissolutionProfile:
             raise ValidationError(f"{path}: expected header time_hr,released_pct")
         points = [(float(t), float(v)) for t, v, *_ in rows[1:] if t.strip()]
         return DissolutionProfile.from_points(points)
-    except DuplicateTimeError as exc:
+    except (DuplicateTimeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -505,7 +497,7 @@ def main(argv=None) -> int:
     try:
         config = AppConfig.load(args.config)
         return args.func(config, args)
-    except (TransportError, RequestError) as exc:
+    except TransportError as exc:
         code, kind, message = EXIT_TRANSPORT, "transport error", str(exc)
     except ParseError as exc:
         code, kind, message = EXIT_PARSE, "parse error", str(exc)

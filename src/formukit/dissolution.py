@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import ValidationError
 from .types import (
     DEFAULT_OUTPUT_GRID_HR,
     SIZE_RANGE_UM,
@@ -150,9 +150,9 @@ def sherwood(re, sc):
     re = np.asarray(re, dtype=float)
     sc = np.asarray(sc, dtype=float)
     if np.any(re < 0):
-        raise DomainError("Reynolds number must be >= 0")
+        raise ValidationError("Reynolds number must be >= 0")
     if np.any(sc <= 0):
-        raise DomainError("Schmidt number must be > 0")
+        raise ValidationError("Schmidt number must be > 0")
     sh = 2.0 + 0.52 * re ** 0.52 * sc ** (1.0 / 3.0)
     return float(sh) if sh.ndim == 0 else sh
 
@@ -165,9 +165,9 @@ def reynolds_schmidt(conditions: DissolutionConditions, x, diffusivity: float):
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
-        raise DomainError("particle size must be > 0")
+        raise ValidationError("particle size must be > 0")
     if diffusivity <= 0:
-        raise DomainError("diffusivity must be > 0")
+        raise ValidationError("diffusivity must be > 0")
     u = conditions.slip_velocity_m_s
     re = conditions.fluid_density_kg_m3 * u * x / conditions.fluid_viscosity_pa_s
     sc = conditions.fluid_viscosity_pa_s / (conditions.fluid_density_kg_m3 * diffusivity)
@@ -184,11 +184,11 @@ def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDist
     1 that the bin sizes round together, degenerates to a single bin at d50.
     """
     if d50_um <= 0:
-        raise DomainError("d50 must be > 0")
+        raise ValidationError("d50 must be > 0")
     if not 1.0 <= geo_sigma < np.inf:
-        raise DomainError("geo_sigma must be finite and >= 1")
+        raise ValidationError("geo_sigma must be finite and >= 1")
     if n_bins < 1:
-        raise DomainError("n_bins must be >= 1")
+        raise ValidationError("n_bins must be >= 1")
     u = np.linspace(-3.0, 3.0, n_bins)
     with np.errstate(over="ignore"):                  # SizeDistribution rejects what overflows
         sizes = d50_um * np.exp(np.log(geo_sigma) * u)
@@ -236,11 +236,11 @@ class SimulationResult:
 def _check_grid(output_grid_hr) -> np.ndarray:
     grid = np.asarray(output_grid_hr, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
-        raise DomainError("output grid must be a non-empty 1-D sequence")
+        raise ValidationError("output grid must be a non-empty 1-D sequence")
     if grid[0] != 0.0:
-        raise DomainError("output grid must start at 0")
+        raise ValidationError("output grid must start at 0")
     if np.any(np.diff(grid) <= 0):
-        raise DomainError("output grid must be strictly increasing")
+        raise ValidationError("output grid must be strictly increasing")
     return grid
 
 
@@ -310,7 +310,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
 
     Raises
     ------
-    IntegrationError
+    ValidationError
         If rounding swamps the driving force (dose ~1e16 x capacity), or the clock's
         rate underflows or its time overflows.
     """
@@ -375,7 +375,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
                     tau += force / fall(y)
                 tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo < tau < hi else 0.5 * (lo + hi)
             if hi == 0.0:
-                raise IntegrationError("dose too far past the capacity to resolve")
+                raise ValidationError("dose too far past the capacity to resolve")
             tau_end = hi
         u_cut, tau_cut = -np.log(_TAU_RTOL), tau_end * (1.0 - _TAU_RTOL)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -395,7 +395,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         force = np.maximum(np.concatenate([driving(y) for y in y_nodes]).reshape(gap.shape),
                            _TAU_RTOL * c_sat * gap / tau_end)
         if np.min(rate := rate_base * force) < np.finfo(float).tiny:
-            raise IntegrationError("the clock's rate underflows: dissolution too slow to resolve")
+            raise ValidationError("the clock's rate underflows: dissolution too slow to resolve")
         # dt/ds on each panel, s in [-1, 1], as the polynomial through its nodes
         # (einsum, not a BLAS matrix product, whose work buffer costs memory).
         k = np.arange(_GL_NODES.size)
@@ -404,7 +404,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
             t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
         t_cut = t_edges[-1]
         if not np.isfinite(t_cut):
-            raise IntegrationError("the run's clock overflows: dissolution too slow to resolve")
+            raise ValidationError("the run's clock overflows: dissolution too slow to resolve")
 
         def powers(s):
             """s^k and its integral from -1 to s, for each power k."""

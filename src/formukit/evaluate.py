@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateReferenceError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .prompts import PromptStrategy
 from .types import DissolutionProfile
 
@@ -44,18 +44,18 @@ def align_profiles(reference: DissolutionProfile,
 
     The grid is the reference's times restricted to the overlap of both time
     ranges; predicted values are linearly interpolated there. Raises
-    AlignmentError when the overlap contains fewer than two reference points.
+    ValidationError when the overlap contains fewer than two reference points.
     """
     if reference.n_points < 2 or predicted.n_points < 2:
-        raise AlignmentError("profiles need at least 2 points each")
+        raise ValidationError("profiles need at least 2 points each")
     lo = max(reference.times_hr[0], predicted.times_hr[0])
     hi = min(reference.times_hr[-1], predicted.times_hr[-1])
     if lo > hi:
-        raise AlignmentError("profiles have no overlapping time range")
+        raise ValidationError("profiles have no overlapping time range")
     mask = (reference.times_hr >= lo) & (reference.times_hr <= hi)
     times = reference.times_hr[mask]
     if times.size < 2:
-        raise AlignmentError("overlap contains fewer than 2 reference points")
+        raise ValidationError("overlap contains fewer than 2 reference points")
     predicted_on_grid = np.interp(times, predicted.times_hr, predicted.released_pct)
     return AlignedPair(times, reference.released_pct[mask], predicted_on_grid)
 
@@ -70,7 +70,7 @@ def r_squared(pair: AlignedPair) -> float:
     """1 - SS_res / SS_tot; 1.0 iff the fit is exact, may be negative."""
     ss_tot = float(np.sum((pair.reference - pair.reference.mean()) ** 2))
     if ss_tot == 0.0:
-        raise DegenerateReferenceError("reference profile has zero variance")
+        raise ValidationError("reference profile has zero variance")
     ss_res = float(np.sum((pair.reference - pair.predicted) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -171,24 +171,23 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
     :data:`N_EXAMPLES` by id); RAG retrieves the :data:`RETRIEVE_K` nearest
     from ``store`` (defaulting to the dataset itself), always excluding the
     record under evaluation. A record whose profile has fewer than 2 points
-    or constant values raises ValidationError before any call. Parse failures
-    are counted per strategy; a strategy whose parses all fail is reported as
-    unevaluable rather than raising; any other error stops further prompts
-    and calls and is re-raised. Up to ``client.config.max_inflight`` model
-    calls run at once, so transcript lines come in completion order; the
-    report does not depend on it.
+    or constant values raises ValidationError before any call. Parse failures,
+    and answers that cannot be aligned with the reference, are counted per
+    strategy; a strategy whose parses all fail is reported as unevaluable
+    rather than raising; any other error stops further prompts and calls and
+    is re-raised. Up to ``client.config.max_inflight`` model calls run at
+    once, so transcript lines come in completion order; the report does not
+    depend on it.
     """
-    import threading
-    from concurrent.futures import CancelledError, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
     from itertools import product
 
-    from .errors import StrategyPreconditionError
     from .prompts import build_prompt, parse_profile_response
     from .store import RecordStore
 
     records = list(dataset)
     if not records:
-        raise AlignmentError("benchmark dataset is empty")
+        raise ValidationError("benchmark dataset is empty")
     records.sort(key=lambda r: r.id)
     for rec in records:                     # bad input, not a failed parse: before any call
         if rec.profile.n_points < 2 or np.ptp(rec.profile.released_pct) == 0.0:
@@ -207,22 +206,22 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
     # strategy -> [(record, completion future, or None if no prompt was built)]
     calls: dict[str, list] = {s: [] for s in order}
     rows = []
-    aborted = threading.Event()         # a call failed other than by parsing
+    aborted = []            # the first call that failed other than by parsing
 
     def complete(prompt):
-        if aborted.is_set():
-            raise CancelledError
+        if aborted:         # every later call fails as it did, whichever is read first
+            raise aborted[0]
         try:
             return client.complete(prompt)
         except Exception as exc:
             if not isinstance(exc, ParseError):
-                aborted.set()
+                aborted.append(exc)
             raise
 
     pool = ThreadPoolExecutor(max_workers=client.config.max_inflight)
     try:
         for name, rec in product(order, records):
-            if aborted.is_set():
+            if aborted:
                 break
             strategy = PromptStrategy[name]
             examples = None
@@ -231,11 +230,10 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
                 examples = [r for r, _ in hits if r.id != rec.id][:RETRIEVE_K]
             elif strategy.needs_examples:
                 examples = [r for r in records if r.id != rec.id][:N_EXAMPLES]
-            try:
-                prompt = build_prompt(strategy, rec.features, examples=examples)
-            except StrategyPreconditionError:
+            if strategy.needs_examples and not examples:
                 calls[name].append((rec, None))
                 continue
+            prompt = build_prompt(strategy, rec.features, examples=examples)
             calls[name].append((rec, pool.submit(complete, prompt)))
 
         for name in order:
@@ -247,10 +245,13 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
                     failures += 1
                     notes.add("no disjoint examples available")
                     continue
-                try:
+                try:                    # a failed call other than a parse is raised
                     predicted = parse_profile_response(future.result().text)
-                    m, r2 = profile_metrics(rec.profile, predicted)
-                except (ParseError, AlignmentError, DegenerateReferenceError):
+                    try:
+                        m, r2 = profile_metrics(rec.profile, predicted)
+                    except ValidationError as exc:      # no overlap, or a flat overlap
+                        raise ParseError(str(exc)) from exc
+                except ParseError:
                     failures += 1
                     notes.add("parse failure(s) excluded")
                     continue

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dissolution import derived_metrics, psd_from_lognormal, simulate, simulate_dissolution
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .evaluate import align_profiles, mse
 from .types import (
     DissolutionConditions,
@@ -83,7 +83,7 @@ class FreeBinsParameterization:
     def geometric(cls, n: int, x_min_um: float, x_max_um: float
                   ) -> "FreeBinsParameterization":
         if not (0 < x_min_um < x_max_um):
-            raise ConfigurationError("need 0 < x_min < x_max")
+            raise ValidationError("need 0 < x_min < x_max")
         return cls(np.geomspace(x_min_um, x_max_um, n))
 
     @property
@@ -108,21 +108,21 @@ class DesignSpec:
 
     def __post_init__(self):
         if self.target.n_points < 2:
-            raise ConfigurationError("target must have at least 2 points")
+            raise ValidationError("target must have at least 2 points")
         if not self.target.starts_at_zero:
-            raise ConfigurationError("target profile must start at (0, 0)")
+            raise ValidationError("target profile must start at (0, 0)")
         if not self.is_lognormal:
             if self.bounds is not None:
-                raise ConfigurationError("free-bin fractions lie in [0, 1]: give no bounds")
+                raise ValidationError("free-bin fractions lie in [0, 1]: give no bounds")
             return
         self.bounds = DEFAULT_LOGNORMAL_BOUNDS if self.bounds is None else self.bounds
         if len(self.bounds) != 2:
-            raise ConfigurationError(f"need 2 (lo, hi) bounds, got {len(self.bounds)}")
+            raise ValidationError(f"need 2 (lo, hi) bounds, got {len(self.bounds)}")
         for lo, hi in self.bounds:
             if not -np.inf < lo < hi < np.inf:
-                raise ConfigurationError(f"infeasible bound ({lo}, {hi}): need finite lo < hi")
+                raise ValidationError(f"infeasible bound ({lo}, {hi}): need finite lo < hi")
         if not (self.bounds[0][0] > 0.0 and self.bounds[1][0] >= 1.0):
-            raise ConfigurationError("d50 bounds must be > 0 and geo_sigma bounds >= 1")
+            raise ValidationError("d50 bounds must be > 0 and geo_sigma bounds >= 1")
 
     @property
     def is_lognormal(self) -> bool:
@@ -329,7 +329,7 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
     accepted iterate with ``converged=False``.
     """
     if n_starts < 1:
-        raise ConfigurationError("n_starts must be >= 1")
+        raise ValidationError("n_starts must be >= 1")
     if spec.is_lognormal:
         return _design_lognormal(spec, seed, n_starts)
     return _design_free_bins(spec, max_iter_free)

@@ -26,7 +26,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigurationError, MockParseError, RequestError, TransportError, ValidationError
+from .errors import ParseError, TransportError, ValidationError
 from .prompts import PromptBundle, extract_section, parse_input_block, render_profile_json
 from .store import JsonlRows, append_jsonl
 
@@ -51,13 +51,13 @@ class LLMConfig:
         for name, got in vars(self).items():          # each field takes its default's type
             kind = type(getattr(LLMConfig, name))
             if type(got) is bool or not isinstance(got, (int, float) if kind is float else kind):
-                raise ConfigurationError(f"llm {name} must be of type {kind.__name__}")
+                raise ValidationError(f"llm {name} must be of type {kind.__name__}")
         for name, least in (("temperature", 0), ("max_tokens", 1), ("max_retries", 0),
                             ("max_inflight", 1)):
             if not getattr(self, name) >= least:
-                raise ConfigurationError(f"{name} must be >= {least}")
+                raise ValidationError(f"{name} must be >= {least}")
         if not 0 < self.timeout_s < float("inf"):
-            raise ConfigurationError("timeout_s must be finite and > 0")
+            raise ValidationError("timeout_s must be finite and > 0")
 
 
 def prompt_sha256(prompt: PromptBundle | str) -> str:
@@ -123,9 +123,10 @@ class LiveBackend:
         self.transport = transport if transport is not None else _requests_transport
 
     def respond(self, prompt: PromptBundle) -> tuple[str, dict | None]:
+        """The answer's text and usage; TransportError unless the body holds a string answer."""
         key = os.environ.get(self.config.api_key_env, "")
         if not key:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"live backend requires the {self.config.api_key_env} environment variable")
         payload = {
             "model": self.config.model,
@@ -140,12 +141,14 @@ class LiveBackend:
         if status == 429 or status >= 500:
             raise RetryableTransportFailure(f"HTTP {status}: {text[:200]}")
         if status >= 400:
-            raise RequestError(f"HTTP {status}: {text[:200]}")
+            raise TransportError(f"HTTP {status}: {text[:200]}")
         try:
             body = json.loads(text)
             content = body["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-            raise RequestError(f"unexpected response body: {text[:200]}") from exc
+        except (ValueError, LookupError, TypeError, RecursionError):     # not JSON, or no answer
+            content = None
+        if not isinstance(content, str):
+            raise TransportError(f"unexpected response body: {text[:200]}")
         return content, body.get("usage")
 
 
@@ -167,13 +170,12 @@ class MockBackend:
 
     def respond(self, prompt: PromptBundle) -> tuple[str, None]:
         from .dissolution import psd_from_lognormal, simulate_dissolution
-        from .errors import ParseError
 
         try:
             block = extract_section(prompt.rendered, "Input Format")
             features = parse_input_block(block)
         except ParseError as exc:
-            raise MockParseError(f"mock backend cannot read the prompt input: {exc}") from exc
+            raise ParseError(f"mock backend cannot read the prompt input: {exc}") from exc
         psd = psd_from_lognormal(features.d50_um, 1.5, 50)
         profile = simulate_dissolution(
             features.drug(), features.morphology(), psd, self.conditions)
@@ -195,14 +197,17 @@ class ReplayBackend:
         for row in JsonlRows(path):
             if not isinstance(row, dict) or not isinstance(row.get("prompt_sha256"), str):
                 raise ValidationError(f"{path}: a line is not a transcript record")
-            if row.get("response") is not None:
-                responses[row["prompt_sha256"]] = row["response"]
+            response = row.get("response")
+            if not isinstance(response, (str, type(None))):
+                raise ValidationError(f"{path}: a transcript response is not a string or null")
+            if response is not None:
+                responses[row["prompt_sha256"]] = response
         return cls(responses)
 
     def respond(self, prompt: PromptBundle) -> tuple[str, None]:
         digest = prompt_sha256(prompt)
         if digest not in self.responses:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"replay store has no transcript for prompt {digest[:12]}...")
         return self.responses[digest], None
 
@@ -283,6 +288,6 @@ def make_backend(name: str, config: LLMConfig, *, replay_path=None, conditions=N
         return MockBackend(conditions=conditions)
     if name == "replay":
         if replay_path is None:
-            raise ConfigurationError("replay backend needs a transcript file")
+            raise ValidationError("replay backend needs a transcript file")
         return ReplayBackend.from_jsonl(replay_path)
-    raise ConfigurationError(f"unknown backend {name!r}")
+    raise ValidationError(f"unknown backend {name!r}")

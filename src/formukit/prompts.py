@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyProfileError,
-    ParseError,
-    StrategyPreconditionError,
-)
+from .errors import ParseError, ValidationError
 from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 
@@ -187,7 +182,7 @@ def render_example_blocks(records) -> str:
     """Worked input/output example blocks, one per record, in given order."""
     records = list(records)
     if not records:
-        raise StrategyPreconditionError("at least one example record is required")
+        raise ValidationError("at least one example record is required")
     blocks = []
     for i, rec in enumerate(records, start=1):
         blocks.append(
@@ -358,7 +353,7 @@ def read_profile_table(table: dict) -> tuple[list[float], list[float], bool]:
 
     rows = table.get("data")
     if not isinstance(rows, list) or len(rows) == 0:
-        raise EmptyProfileError("profile table has an empty data array")
+        raise ParseError("profile table has an empty data array")
     times, released = [], []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) <= max(time_idx, value_idx):
@@ -404,7 +399,7 @@ def parse_profile_response(text: str, full_output: bool = False):
 
     try:
         profile = DissolutionProfile(np.asarray(times), np.asarray(released))
-    except DomainError as exc:
+    except ValidationError as exc:
         raise ParseError(str(exc)) from exc
     return (profile, report) if full_output else profile
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConflictError, EmptyStoreError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .prompts import VERBATIM_KEYS, read_profile_table
 from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput, open_input, read_json
 
@@ -183,7 +183,8 @@ class JsonlRows:
     """The rows of an append-only JSONL file, read one at a time as iterated.
     A final line cut short (invalid, no newline) is skipped with a logged
     warning and its size in bytes kept in ``torn_bytes``; any other invalid
-    line raises ValidationError."""
+    line (nested past the recursion limit too) raises ValidationError naming
+    it, and so does text that is not UTF-8."""
 
     def __init__(self, path: str | Path):
         self.path = path
@@ -191,16 +192,20 @@ class JsonlRows:
 
     def __iter__(self):
         with open_input(self.path) as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    if raw.strip():
-                        yield json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    if raw.endswith("\n"):
-                        raise ValidationError(f"{self.path}:{line_no}: invalid JSON line") from exc
-                    logging.getLogger(__name__).warning(
-                        "%s:%d: skipped a truncated final line", self.path, line_no)
-                    self.torn_bytes = len(raw.encode("utf-8"))
+            try:
+                for line_no, raw in enumerate(fh, start=1):
+                    try:
+                        if raw.strip():
+                            yield json.loads(raw)
+                    except (ValueError, RecursionError) as exc:     # not JSON, or too deep
+                        if raw.endswith("\n"):
+                            raise ValidationError(
+                                f"{self.path}:{line_no}: invalid JSON line") from exc
+                        logging.getLogger(__name__).warning(
+                            "%s:%d: skipped a truncated final line", self.path, line_no)
+                        self.torn_bytes = len(raw.encode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{self.path}: {exc}") from exc
 
 
 def append_jsonl(path: Path, row, torn_bytes: int = 0) -> None:
@@ -249,7 +254,7 @@ class RecordStore:
     def ingest(self, record: FormulationRecord, overwrite: bool = False) -> None:
         """Add a record; appends to the JSONL file when the store is backed."""
         if record.id in self._records and not overwrite:
-            raise ConflictError(f"record id {record.id!r} already in store")
+            raise ValidationError(f"record id {record.id!r} already in store")
         self._records[record.id] = record
         self._matrix = self._weights = None
         if self.path is not None:
@@ -273,7 +278,7 @@ class RecordStore:
         store contents; callers share the returned weights.
         """
         if len(self) == 0:
-            raise EmptyStoreError("cannot adapt weights on an empty store")
+            raise ValidationError("cannot adapt weights on an empty store")
         if self._weights is not None:
             return self._weights
         matrix = self.feature_matrix()
@@ -309,7 +314,7 @@ class RecordStore:
         if k < 1:
             raise ValidationError("k must be >= 1")
         if len(self) == 0:
-            raise EmptyStoreError("cannot retrieve from an empty store")
+            raise ValidationError("cannot retrieve from an empty store")
         if weights is None:
             weights = self.adapt_weights()
         if feature_subset is not None:

@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, DuplicateTimeError, ValidationError
+from .errors import DuplicateTimeError, ValidationError
 
 # Default reporting grid for release curves, in hours.
 DEFAULT_OUTPUT_GRID_HR = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
@@ -35,11 +35,12 @@ def open_input(path: str | os.PathLike):
 
 
 def read_json(path: str | os.PathLike):
-    """The JSON value in the file at ``path``; a decode error names the file."""
+    """The JSON value in the file at ``path``; text that is not UTF-8 or not JSON,
+    or JSON nested past the recursion limit, raises ValidationError naming the file."""
     with open_input(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:       # ValueError: decode errors
             raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -64,7 +65,7 @@ class DrugSubstance:
     def __post_init__(self):
         for name in ("c_sat_mg_ml", "diffusivity_m2_s", "true_density_g_ml"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0")
+                raise ValidationError(f"{name} must be finite and > 0")
 
 
 #: Diuretic powder used throughout the bundled example data.
@@ -97,7 +98,7 @@ class ParticleMorphology:
 
     def __post_init__(self):
         if not 1.0 <= self.aspect_ratio < math.inf:
-            raise DomainError("aspect_ratio must be finite and >= 1")
+            raise ValidationError("aspect_ratio must be finite and >= 1")
 
     @property
     def surface_to_volume_ratio(self) -> float:
@@ -129,13 +130,13 @@ class SizeDistribution:
             raise ValidationError("sizes and fractions must be matching non-empty 1-D arrays")
         lo, hi = SIZE_RANGE_UM
         if not (sizes.min() >= lo and sizes.max() <= hi):             # NaN fails both
-            raise DomainError(f"bin sizes must be finite and > 0, within {lo:g}-{hi:g} um")
+            raise ValidationError(f"bin sizes must be finite and > 0, within {lo:g}-{hi:g} um")
         if not (sizes[1:] > sizes[:-1]).all():
-            raise DomainError("bin sizes must be strictly increasing")
+            raise ValidationError("bin sizes must be strictly increasing")
         if not fracs.min() >= 0.0:                                    # NaN is not >= 0
-            raise DomainError("mass fractions must be >= 0")
+            raise ValidationError("mass fractions must be >= 0")
         if abs((total := fracs.sum()) - 1.0) > 1e-9:
-            raise DomainError(f"mass fractions must sum to 1 (got {total!r})")
+            raise ValidationError(f"mass fractions must sum to 1 (got {total!r})")
 
     @property
     def n_bins(self) -> int:
@@ -182,14 +183,14 @@ class DissolutionConditions:
     def __post_init__(self):
         *nums, sink = vars(self).values()                     # sink_override is the last field
         if type(sink) is not bool or any(type(v) is bool or not isinstance(v, Real) for v in nums):
-            raise ConfigurationError("sink_override must be a bool, the other conditions numbers")
+            raise ValidationError("sink_override must be a bool, the other conditions numbers")
         for name in ("medium_volume_ml", "dose_mg", "fluid_density_kg_m3", "fluid_viscosity_pa_s"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0")
+                raise ValidationError(f"{name} must be finite and > 0")
         if not (0.0 < self.velocity_factor <= 1.0):
-            raise DomainError("velocity_factor must be in (0, 1]")
+            raise ValidationError("velocity_factor must be in (0, 1]")
         if not 0.0 <= self.paddle_rpm < math.inf:
-            raise DomainError("paddle_rpm must be finite and >= 0")
+            raise ValidationError("paddle_rpm must be finite and >= 0")
 
     @property
     def slip_velocity_m_s(self) -> float:
@@ -218,7 +219,7 @@ class DissolutionProfile:
         if t.ndim != 1 or r.shape != t.shape or t.size == 0:
             raise ValidationError("times and released values must be matching non-empty 1-D arrays")
         if not (np.isfinite(t).all() and np.isfinite(r).all()):
-            raise DomainError("times and released values must be finite")
+            raise ValidationError("times and released values must be finite")
         if not (t[1:] > t[:-1]).all():                    # strictly increasing: no sort, no duplicates
             order = t.argsort(kind="stable")
             t, r = t[order], r[order]
@@ -227,9 +228,9 @@ class DissolutionProfile:
         object.__setattr__(self, "times_hr", t)
         object.__setattr__(self, "released_pct", r)
         if t[0] < 0:
-            raise DomainError("times must be >= 0")
+            raise ValidationError("times must be >= 0")
         if r.min() < 0 or r.max() > 100:
-            raise DomainError("released % must be within [0, 100]")
+            raise ValidationError("released % must be within [0, 100]")
 
     @property
     def n_points(self) -> int:
@@ -280,11 +281,11 @@ class FormulationInput:
         for name in ("d50_um", "solubility_mg_ml", "diffusivity_m2_s",
                      "true_density_g_ml", "ssa_m2_g", "vol_eq_um"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0")
+                raise ValidationError(f"{name} must be finite and > 0")
         if not 1.0 <= self.aspect_ratio < math.inf:
-            raise DomainError("aspect_ratio must be finite and >= 1")
+            raise ValidationError("aspect_ratio must be finite and >= 1")
         if not (0.0 < self.roundness <= 1.0):
-            raise DomainError("roundness must be in (0, 1]")
+            raise ValidationError("roundness must be in (0, 1]")
 
     def feature_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)

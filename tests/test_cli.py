@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import formukit
+from formukit import cli, llm
 from formukit.cli import AppConfig, main
+from formukit.errors import DuplicateTimeError, ParseError, TransportError, ValidationError
 
 SEED_FILE = str(files("formukit") / "data" / "seed_records.json")
 
@@ -885,3 +887,87 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
                              cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
                              timeout=60)
         assert json.loads(out.stdout.splitlines()[-1]) == [0, sorted(modules)], (argv, out.stderr)
+
+
+@pytest.mark.parametrize("error, code, kind", [
+    (ValidationError, 2, "error"), (ParseError, 4, "parse error"),
+    (DuplicateTimeError, 4, "parse error"), (TransportError, 3, "transport error")])
+def test_each_error_class_has_its_exit_code(monkeypatch, capsys, error, code, kind):
+    def failing(config, args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_store_list", failing)
+    assert main(["store", "list"]) == code
+    assert capsys.readouterr().err == f"{kind}: the message\n"
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json", _DEEP, id="deep-config"),
+    pytest.param(["simulate", "--input"], "i.json", _DEEP, id="deep-input"),
+    pytest.param(["store", "ingest", "--store", "s.jsonl", "--file"], "r.json", _DEEP,
+                 id="deep-file"),
+    pytest.param(["store", "list", "--store"], "s.jsonl", _DEEP + "\n", id="deep-store"),
+    pytest.param(["store", "list", "--store"], "s.jsonl",
+                 json.dumps(_RECORD) + "\n" + _DEEP + "\n", id="deep-second-store-line"),
+    pytest.param(["store", "list", "--store"], "s.jsonl", "9" * 5000 + "\n",
+                 id="store-line-int-past-the-digit-limit"),
+    *(pytest.param(argv, name, b"\xff\xfe{}\n", id=f"not-utf8-{name}")
+      for argv, name in ((["simulate", "--d50", "50", "--config"], "c.json"),
+                         (["store", "list", "--store"], "s.jsonl"),
+                         (["store", "ingest", "--store", "s.jsonl", "--file"], "r.jsonl"),
+                         (["design", "--n-starts", "1", "--target"], "t.csv"),
+                         (["design", "--n-starts", "1", "--target"], "t.json"),
+                         (["eval", "--reference", "ok.csv", "--predicted"], "p.txt"))),
+])
+def test_hostile_file_exit_2_naming_it(tmp_path, monkeypatch, capsys, argv, name, text):
+    # JSON nested past the recursion limit, and bytes that are not UTF-8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = main([*argv, str(path), "--output-dir", "out", "--run-id", "t"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err[:300]
+    if name == "s.jsonl" and not isinstance(text, bytes):
+        assert err == f"error: {path}:{text.count(chr(10))}: invalid JSON line\n"
+
+
+_PREDICT = ["predict", "--strategy", "zs", "--d50", "50"]
+_BENCH = ["bench", "--dataset", SEED_FILE]
+
+
+@pytest.mark.parametrize("body", [
+    json.dumps({"choices": [{"message": {"content": None}}]}),
+    json.dumps({"choices": [{"message": {"content": 5}}]}),
+    "[" * 100_000,
+    '{"choices": [{"message": {"content": "x"}}], "usage": ' + "9" * 5000 + "}",
+], ids=["null-content", "number-content", "deep-body", "int-past-the-digit-limit"])
+@pytest.mark.parametrize("argv", [_PREDICT, _BENCH], ids=["predict", "bench"])
+def test_live_body_without_a_string_answer_exit_3(tmp_path, monkeypatch, capsys, argv, body):
+    monkeypatch.setenv("FORMU_API_KEY", "offline")
+    monkeypatch.setattr(llm, "_requests_transport", lambda *args: (200, body))
+    code = main([*argv, "--backend", "live", "--output-dir", str(tmp_path), "--run-id", "t"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"transport error: unexpected response body: {body[:200]}\n"
+
+
+@pytest.mark.parametrize("argv", [_PREDICT, _BENCH], ids=["predict", "bench"])
+def test_replay_response_that_is_not_a_string_exit_2(tmp_path, capsys, argv):
+    # each line keeps its prompt's real digest, so only the response is wrong
+    out = str(tmp_path / "out")
+    assert main([*argv, "--backend", "mock", "--output-dir", out, "--run-id", "m"]) == 0
+    recorded = next(_out(tmp_path, "m").glob("transcript*.jsonl")).read_text()
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text("".join(json.dumps({**json.loads(line), "response": 5}) + "\n"
+                              for line in recorded.splitlines()))
+    capsys.readouterr()
+    code = main([*argv, "--backend", "replay", "--replay", str(replay),
+                 "--output-dir", out, "--run-id", "r"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {replay}: a transcript response is not a string or null\n")

@@ -14,8 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formukit.cli import main  # noqa: E402
-from formukit.prompts import VERBATIM_KEYS  # noqa: E402
-from formukit.types import FEATURE_NAMES  # noqa: E402
+from formukit.llm import prompt_sha256  # noqa: E402
+from formukit.prompts import VERBATIM_KEYS, PromptStrategy, build_prompt  # noqa: E402
+from formukit.types import FEATURE_NAMES, FormulationInput  # noqa: E402
 
 # Keys the readers look for, so that generated objects get past the first check.
 _KNOWN_KEYS = [*FEATURE_NAMES, *(verbatim for verbatim, _ in VERBATIM_KEYS),
@@ -64,8 +65,10 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
     "llm": st.fixed_dictionaries({}, optional={
         "max_inflight": st.integers(-1, 8), "temperature": st.floats(), "model": _SCALARS}),
     "seed": _SCALARS})
-_TRANSCRIPTS = st.lists(st.fixed_dictionaries({"prompt_sha256": st.text(max_size=4),
-                                               "response": _JSON}), max_size=3)
+# The digest of the --replay command's prompt, so that a drawn response reaches the parser.
+_DIGEST = prompt_sha256(build_prompt(PromptStrategy.ZS, FormulationInput(d50_um=50.0)))
+_TRANSCRIPTS = st.lists(st.fixed_dictionaries({
+    "prompt_sha256": st.text(max_size=4) | st.just(_DIGEST), "response": _JSON}), max_size=3)
 _INPUTS = (_JSON | _mutated(_FEATURES | _VERBATIM_FEATURES) | _RECORDS
            | _RECORDS.map(lambda records: {"records": records}) | _mutated(_TABLES)
            | _mutated(_CONFIGS) | _TRANSCRIPTS)

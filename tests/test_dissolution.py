@@ -13,7 +13,7 @@ from formukit.dissolution import (
     simulate,
     simulate_dissolution,
 )
-from formukit.errors import DomainError, IntegrationError
+from formukit.errors import ValidationError
 from formukit.types import (
     DissolutionConditions,
     DrugSubstance,
@@ -45,9 +45,9 @@ class TestSherwood:
         assert np.all(sherwood(re, sc) >= 2.0)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             sherwood(-1.0, 100.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             sherwood(1.0, 0.0)
 
 
@@ -95,9 +95,9 @@ class TestMassTransfer:
     def test_zero_size_is_singular(self, conditions):
         # k = Sh * D / x has no value at x = 0: no powder and no Reynolds
         # number takes a zero size.
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             SizeDistribution([0.0], [1.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             reynolds_schmidt(conditions, 0.0, 7.5e-10)
 
 
@@ -290,11 +290,11 @@ class TestLognormalPsd:
         assert np.all(small.sizes_um < large.d50_um)
 
     def test_preconditions(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             psd_from_lognormal(-1.0, 1.5, 50)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             psd_from_lognormal(97.5, 0.9, 50)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             psd_from_lognormal(97.5, 1.5, 0)
 
 
@@ -430,8 +430,14 @@ class TestSimulate:
         # At D = 1e-300 m^2/s the clock's rate, rate_base * (C_sat - C_b), falls below the
         # smallest normal float; its time would be rounding noise, so the run refuses.
         drug = DrugSubstance(c_sat_mg_ml=1e-10, diffusivity_m2_s=1e-300, true_density_g_ml=1.512)
-        with pytest.raises(IntegrationError, match="rate underflows"):
+        with pytest.raises(ValidationError, match="rate underflows"):
             simulate(drug, sphere, psd_from_lognormal(100.0, 1.5, 50), DissolutionConditions())
+
+    def test_dose_far_past_the_capacity_raises(self, drug, sphere):
+        # At 1e19 mg the solubility is lost next to dose/V: no root for C_b = C_sat.
+        with pytest.raises(ValidationError, match="capacity"):
+            simulate(drug, sphere, psd_from_lognormal(50.0, 1.5, 50),
+                     DissolutionConditions(dose_mg=1e19))
 
     @pytest.mark.parametrize("n_bins", [1, 12, 50])
     @pytest.mark.parametrize("dose_mg", [600.0, 1000.0, 1e6])
@@ -509,9 +515,9 @@ class TestSimulate:
 
     def test_grid_validation(self, drug, sphere, conditions):
         psd = psd_from_lognormal(97.5, 1.5, 10)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             simulate_dissolution(drug, sphere, psd, conditions, (0.5, 1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             simulate_dissolution(drug, sphere, psd, conditions, (0.0, 1.0, 1.0))
 
     def test_aspect_ratio_speeds_dissolution(self, drug, conditions, grid):

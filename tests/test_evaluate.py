@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from formukit.dissolution import psd_from_lognormal, simulate_dissolution
-from formukit.errors import AlignmentError, DegenerateReferenceError, RequestError, ValidationError
+from formukit.errors import TransportError, ValidationError
 from formukit.evaluate import (
     STRATEGY_ORDER,
     align_profiles,
@@ -50,7 +51,7 @@ class TestAlign:
     def test_no_overlap(self):
         ref = _profile([5, 6], [80, 90])
         pred = _profile([0, 1], [0, 50])
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ValidationError, match="overlap"):
             align_profiles(ref, pred)
 
     def test_no_extrapolation(self):
@@ -104,7 +105,7 @@ class TestMetrics:
     def test_degenerate_reference(self):
         pair = align_profiles(_profile([0, 1, 2], [50, 50, 50]),
                               _profile([0, 1, 2], [0, 40, 100]))
-        with pytest.raises(DegenerateReferenceError):
+        with pytest.raises(ValidationError, match="zero variance"):
             r_squared(pair)
 
     def test_mse_nonnegative_r2_bounded(self):
@@ -290,12 +291,12 @@ class TestConcurrentBenchmark:
             assert result.report.to_csv() == closure.report.to_csv()
             assert result.residuals_csv() == closure.residuals_csv()
 
-    def test_request_error_propagates_and_stops_calls(self, drug, sphere, conditions,
-                                                      monkeypatch):
+    def test_transport_error_propagates_and_stops_calls(self, drug, sphere, conditions,
+                                                        monkeypatch):
         monkeypatch.setenv(self.API_KEY_ENV, "offline")
         dataset = simulated_dataset(drug, sphere, conditions)
         transport = FakeTransport(status=400)
-        with pytest.raises(RequestError):
+        with pytest.raises(TransportError, match="HTTP 400"):
             self._run(dataset, transport, 4)
         calls = transport.calls
         # Every call fails, so none starts after the first round of four.
@@ -303,3 +304,28 @@ class TestConcurrentBenchmark:
         assert transport.active == 0
         time.sleep(0.1)
         assert transport.calls == calls
+
+    def test_a_failed_call_is_raised_whichever_call_fails_first(self, drug, sphere, conditions):
+        # A later call may fail before the first one starts; reading the first
+        # future must still raise that failure, not CancelledError, which the
+        # CLI does not catch. A short switch interval makes that order likely.
+        class Failing:
+            tag = "live"
+
+            def respond(self, prompt):
+                raise TransportError("HTTP 400: bad request")
+
+        dataset = simulated_dataset(drug, sphere, conditions)
+        config = LLMConfig(max_inflight=8, max_retries=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 5.0
+            for _ in range(1000):
+                client = LLMClient(config=config, backend=Failing(), sleep=lambda s: None)
+                with pytest.raises(TransportError, match="HTTP 400"):
+                    run_benchmark(dataset, client=client)
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)

@@ -3,7 +3,7 @@ import pytest
 
 from formukit import inverse
 from formukit.dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
-from formukit.errors import ConfigurationError
+from formukit.errors import ValidationError
 from formukit.evaluate import align_profiles, mse
 from formukit.inverse import (
     ROUNDING_OBJECTIVE,
@@ -151,7 +151,7 @@ class TestDesignLognormal:
         assert design_psd(spec, seed=0).evaluations <= 15
 
     def test_infeasible_bounds(self, drug, sphere, conditions, round_trip_target):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                        conditions=conditions,
                        parameterization=LognormalParameterization(100.0, 1.5),
@@ -163,7 +163,7 @@ class TestDesignLognormal:
         ((5.0, 100.0),)])
     def test_unusable_bounds_rejected_at_construction(self, drug, sphere, conditions,
                                                       round_trip_target, bounds):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                        conditions=conditions,
                        parameterization=LognormalParameterization(100.0, 1.5), bounds=bounds)
@@ -266,7 +266,7 @@ class TestDesignFreeBins:
 
     def test_bounds_rejected(self, drug, sphere, conditions, small_target):
         # Fractions always lie in [0, 1]; a free-bin design takes no bounds.
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             DesignSpec(target=small_target, drug=drug, morph=sphere, conditions=conditions,
                        parameterization=FreeBinsParameterization.geometric(8, 30.0, 300.0),
                        bounds=((0.0, 1.0),) * 8)

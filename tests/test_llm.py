@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from formukit.dissolution import psd_from_lognormal, simulate_dissolution
-from formukit.errors import (
-    ConfigurationError,
-    MockParseError,
-    RequestError,
-    TransportError,
-    ValidationError,
-)
+from formukit.errors import ParseError, TransportError, ValidationError
 from formukit.llm import (
     LiveBackend,
     LLMClient,
@@ -64,7 +58,7 @@ class TestMockBackend:
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
         bundle = replace(
             prompt, rendered=prompt.rendered.replace('"Mean Particle Size, D50" : 97.5,', ""))
-        with pytest.raises(MockParseError):
+        with pytest.raises(ParseError, match="mock backend cannot read"):
             _client(MockBackend()).complete(bundle)
 
 
@@ -120,7 +114,7 @@ class TestRetries:
         config = LLMConfig(max_retries=3)
         monkeypatch.setenv(config.api_key_env, "k")
         client = _client(LiveBackend(config, transport=rejecting), config=config)
-        with pytest.raises(RequestError):
+        with pytest.raises(TransportError, match="HTTP 4"):
             client.complete(prompt)
         assert calls["n"] == 1
 
@@ -139,12 +133,12 @@ class TestRetries:
         client = _client(LiveBackend(config, transport=throttled), config=config)
         assert client.complete(prompt).text == "later"
 
-    def test_missing_key_is_configuration_error(self, reference_input, monkeypatch):
+    def test_missing_key_is_validation_error(self, reference_input, monkeypatch):
         config = LLMConfig()
         monkeypatch.delenv(config.api_key_env, raising=False)
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
         client = _client(LiveBackend(config))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="environment variable"):
             client.complete(prompt)
 
 
@@ -169,7 +163,7 @@ class TestReplay:
         replay = ReplayBackend.from_jsonl(path)
         assert "truncated final line" in caplog.text
         assert _client(replay).complete(prompts[0]).text == texts[0]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             _client(replay).complete(prompts[1])
 
     @pytest.mark.parametrize("line", ['[1]', '{"response": "x"}', '{"prompt_sha256": 5}'])
@@ -181,7 +175,7 @@ class TestReplay:
 
     def test_missing_transcript(self, reference_input):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             _client(ReplayBackend({})).complete(prompt)
 
 
@@ -205,7 +199,7 @@ class TestTranscripts:
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
         broken = replace(prompt, rendered="### Role: ###\nnothing else")
         client = _client(MockBackend(), recorder=recorder)
-        with pytest.raises(MockParseError):
+        with pytest.raises(ParseError, match="mock backend cannot read"):
             client.complete(broken)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 1
@@ -269,13 +263,13 @@ class TestFactory:
         path = tmp_path / "r.jsonl"
         path.write_text(json.dumps(transcript) + "\n")
         assert isinstance(make_backend("replay", config, replay_path=path), ReplayBackend)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             make_backend("replay", config)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             make_backend("imaginary", config)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             LLMConfig(temperature=-0.1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             LLMConfig(max_inflight=0)

@@ -4,12 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from formukit.errors import (
-    DuplicateTimeError,
-    EmptyProfileError,
-    ParseError,
-    StrategyPreconditionError,
-)
+from formukit.errors import DuplicateTimeError, ParseError, ValidationError
 from formukit.prompts import (
     COT_INSTRUCTION,
     PromptStrategy,
@@ -123,11 +118,11 @@ class TestBuildPrompt:
             render_input_block(reference_input)
 
     def test_fs_without_examples_raises(self, reference_input):
-        with pytest.raises(StrategyPreconditionError):
+        with pytest.raises(ValidationError, match="example record"):
             build_prompt(PromptStrategy.FS, reference_input)
-        with pytest.raises(StrategyPreconditionError):
+        with pytest.raises(ValidationError, match="example record"):
             build_prompt(PromptStrategy.RAG, reference_input, examples=[])
-        with pytest.raises(StrategyPreconditionError):
+        with pytest.raises(ValidationError, match="example record"):
             build_prompt(PromptStrategy.FS, reference_input, examples=iter(()))
 
     def test_examples_from_an_iterator(self, reference_input, example_records):
@@ -188,7 +183,7 @@ class TestParseProfileResponse:
         assert profile.released_pct.tolist() == [0.0, 70.0, 90.0]
 
     def test_empty_data(self):
-        with pytest.raises(EmptyProfileError):
+        with pytest.raises(ParseError, match="empty data array"):
             parse_profile_response('{"columns": ["Time (hr)", "Drug Released (%)"], "data": []}')
 
     def test_duplicate_times(self):

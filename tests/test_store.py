@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from formukit.errors import ConflictError, EmptyStoreError, ValidationError
+from formukit.errors import ValidationError
 from formukit.store import (
     FormulationRecord,
     RecordStore,
@@ -76,7 +76,7 @@ class TestIngest:
 
     def test_duplicate_id_conflicts(self, example_records):
         store = _store_with(example_records)
-        with pytest.raises(ConflictError):
+        with pytest.raises(ValidationError, match="already in store"):
             store.ingest(example_records[0])
         store.ingest(example_records[0], overwrite=True)   # explicit overwrite ok
         assert len(store) == 3
@@ -252,7 +252,7 @@ class TestAdaptWeights:
         assert weights.scales[FEATURE_NAMES.index("d50_um")] == pytest.approx(mad)
 
     def test_empty_store(self):
-        with pytest.raises(EmptyStoreError):
+        with pytest.raises(ValidationError, match="empty store"):
             RecordStore().adapt_weights()
 
     def test_spearman_matches_scipy_with_ties(self):
@@ -334,7 +334,7 @@ class TestRetrieve:
             assert 0.0 < score <= 1.0
 
     def test_empty_store(self):
-        with pytest.raises(EmptyStoreError):
+        with pytest.raises(ValidationError, match="empty store"):
             RecordStore().retrieve(FormulationInput(d50_um=50.0), k=1)
 
     def test_matches_per_record_loop(self):

@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from formukit.errors import DomainError, DuplicateTimeError, FormukitError  # noqa: E402
+from formukit.errors import DuplicateTimeError, FormukitError, ValidationError  # noqa: E402
 from formukit.types import SIZE_RANGE_UM, DissolutionProfile, SizeDistribution  # noqa: E402
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0]
@@ -23,14 +23,14 @@ _FRACTIONS = st.sampled_from([0.0, 0.5, 1.0, 1.5, *_SPECIAL]) | st.floats()
 def _profile_contract(times, released):
     """The sorted (time, released) points, or the error the constructor raises."""
     if not all(math.isfinite(v) for v in times + released):
-        raise DomainError("times and released values must be finite")
+        raise ValidationError("times and released values must be finite")
     points = sorted(zip(times, released), key=lambda point: point[0])
     if len({t for t, _ in points}) < len(points):
         raise DuplicateTimeError("profile contains duplicate times")
     if points[0][0] < 0:
-        raise DomainError("times must be >= 0")
+        raise ValidationError("times must be >= 0")
     if not all(0 <= r <= 100 for _, r in points):
-        raise DomainError("released % must be within [0, 100]")
+        raise ValidationError("released % must be within [0, 100]")
     return points
 
 
@@ -38,16 +38,16 @@ def _distribution_contract(sizes, fractions):
     """The (size, fraction) bins, or the error the constructor raises."""
     lo, hi = SIZE_RANGE_UM
     if not all(lo <= x <= hi for x in sizes):
-        raise DomainError(f"bin sizes must be finite and > 0, within {lo:g}-{hi:g} um")
+        raise ValidationError(f"bin sizes must be finite and > 0, within {lo:g}-{hi:g} um")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError("bin sizes must be strictly increasing")
+        raise ValidationError("bin sizes must be strictly increasing")
     if not all(f >= 0 for f in fractions):
-        raise DomainError("mass fractions must be >= 0")
+        raise ValidationError("mass fractions must be >= 0")
     total = 0.0
     for f in fractions:           # left to right, as numpy sums fewer than 8 values
         total += f
     if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"mass fractions must sum to 1 (got {np.float64(total)!r})")
+        raise ValidationError(f"mass fractions must sum to 1 (got {np.float64(total)!r})")
     return list(zip(sizes, fractions))
 
 
