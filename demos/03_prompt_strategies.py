@@ -48,8 +48,8 @@ print(f"few-shot prompt embeds {n_blocks} worked examples")
 
 # --- complete offline through the physics mock ------------------------------
 client = LLMClient(backend=MockBackend())
-response = client.complete(zs)
-profile = parse_profile_response(response.text)
+response = client.complete(zs).response
+profile = parse_profile_response(response)
 print(f"\nmock backend answered with {profile.n_points} points; "
       f"released at 1 hr = {profile.released_at(1.0):.1f} %")
 
@@ -61,6 +61,6 @@ else:
     print("profile passes all release-rule checks")
 
 # --- the parser is lenient about prose and fences ----------------------------
-noisy = "Here is my analysis.\n```json\n" + response.text + "\n```\nDone."
+noisy = "Here is my analysis.\n```json\n" + response + "\n```\nDone."
 assert parse_profile_response(noisy).points() == profile.points()
 print("prose-wrapped response parses identically")

@@ -17,6 +17,7 @@ from formukit import (
     load_records,
     render_example_blocks,
 )
+from formukit.types import FEATURE_NAMES
 
 workdir = Path(tempfile.mkdtemp(prefix="formukit_demo_"))
 store_path = workdir / "store.jsonl"
@@ -35,9 +36,9 @@ assert [r.id for r in again.records] == [r.id for r in store.records]
 print("reload round-trip OK")
 
 # --- adapted weights: only varying features carry weight ---------------------
-weights = store.adapt_weights()
+weights, _ = store.adapt_weights()
 print("\nretrieval weights (3-record store -> uniform over varying features):")
-for name, w in zip(weights.names, weights.weights):
+for name, w in zip(FEATURE_NAMES, weights):
     if w > 0:
         print(f"  {name:<18} {w:.3f}")
 

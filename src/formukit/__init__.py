@@ -20,13 +20,11 @@ _EXPORTS = {
                  "mse", "profile_metrics", "r_squared", "run_benchmark"),
     "inverse": ("DesignResult", "DesignSpec", "FreeBinsParameterization",
                 "LognormalParameterization", "design_psd", "design_report", "objective"),
-    "llm": ("CompletionResult", "LiveBackend", "LLMClient", "LLMConfig", "MockBackend",
-            "ReplayBackend", "Transcript", "TranscriptRecorder", "make_backend",
-            "prompt_sha256"),
+    "llm": ("LiveBackend", "LLMClient", "LLMConfig", "MockBackend", "ReplayBackend",
+            "Transcript", "TranscriptRecorder", "make_backend", "prompt_sha256"),
     "prompts": ("PromptBundle", "PromptStrategy", "build_prompt", "parse_profile_response",
                 "render_example_blocks", "validate_profile"),
-    "store": ("FormulationRecord", "RecordStore", "RetrievalWeights", "load_records",
-              "record_from_verbatim"),
+    "store": ("FormulationRecord", "RecordStore", "load_records", "record_from_verbatim"),
     "types": ("DEFAULT_OUTPUT_GRID_HR", "HYDROCHLOROTHIAZIDE", "DissolutionConditions",
               "DissolutionProfile", "DrugSubstance", "FormulationInput", "ParticleMorphology",
               "SizeDistribution"),

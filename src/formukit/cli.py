@@ -134,21 +134,22 @@ def _write_profile_csv(path: Path, profile: DissolutionProfile) -> None:
 
 
 def _read_profile_file(path: str) -> DissolutionProfile:
-    """A CSV profile, or a file read as a model response (exit 4 without a table)."""
-    from .prompts import parse_profile_response
+    """A CSV profile, read as a columns/data table with the rows whose first cell is blank
+    left out, or a file read as a model response (exit 4 without a table)."""
+    from .prompts import parse_profile_response, profile_from_table
 
     try:
         with open_input(path) as fh:
             text = fh.read()
         if not path.endswith(".csv"):
             return parse_profile_response(text)
-        rows = list(csv.reader(text.splitlines()))
-        if not rows or rows[0][:2] != ["time_hr", "released_pct"]:
-            raise ValidationError(f"{path}: expected header time_hr,released_pct")
-        points = [(float(t), float(v)) for t, v, *_ in rows[1:] if t.strip()]
-        return DissolutionProfile.from_points(points)
     except (DuplicateTimeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    header, *rows = list(csv.reader(text.splitlines())) or [[]]
+    if header[:2] != ["time_hr", "released_pct"]:
+        raise ValidationError(f"{path}: expected header time_hr,released_pct")
+    return profile_from_table(
+        {"columns": header, "data": [row for row in rows if not row or row[0].strip()]}, path)
 
 
 def _emit_profile(out: Path, profile: DissolutionProfile) -> None:
@@ -241,6 +242,15 @@ def _build_client(config: AppConfig, args, recorder: TranscriptRecorder) -> LLMC
                      seed=args.seed if args.seed is not None else config.seed)
 
 
+def _reject_unread(args, *flags) -> None:
+    """ValidationError naming a flag given that the run would not read: --replay
+    without --backend replay, or one of ``flags``, each (flag, value, read, reader)."""
+    replay = ("--replay", args.replay, args.backend == "replay", "--backend replay")
+    for flag, value, read, reader in (replay, *flags):
+        if value is not None and not read:
+            raise ValidationError(f"{flag} is read only with {reader}")
+
+
 def _examples_for_predict(config: AppConfig, args, strategy, features: FormulationInput):
     if not strategy.needs_examples:
         return None
@@ -261,15 +271,17 @@ def cmd_predict(config: AppConfig, args) -> int:
 
     if args.strategy not in STRATEGY_ALIASES:
         raise ValidationError(f"unknown strategy {args.strategy!r}")
-    features = FormulationInput(**_load_features(args))
     strategy = STRATEGY_ALIASES[args.strategy]
+    _reject_unread(args, ("--examples", args.examples, strategy.name in ("FS", "FS_CoT"),
+                          "the fs and fs-cot strategies"),
+                   ("--store", args.store, strategy.name == "RAG", "the rag strategy"))
+    features = FormulationInput(**_load_features(args))
     examples = _examples_for_predict(config, args, strategy, features)
     prompt = build_prompt(strategy, features, examples=examples)
     out = _run_dir(config, args)
     recorder = TranscriptRecorder(out / "transcript.jsonl")
     client = _build_client(config, args, recorder)
-    result = client.complete(prompt)
-    profile, report = parse_profile_response(result.text, full_output=True)
+    profile, report = parse_profile_response(client.complete(prompt).response, full_output=True)
     findings = validate_profile(profile)
     (out / "parse_report.json").write_text(json.dumps({
         "parse": report.to_dict(),
@@ -321,6 +333,7 @@ def cmd_bench(config: AppConfig, args) -> int:
     from .store import load_records
     from .svgplot import profile_overlay_svg
 
+    _reject_unread(args)
     dataset = load_records(args.dataset)
     store = _open_store(config, args) if args.store else None
     out = _run_dir(config, args)
@@ -361,13 +374,15 @@ def cmd_eval(config: AppConfig, args) -> int:
     return EXIT_OK
 
 
-def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
-    """The parser of a subcommand that runs ``func``, with the options every command takes."""
+def _command(sub, name: str, func, *, run_dir=True, **kwargs) -> argparse.ArgumentParser:
+    """The parser of a subcommand that runs ``func``, with --config and, unless
+    ``run_dir`` is false, the flags of the run directory it writes."""
     parser = sub.add_parser(name, **kwargs)
     parser.set_defaults(func=func)
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--output-dir", help="base directory for run outputs")
-    parser.add_argument("--run-id", help="name of the run subdirectory (default: timestamp)")
+    if run_dir:
+        parser.add_argument("--output-dir", help="base directory for run outputs")
+        parser.add_argument("--run-id", help="name of the run subdirectory (default: timestamp)")
     return parser
 
 
@@ -464,13 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store", help="manage the formulation record store")
     store_sub = p.add_subparsers(dest="store_cmd", required=True)
-    ps = _command(store_sub, "ingest", cmd_store_ingest, help="ingest records from a file")
+    ps = _command(store_sub, "ingest", cmd_store_ingest, run_dir=False,
+                  help="ingest records from a file")
     ps.add_argument("--file", required=True, help="records file (JSONL canonical or JSON verbatim)")
     ps.add_argument("--store", help="store path (JSONL)")
     ps.add_argument("--overwrite", action="store_true", help="replace records with existing ids")
-    ps = _command(store_sub, "list", cmd_store_list, help="list store contents")
+    ps = _command(store_sub, "list", cmd_store_list, run_dir=False, help="list store contents")
     ps.add_argument("--store", help="store path (JSONL)")
-    ps = _command(store_sub, "retrieve", cmd_store_retrieve, help="retrieve nearest records")
+    ps = _command(store_sub, "retrieve", cmd_store_retrieve, run_dir=False,
+                  help="retrieve nearest records")
     ps.add_argument("--store", help="store path (JSONL)")
     _add_feature_flags(ps, ("d50_um", "aspect_ratio", "roundness", "ssa_m2_g", "vol_eq_um"),
                        required=("d50_um",))

@@ -244,23 +244,13 @@ def _check_grid(output_grid_hr) -> np.ndarray:
     return grid
 
 
-def reduced_lifetime(y, b):
-    """Reduced time G(y) a bin of squared size y [m^2] takes to vanish [m^2].
-
-    In reduced time every bin obeys dy/dtau = -(2 + b * y^0.26), where
-    ``b = Sh(x = 1 m) - 2``, so G(y) is the integral of 1 / (2 + b * y'^0.26) from 0
-    to y, (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2), here summed as in
-    :func:`_size_law` to about 1e-13. ``b = 0`` (no agitation) gives exactly y/2.
-    """
-    y = np.asarray(y, dtype=float)
-    g, live = np.zeros_like(y), y > 0.0                       # no size, no lifetime
-    g[live] = _size_law(y[live], b)[0] if live.any() else 0.0
-    return g[()]
-
-
 def _size_law(y0: np.ndarray, b: float):
     """Per-bin lifetimes G(y0_i) and the map tau -> squared sizes G^-1(G(y0_i) - tau).
 
+    G(y) is the reduced time a bin of squared size y [m^2] takes to vanish [m^2]. In
+    reduced time every bin obeys dy/dtau = -(2 + b * y^0.26), where ``b = Sh(x = 1 m) - 2``,
+    so G(y) is the integral of 1 / (2 + b * y'^0.26) from 0 to y,
+    (y/2) * 2F1(1, 1/0.26; 1 + 1/0.26; -b y^0.26 / 2), here summed to about 1e-13.
     The tables of G1 = G(.; b = 1) built at import serve every b, as G(y) = lambda * G1(y / lambda)
     (lambda = b^(-1/0.26), kept as its log: it under- or overflows at extreme b). A lifetime
     is G1 at the knot below plus one Gauss-Legendre panel. G^-1 reads ln(z / G1), ln 2 at
@@ -288,7 +278,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     """Dissolve a size distribution on the reporting grid in reduced time.
 
     Each squared size follows y_i(tau) = G^-1(G(y0_i) - tau) (see
-    :func:`reduced_lifetime`). Under sink conditions tau = A * C_sat * t;
+    :func:`_size_law`). Under sink conditions tau = A * C_sat * t;
     when the bulk couples back, t(tau) is a quadrature of dtau / (dtau/dt)
     in a log variable in which the saturating tail is linear, inverted on
     the grid. Bin i vanishes exactly at tau = G(y0_i).

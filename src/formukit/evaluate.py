@@ -106,12 +106,6 @@ class EvalReport:
 
     rows: tuple[EvalRow, ...]
 
-    def row(self, strategy: str) -> EvalRow:
-        for r in self.rows:
-            if r.strategy == strategy:
-                return r
-        raise KeyError(strategy)
-
     def to_text(self) -> str:
         header = f"{'strategy':<8} {'MSE (%^2)':>12} {'R^2':>8} {'n':>4} {'fails':>6}  notes"
         lines = [header, "-" * len(header)]
@@ -246,7 +240,7 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
                     notes.add("no disjoint examples available")
                     continue
                 try:                    # a failed call other than a parse is raised
-                    predicted = parse_profile_response(future.result().text)
+                    predicted = parse_profile_response(future.result().response)
                     try:
                         m, r2 = profile_metrics(rec.profile, predicted)
                     except ValidationError as exc:      # no overlap, or a flat overlap

@@ -60,9 +60,8 @@ class LLMConfig:
             raise ValidationError("timeout_s must be finite and > 0")
 
 
-def prompt_sha256(prompt: PromptBundle | str) -> str:
-    rendered = prompt if isinstance(prompt, str) else prompt.rendered
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+def prompt_sha256(prompt: PromptBundle) -> str:
+    return hashlib.sha256(prompt.rendered.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -212,18 +211,12 @@ class ReplayBackend:
         return self.responses[digest], None
 
 
-@dataclass
-class CompletionResult:
-    text: str
-    transcript: Transcript
-
-
 class LLMClient:
     """Backend-agnostic completion client with retry and recording.
 
     Retries only transient transport failures, with exponential backoff
-    (base 1 s, factor 2, multiplicative jitter); at most ``max_inflight``
-    requests run concurrently, as many as ``run_benchmark`` sends at once.
+    (base 1 s, factor 2, multiplicative jitter). The client does not bound
+    concurrent calls: ``run_benchmark``'s pool of ``max_inflight`` workers does.
     The sleep function and jitter seed are injectable for tests.
     """
 
@@ -235,32 +228,29 @@ class LLMClient:
         self.recorder = recorder if recorder is not None else TranscriptRecorder()
         self._sleep = sleep
         self._rng = random.Random(seed)
-        self._semaphore = threading.Semaphore(self.config.max_inflight)
 
-    def complete(self, prompt: PromptBundle) -> CompletionResult:
-        """Send one prompt; returns the raw response text plus its transcript."""
+    def complete(self, prompt: PromptBundle) -> Transcript:
+        """Send one prompt; returns the transcript it records, the raw answer in ``response``."""
         digest = prompt_sha256(prompt)
         started = time.time()
         t0 = time.monotonic()
         attempt = 0
-        with self._semaphore:
-            while True:
-                try:
-                    text, usage = self.backend.respond(prompt)
-                    break
-                except RetryableTransportFailure as exc:
-                    if attempt >= self.config.max_retries:
-                        self._record(digest, prompt, None, started, t0, error=str(exc))
-                        raise TransportError(
-                            f"retries exhausted after {attempt} retries: {exc}") from exc
-                    delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt * (0.5 + self._rng.random())
-                    self._sleep(delay)
-                    attempt += 1
-                except Exception as exc:
+        while True:
+            try:
+                text, usage = self.backend.respond(prompt)
+                break
+            except RetryableTransportFailure as exc:
+                if attempt >= self.config.max_retries:
                     self._record(digest, prompt, None, started, t0, error=str(exc))
-                    raise
-        transcript = self._record(digest, prompt, text, started, t0, usage=usage)
-        return CompletionResult(text=text, transcript=transcript)
+                    raise TransportError(
+                        f"retries exhausted after {attempt} retries: {exc}") from exc
+                delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt * (0.5 + self._rng.random())
+                self._sleep(delay)
+                attempt += 1
+            except Exception as exc:
+                self._record(digest, prompt, None, started, t0, error=str(exc))
+                raise
+        return self._record(digest, prompt, text, started, t0, usage=usage)
 
     def _record(self, digest: str, prompt: PromptBundle, response: str | None,
                 started: float, t0: float, usage: dict | None = None,

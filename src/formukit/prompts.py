@@ -367,6 +367,15 @@ def read_profile_table(table: dict) -> tuple[list[float], list[float], bool]:
     return times, released, minutes
 
 
+def profile_from_table(table: dict, where: str) -> DissolutionProfile:
+    """The profile of a columns/data table read by :func:`read_profile_table`;
+    a malformed table or a repeated time raises ValidationError naming ``where``."""
+    try:
+        return DissolutionProfile(*read_profile_table(table)[:2])
+    except ParseError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def parse_profile_response(text: str, full_output: bool = False):
     """Extract the first columns/data profile table from response text.
 

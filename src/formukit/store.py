@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .prompts import VERBATIM_KEYS, read_profile_table
+from .errors import ValidationError
+from .prompts import VERBATIM_KEYS, profile_from_table
 from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput, open_input, read_json
 
 PROVENANCE_VALUES = ("experimental", "simulated")
@@ -140,43 +140,13 @@ def record_from_verbatim(obj: dict, record_id: str) -> FormulationRecord:
     table = obj.get("Output", obj.get("output", obj.get("profile")))
     if table is None:
         raise ValidationError(f"{where} has no Output or profile table")
-    try:
-        times, released, _ = read_profile_table(table if isinstance(table, dict)
-                                                else {"data": table})
-        profile = DissolutionProfile(times, released)
-    except ParseError as exc:                      # a malformed table, or a repeated time
-        raise ValidationError(f"{where}: {exc}") from exc
     return FormulationRecord(
         id=record_id,
         features=FormulationInput(**features),
-        profile=profile,
+        profile=profile_from_table(table if isinstance(table, dict) else {"data": table}, where),
         provenance=obj.get("provenance", "experimental"),
         source=obj.get("source", ""),
     )
-
-
-@dataclass(frozen=True)
-class RetrievalWeights:
-    """Per-feature weights (summing to 1) and robust scales for retrieval."""
-
-    names: tuple[str, ...]
-    weights: np.ndarray
-    scales: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        s = np.asarray(self.scales, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scales", s)
-        if np.any(w < 0):
-            raise ValidationError("weights must be >= 0")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValidationError("weights must sum to 1")
-        if np.any(s <= 0):
-            raise ValidationError("scales must be > 0")
-
-    def weight(self, name: str) -> float:
-        return float(self.weights[self.names.index(name)])
 
 
 class JsonlRows:
@@ -248,9 +218,6 @@ class RecordStore:
     def records(self) -> list[FormulationRecord]:
         return list(self._records.values())
 
-    def get(self, record_id: str) -> FormulationRecord:
-        return self._records[record_id]
-
     def ingest(self, record: FormulationRecord, overwrite: bool = False) -> None:
         """Add a record; appends to the JSONL file when the store is backed."""
         if record.id in self._records and not overwrite:
@@ -268,14 +235,14 @@ class RecordStore:
             self._matrix.flags.writeable = False
         return self._matrix
 
-    def adapt_weights(self) -> RetrievalWeights:
-        """Data-driven retrieval weights for the current store contents.
+    def adapt_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Data-driven retrieval (weights, scales) for the current store contents,
+        read-only arrays in :data:`FEATURE_NAMES` order, computed once per contents.
 
         Scale: per-feature MAD, floored at 1e-12. Weight: proportional to
         |Spearman correlation| between the feature and the record's release
-        at 1 hr; uniform over varying features when the store is small
-        (< 5 records) or no correlation is measurable. Computed once per
-        store contents; callers share the returned weights.
+        at 1 hr, summing to 1; uniform over varying features when the store is
+        small (< 5 records) or no correlation is measurable.
         """
         if len(self) == 0:
             raise ValidationError("cannot adapt weights on an empty store")
@@ -297,12 +264,12 @@ class RecordStore:
             # Uniform over the varying features, or over all of them in a
             # degenerate store (e.g. one record): exact matches still score 1.
             raw = varying.astype(float) if np.any(varying) else np.ones(len(FEATURE_NAMES))
-        self._weights = RetrievalWeights(FEATURE_NAMES, raw / raw.sum(), scales)
-        self._weights.weights.flags.writeable = self._weights.scales.flags.writeable = False
+        weights = raw / raw.sum()
+        weights.flags.writeable = scales.flags.writeable = False
+        self._weights = weights, scales
         return self._weights
 
     def retrieve(self, query: FormulationInput, k: int,
-                 weights: RetrievalWeights | None = None,
                  feature_subset=None) -> list[tuple[FormulationRecord, float]]:
         """Top-k records by kernel score, descending; ties break on id.
 
@@ -315,23 +282,20 @@ class RecordStore:
             raise ValidationError("k must be >= 1")
         if len(self) == 0:
             raise ValidationError("cannot retrieve from an empty store")
-        if weights is None:
-            weights = self.adapt_weights()
+        weights, scales = self.adapt_weights()
         if feature_subset is not None:
             subset = set(feature_subset)
             unknown = subset - set(FEATURE_NAMES)
             if unknown:
                 raise ValidationError(f"unknown feature(s): {sorted(unknown)}")
-            in_subset = np.array([name in subset for name in weights.names])
-            masked = np.where(in_subset, weights.weights, 0.0)
+            in_subset = np.array([name in subset for name in FEATURE_NAMES])
+            masked = np.where(in_subset, weights, 0.0)
             if masked.sum() == 0.0:
-                # none of the requested features carries weight; fall back to
-                # uniform over the subset
+                # none of the requested features carries weight: uniform over the subset
                 masked = in_subset.astype(float)
-            weights = RetrievalWeights(weights.names, masked / masked.sum(),
-                                       weights.scales)
+            weights = masked / masked.sum()
         diff = np.abs(query.feature_vector() - self.feature_matrix())
-        scores = np.exp(-np.sum(weights.weights * diff / weights.scales, axis=1))
+        scores = np.exp(-np.sum(weights * diff / scales, axis=1))
         ids = list(self._records)
         top = np.lexsort((np.array(ids), -scores))[:k]
         return [(self._records[ids[i]], float(scores[i])) for i in top]

@@ -247,17 +247,6 @@ class DissolutionProfile:
         """Linear interpolation within the profile's time range."""
         return float(np.interp(time_hr, self.times_hr, self.released_pct))
 
-    @classmethod
-    def from_points(cls, points) -> "DissolutionProfile":
-        """Profile from (time [hr], released [%]) pairs; items past the second are ignored."""
-        try:
-            pts = np.array([(float(p[0]), float(p[1])) for p in points]).reshape(-1, 2)
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise ValidationError("profile points must be [time, released] number pairs") from exc
-        if not pts.size:
-            raise ValidationError("profile needs at least one point")
-        return cls(pts[:, 0], pts[:, 1])
-
 
 @dataclass(frozen=True)
 class FormulationInput:

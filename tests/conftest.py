@@ -86,7 +86,7 @@ def example_records():
         records.append(FormulationRecord(
             id=f"salish-d50-{str(d50).replace('.', 'p').removesuffix('p0')}",
             features=FormulationInput(**EXAMPLE_FEATURES[d50]),
-            profile=DissolutionProfile.from_points(EXAMPLE_PROFILES[d50]),
+            profile=DissolutionProfile(*np.transpose(EXAMPLE_PROFILES[d50])),
             provenance="experimental",
             source="Salish, K., So, C., Jeong, S. H., Hou, H. H. & Mao, C. "
                    "Pharm Res 41, 947-958 (2024)",

@@ -157,9 +157,8 @@ def test_criterion_7_retrieval_determinism(example_records):
 
     synthetic = _synthetic_records(n=100)
     big_store = _store_with(synthetic)
-    weights = big_store.adapt_weights()
     for record in synthetic:
-        top = big_store.retrieve(record.features, k=1, weights=weights)
+        top = big_store.retrieve(record.features, k=1)
         assert top[0][0].id == record.id
 
     query = FormulationInput(d50_um=123.0)

@@ -37,6 +37,12 @@ def _out(tmp_path, run_id="t"):
     return tmp_path / "out" / run_id
 
 
+def _run_dir_flags(argv, output_dir, run_id="t"):
+    """--output-dir and --run-id, for a command that writes a run directory:
+    the store commands write none and take neither."""
+    return [] if argv[0] == "store" else ["--output-dir", str(output_dir), "--run-id", run_id]
+
+
 class TestSimulate:
     def test_reference_input_ten_rows(self, tmp_path, input_file, capsys):
         code = main(["simulate", "--input", input_file,
@@ -249,8 +255,7 @@ class TestPredict:
 
     def test_rag_with_seeded_store(self, tmp_path, input_file):
         store = str(tmp_path / "store.jsonl")
-        assert main(["store", "ingest", "--file", SEED_FILE, "--store", store,
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "ing"]) == 0
+        assert main(["store", "ingest", "--file", SEED_FILE, "--store", store]) == 0
         code = main(["predict", "--strategy", "rag", "--backend", "mock",
                      "--input", input_file, "--store", store, "-k", "2",
                      "--output-dir", str(tmp_path / "out"), "--run-id", "rag"])
@@ -277,8 +282,7 @@ class TestPredict:
 class TestStore:
     def test_ingest_verbatim_seed(self, tmp_path, capsys):
         store = str(tmp_path / "store.jsonl")
-        code = main(["store", "ingest", "--file", SEED_FILE, "--store", store,
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        code = main(["store", "ingest", "--file", SEED_FILE, "--store", store])
         assert code == 0
         rows = [json.loads(line) for line in Path(store).read_text().splitlines()]
         assert len(rows) == 3
@@ -287,10 +291,8 @@ class TestStore:
 
     def test_retrieve_order(self, tmp_path, capsys):
         store = str(tmp_path / "store.jsonl")
-        main(["store", "ingest", "--file", SEED_FILE, "--store", store,
-              "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
-        code = main(["store", "retrieve", "--store", store, "--d50", "50", "-k", "2",
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "t2"])
+        main(["store", "ingest", "--file", SEED_FILE, "--store", store])
+        code = main(["store", "retrieve", "--store", store, "--d50", "50", "-k", "2"])
         assert code == 0
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if ln and ln[0].isdigit()]
@@ -314,8 +316,7 @@ class TestStore:
         records = tmp_path / "records.jsonl"
         records.write_text("".join(json.dumps(row) + "\n" for row in rows))
         store = tmp_path / "store.jsonl"
-        code = main(["store", "ingest", "--file", str(records), "--store", str(store),
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store)])
         assert code == 2
         assert "d50_um must be a finite number" in capsys.readouterr().err
         assert not store.exists()
@@ -339,10 +340,20 @@ class TestStore:
         assert not store.exists()
 
     def test_list_empty_store(self, tmp_path, capsys):
-        code = main(["store", "list", "--store", str(tmp_path / "nothing.jsonl"),
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        code = main(["store", "list", "--store", str(tmp_path / "nothing.jsonl")])
         assert code == 0
         assert "0 record(s)" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["list"], ["ingest", "--file", "r.json"],
+                                      ["retrieve", "--d50", "50"]])
+    @pytest.mark.parametrize("flag", ["--run-id", "--output-dir"])
+    def test_store_commands_take_no_run_directory_flags(self, capsys, argv, flag):
+        # they write no run directory, so a flag naming one is an error
+        with pytest.raises(SystemExit) as exc:
+            main(["store", *argv, flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 def _make_sim_dataset(tmp_path, d50s=(45.0, 97.5, 200.0)):
@@ -724,7 +735,7 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     (tmp_path / "ok.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
     path = tmp_path / name
     path.write_text(text)
-    code = main([*argv, str(path), "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+    code = main([*argv, str(path), *_run_dir_flags(argv, tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -748,10 +759,51 @@ def test_unreadable_file_exit_2_naming_it(tmp_path, monkeypatch, capsys, argv, n
     path = tmp_path / name
     if text is not None:
         path.write_text(text)
-    code = main([*argv, str(path), "--output-dir", "out", "--run-id", "t"])
+    code = main([*argv, str(path), *_run_dir_flags(argv, "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+
+
+_PREDICT = ["predict", "--strategy", "zs", "--d50", "50"]
+_BENCH = ["bench", "--dataset", SEED_FILE]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param([*_PREDICT, "--backend", "mock"], "--replay", id="predict-replay-mock"),
+    pytest.param([*_PREDICT, "--backend", "live"], "--replay", id="predict-replay-live"),
+    pytest.param(_BENCH, "--replay", id="bench-replay-mock"),
+    *(pytest.param(["predict", "--strategy", s, "--d50", "50"], "--examples",
+                   id=f"examples-{s}") for s in ("zs", "zs-cot", "rag")),
+    *(pytest.param(["predict", "--strategy", s, "--d50", "50"], "--store",
+                   id=f"store-{s}") for s in ("zs", "zs-cot", "fs", "fs-cot")),
+])
+def test_a_flag_the_run_never_reads_exit_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # named before any file is read: the flag's file need not exist
+    monkeypatch.delenv("FORMU_API_KEY", raising=False)
+    code = main([*argv, flag, str(tmp_path / "missing.jsonl"),
+                 "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} is read only with ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_names_the_first_unread_flag(tmp_path, capsys):
+    code = main([*_PREDICT, "--backend", "mock", "--examples", "missing.json",
+                 "--store", "missing.jsonl", "--replay", "missing.jsonl",
+                 "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --replay is read only with --backend replay\n"
+
+
+def test_csv_rows_with_a_blank_first_cell_are_skipped(tmp_path, capsys):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("time_hr,released_pct\n0,0\n,99\n1,40\n  ,x\n2,70\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("time_hr,released_pct\n0,0\n1,35\n2,75\n")
+    assert main(["eval", "--reference", str(ref), "--predicted", str(pred),
+                 "--output-dir", str(tmp_path / "out"), "--run-id", "t"]) == 0
+    assert json.loads((_out(tmp_path) / "eval.json").read_text())["n"] == 3
 
 
 def _fresh_env():
@@ -813,7 +865,8 @@ def test_a_path_that_is_not_a_regular_file_exit_2(tmp_path):
             "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    err = io.StringIO()\n"
             "    with contextlib.redirect_stderr(err):\n"
-            "        code = main([*argv, '--output-dir', 'out', '--run-id', str(i)])\n"
+            "        run_dir = [] if argv[0] == 'store' else ['--output-dir', 'out', '--run-id', str(i)]\n"
+            "        code = main([*argv, *run_dir])\n"
             "    print(json.dumps([code, err.getvalue()]), flush=True)")
     limit = 400 * 2**20
     out = subprocess.run([sys.executable, "-c", code, json.dumps([argv for argv, _ in cases])],
@@ -859,7 +912,8 @@ def test_import_loads_no_scipy(tmp_path):
                   "--store", str(store)],
                  ["bench", "--dataset", SEED_FILE, "--backend", "mock"],
                  ["eval", "--reference", "ref.csv", "--predicted", "pred.csv"]):
-        out = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", "out"],
+        run_dir = [] if argv[0] == "store" else ["--output-dir", "out"]
+        out = subprocess.run([sys.executable, "-c", code, *argv, *run_dir],
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert json.loads(out.stdout.splitlines()[-1]) == [0, []], (argv, out.stderr)
 
@@ -868,7 +922,8 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     # Each case runs in a fresh interpreter and lists the formukit modules
     # loaded once main returns: the solver, the design loop, the LLM client
     # and the evaluator load only for the commands that call them.
-    for name, values in (("ref.csv", (0, 40, 70)), ("pred.csv", (0, 35, 75))):
+    for name, values in (("ref.csv", (0, 40, 70)), ("pred.csv", (0, 35, 75)),
+                         ("t.csv", (0, 50, 80))):
         (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
             f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
     base = {"errors", "types", "prompts"}
@@ -877,13 +932,16 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
              (["eval", "--reference", "ref.csv", "--predicted", "pred.csv"], base | {"evaluate"}),
              (["simulate", "--d50", "50"], solver),
              (["simulate", "--d50", "50", "--svg"], solver | {"svgplot"}),
+             (["design", "--target", "t.csv", "--n-starts", "1", "--n-bins", "4"],
+              solver | {"inverse"}),
              (["predict", "--strategy", "zs", "--backend", "mock", "--d50", "50"],
               solver | {"llm"})]
     code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
             "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules "
             "if m.startswith('formukit.') and m != 'formukit.cli')]))")
     for argv, modules in cases:
-        out = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", "out"],
+        run_dir = [] if argv[0] == "store" else ["--output-dir", "out"]
+        out = subprocess.run([sys.executable, "-c", code, *argv, *run_dir],
                              cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
                              timeout=60)
         assert json.loads(out.stdout.splitlines()[-1]) == [0, sorted(modules)], (argv, out.stderr)
@@ -921,23 +979,27 @@ _DEEP = "[" * 100_000 + "]" * 100_000
                          (["design", "--n-starts", "1", "--target"], "t.csv"),
                          (["design", "--n-starts", "1", "--target"], "t.json"),
                          (["eval", "--reference", "ok.csv", "--predicted"], "p.txt"))),
+    *(pytest.param(argv, "t.csv", text, id=f"{argv[0]}-csv-{case}")
+      for argv in (["design", "--n-starts", "1", "--n-bins", "4", "--target"],
+                   ["eval", "--predicted", "ok.csv", "--reference"])
+      for case, text in (("non-numeric-cell", "time_hr,released_pct\n0,0\n1,abc\n2,80\n"),
+                         ("one-cell-row", "time_hr,released_pct\n0,0\n1\n2,80\n"),
+                         ("blank-line", "time_hr,released_pct\n0,0\n\n2,80\n"),
+                         ("no-rows", "time_hr,released_pct\n"))),
 ])
 def test_hostile_file_exit_2_naming_it(tmp_path, monkeypatch, capsys, argv, name, text):
-    # JSON nested past the recursion limit, and bytes that are not UTF-8
+    # JSON nested past the recursion limit, bytes that are not UTF-8, and CSV
+    # profiles whose rows do not make a table
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ok.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
     path = tmp_path / name
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    code = main([*argv, str(path), "--output-dir", "out", "--run-id", "t"])
+    code = main([*argv, str(path), *_run_dir_flags(argv, "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err[:300]
     if name == "s.jsonl" and not isinstance(text, bytes):
         assert err == f"error: {path}:{text.count(chr(10))}: invalid JSON line\n"
-
-
-_PREDICT = ["predict", "--strategy", "zs", "--d50", "50"]
-_BENCH = ["bench", "--dataset", SEED_FILE]
 
 
 @pytest.mark.parametrize("body", [

@@ -17,6 +17,7 @@ from formukit.cli import main  # noqa: E402
 from formukit.llm import prompt_sha256  # noqa: E402
 from formukit.prompts import VERBATIM_KEYS, PromptStrategy, build_prompt  # noqa: E402
 from formukit.types import FEATURE_NAMES, FormulationInput  # noqa: E402
+from test_cli import _run_dir_flags  # noqa: E402
 
 # Keys the readers look for, so that generated objects get past the first check.
 _KNOWN_KEYS = [*FEATURE_NAMES, *(verbatim for verbatim, _ in VERBATIM_KEYS),
@@ -106,7 +107,7 @@ def test_any_json_ends_in_an_exit_code(flag, value, pick):
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([*(a.format(dir=tmp) for a in argv), flag, str(path),
-                         "--output-dir", f"{tmp}/out", "--run-id", "t"])
+                         *_run_dir_flags(argv, f"{tmp}/out")])
     assert code in (0, 2, 3, 4)
     if code:
         lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
@@ -121,6 +122,6 @@ def test_a_path_that_is_not_a_regular_file_exit_2(flag, kind, tmp_path, capsys):
     path = str(tmp_path) if kind == "directory" else "/dev/null"
     argv, _ = _COMMANDS[flag]
     code = main([*(a.format(dir=tmp_path) for a in argv), flag, path,
-                 "--output-dir", f"{tmp_path}/out", "--run-id", "t"])
+                 *_run_dir_flags(argv, f"{tmp_path}/out")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {path}: not a regular file\n"

@@ -7,7 +7,6 @@ from formukit.dissolution import (
     _size_law,
     derived_metrics,
     psd_from_lognormal,
-    reduced_lifetime,
     reynolds_schmidt,
     sherwood,
     simulate,
@@ -173,6 +172,14 @@ class TestShrinkRate:
             assert np.all(np.diff(result.sizes_m, axis=0) <= 0.0)
 
 
+def _lifetime(y, b):
+    """G(y; b), the reduced lifetime of ``_size_law``, at any squared sizes; 0 at size 0."""
+    y = np.asarray(y, dtype=float)
+    g, live = np.zeros_like(y), y > 0.0
+    g[live] = _size_law(y[live], b)[0] if live.any() else 0.0
+    return g[()]
+
+
 class TestReducedLifetime:
     @pytest.mark.parametrize("b", [1e-8, 0.5, 40.0, 2e3, 1e5, 1e6, 1e12])
     @pytest.mark.parametrize("y", [1e-24, 1e-14, 1e-10, 1e-8, 2.25e-6])
@@ -184,18 +191,18 @@ class TestReducedLifetime:
         a = 1.0 / 0.26
         expected = a * y * quad(lambda s: s ** (a - 1.0) / (2.0 + b * y ** 0.26 * s), 0.0, 1.0,
                                 epsabs=0.0, epsrel=1e-13)[0]
-        assert reduced_lifetime(y, b) == pytest.approx(expected, rel=1e-12)
+        assert _lifetime(y, b) == pytest.approx(expected, rel=1e-12)
 
     def test_asymptote_above_the_table(self):
         # For b y^0.26 >> 2, G = y^0.74 / (0.74 b), off by a share of about 3 / (b y^0.26).
         # At b = 1e100, lambda = b^(-1/0.26) = 1e-385 is not even a float.
         y = np.geomspace(1e-14, 2.25e-6, 9)
-        np.testing.assert_allclose(reduced_lifetime(y, 1e100), y ** 0.74 / (0.74 * 1e100),
+        np.testing.assert_allclose(_lifetime(y, 1e100), y ** 0.74 / (0.74 * 1e100),
                                    rtol=1e-12, atol=0.0)
 
     def test_stagnant_limit_is_half(self):
         y = np.geomspace(1e-14, 1e-6, 9)
-        assert np.array_equal(reduced_lifetime(y, 0.0), y / 2)
+        assert np.array_equal(_lifetime(y, 0.0), y / 2)
 
     def test_size_table_round_trips(self):
         # The G^-1 table inverts G: a bin's remaining lifetime after tau is G(y0) - tau.
@@ -206,7 +213,7 @@ class TestReducedLifetime:
             tau = np.linspace(0.0, 1.0, 301) * lifetime.max()
             left = lifetime - tau[:, None]
             alive = left > 0.0
-            got = reduced_lifetime(sizes(tau), b)
+            got = _lifetime(sizes(tau), b)
             assert np.all(np.abs(got[alive] / left[alive] - 1.0) <= 1e-9), b
             assert np.all(got[~alive] == 0.0)
 
@@ -221,7 +228,7 @@ class TestReducedLifetime:
         tau = np.linspace(0.0, 1.0, 301) * lifetime.max()
         left = lifetime - tau[:, None]
         alive = left > 0.0
-        got = reduced_lifetime(sizes(tau), b)
+        got = _lifetime(sizes(tau), b)
         assert np.all(np.abs(got[alive] / left[alive] - 1.0) <= 1e-9)
         assert np.all(got[~alive] == 0.0)
 

@@ -186,7 +186,7 @@ class TestBenchmark:
         result = run_benchmark(dataset, client=LLMClient(backend=GarbageBackend(),
                                                          sleep=lambda s: None),
                                strategies=("ZS",))
-        row = result.report.row("ZS")
+        row, = result.report.rows
         assert not row.evaluable
         assert row.n_parse_failures == 1
         assert "unevaluable" in row.notes
@@ -212,16 +212,17 @@ class TestBenchmark:
         dataset = simulated_dataset(drug, sphere, conditions, d50s=(45.0,))
         client = LLMClient(backend=MockBackend(), sleep=lambda s: None)
         result = run_benchmark(dataset, client=client, strategies=("ZS", "FS", "RAG"))
-        assert result.report.row("ZS").evaluable
-        assert not result.report.row("FS").evaluable
-        assert not result.report.row("RAG").evaluable
-        assert "no disjoint examples" in result.report.row("FS").notes
+        rows = {row.strategy: row for row in result.report.rows}
+        assert rows["ZS"].evaluable
+        assert not rows["FS"].evaluable
+        assert not rows["RAG"].evaluable
+        assert "no disjoint examples" in rows["FS"].notes
 
     @pytest.mark.parametrize("points", [[(3.5, 20.0)], [(0.0, 40.0), (1.0, 40.0)]])
     def test_unscorable_reference_raises_before_any_call(self, drug, sphere, conditions,
                                                          tmp_path, points):
         bad = FormulationRecord("bad", FormulationInput(d50_um=60.0),
-                                DissolutionProfile.from_points(points))
+                                DissolutionProfile(*np.transpose(points)))
         dataset = simulated_dataset(drug, sphere, conditions, d50s=(45.0,)) + [bad]
         recorder = TranscriptRecorder(tmp_path / "t.jsonl")
         client = LLMClient(backend=MockBackend(), recorder=recorder, sleep=lambda s: None)

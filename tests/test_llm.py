@@ -1,5 +1,4 @@
 import json
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +35,7 @@ class TestMockBackend:
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
         client = _client(MockBackend())
         result = client.complete(prompt)
-        predicted = parse_profile_response(result.text)
+        predicted = parse_profile_response(result.response)
 
         psd = psd_from_lognormal(reference_input.d50_um, 1.5, 50)
         expected = simulate_dissolution(drug, sphere, psd, DissolutionConditions())
@@ -45,14 +44,14 @@ class TestMockBackend:
 
     def test_ten_row_table_on_default_grid(self, reference_input):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
-        profile = parse_profile_response(_client(MockBackend()).complete(prompt).text)
+        profile = parse_profile_response(_client(MockBackend()).complete(prompt).response)
         assert profile.n_points == 10
         assert profile.times_hr.tolist() == [0, 0.25, 0.5, 0.75, 1, 2, 3, 4, 5, 6]
 
     def test_deterministic(self, reference_input):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
         client = _client(MockBackend())
-        assert client.complete(prompt).text == client.complete(prompt).text
+        assert client.complete(prompt).response == client.complete(prompt).response
 
     def test_unparseable_prompt(self, reference_input):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
@@ -83,7 +82,7 @@ class TestRetries:
             result = client.complete(prompt)
         finally:
             monkey.undo()
-        assert result.text == "ok"
+        assert result.response == "ok"
         assert calls["n"] == 3
         assert len(sleeps) == 2
         assert sleeps[1] > sleeps[0]          # exponential growth dominates jitter
@@ -131,7 +130,7 @@ class TestRetries:
         config = LLMConfig()
         monkeypatch.setenv(config.api_key_env, "k")
         client = _client(LiveBackend(config, transport=throttled), config=config)
-        assert client.complete(prompt).text == "later"
+        assert client.complete(prompt).response == "later"
 
     def test_missing_key_is_validation_error(self, reference_input, monkeypatch):
         config = LLMConfig()
@@ -150,19 +149,19 @@ class TestReplay:
 
         replay = ReplayBackend.from_jsonl(tmp_path / "transcripts.jsonl")
         replay_result = _client(replay).complete(prompt)
-        assert replay_result.text == live_result.text
-        assert replay_result.transcript.backend == "replay"
+        assert replay_result.response == live_result.response
+        assert replay_result.backend == "replay"
 
     def test_torn_final_line_is_skipped(self, tmp_path, reference_input, caplog):
         path = tmp_path / "transcripts.jsonl"
         client = _client(MockBackend(), recorder=TranscriptRecorder(path))
         strategies = (PromptStrategy.ZS, PromptStrategy.ZS_CoT)
         prompts = [build_prompt(s, reference_input) for s in strategies]
-        texts = [client.complete(p).text for p in prompts]
+        texts = [client.complete(p).response for p in prompts]
         path.write_bytes(path.read_bytes()[:-40])       # the last append cut short
         replay = ReplayBackend.from_jsonl(path)
         assert "truncated final line" in caplog.text
-        assert _client(replay).complete(prompts[0]).text == texts[0]
+        assert _client(replay).complete(prompts[0]).response == texts[0]
         with pytest.raises(ValidationError):
             _client(replay).complete(prompts[1])
 
@@ -223,35 +222,6 @@ class TestOfflinePurity:
         replay_client = LLMClient(backend=replay, sleep=lambda s: None)
         replay_client.complete(prompt)
         assert hits == []
-
-
-class TestConcurrency:
-    def test_inflight_bound(self, reference_input):
-        config = LLMConfig(max_inflight=2)
-        state = {"curr": 0, "peak": 0}
-        lock = threading.Lock()
-
-        class SlowBackend:
-            tag = "mock"
-
-            def respond(self, prompt):
-                with lock:
-                    state["curr"] += 1
-                    state["peak"] = max(state["peak"], state["curr"])
-                threading.Event().wait(0.02)
-                with lock:
-                    state["curr"] -= 1
-                return "done", None
-
-        client = _client(SlowBackend(), config=config)
-        prompt = build_prompt(PromptStrategy.ZS, reference_input)
-        threads = [threading.Thread(target=client.complete, args=(prompt,))
-                   for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert state["peak"] <= 2
 
 
 class TestFactory:

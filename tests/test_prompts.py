@@ -261,12 +261,12 @@ class TestParseProfileResponse:
 
 class TestValidateProfile:
     def test_reference_profile_compliant(self):
-        profile = DissolutionProfile.from_points(REFERENCE_POINTS)
+        profile = DissolutionProfile(*np.transpose(REFERENCE_POINTS))
         findings = validate_profile(profile)
         assert findings == []
 
     def test_slow_profile_gets_dissolution_advisory(self):
-        slow = DissolutionProfile.from_points(EXAMPLE_PROFILES[200.0])
+        slow = DissolutionProfile(*np.transpose(EXAMPLE_PROFILES[200.0]))
         findings = validate_profile(slow)
         assert [f.rule for f in findings] == ["usp-dissolution-rule"]
         assert findings[0].severity == "advisory"
@@ -282,5 +282,5 @@ class TestValidateProfile:
         findings = validate_profile(profile)
         assert any(f.rule == "non-monotonic" for f in findings)
         # the 89 -> 87 style shallow decline is fine
-        gentle = DissolutionProfile.from_points(REFERENCE_POINTS)
+        gentle = DissolutionProfile(*np.transpose(REFERENCE_POINTS))
         assert all(f.rule != "non-monotonic" for f in validate_profile(gentle))

@@ -11,7 +11,6 @@ from formukit.errors import ValidationError
 from formukit.store import (
     FormulationRecord,
     RecordStore,
-    RetrievalWeights,
     _spearman,
     load_records,
     record_from_verbatim,
@@ -72,7 +71,7 @@ class TestIngest:
         store = _store_with(example_records)
         assert len(store) == 3
         for rec in example_records:
-            assert store.get(rec.id).features == rec.features
+            assert {r.id: r for r in store.records}[rec.id].features == rec.features
 
     def test_duplicate_id_conflicts(self, example_records):
         store = _store_with(example_records)
@@ -95,10 +94,10 @@ class TestPersistence:
         store = RecordStore(path)
         for rec in example_records:
             store.ingest(rec)
-        again = RecordStore(path)
+        again = {r.id: r for r in RecordStore(path).records}
         assert len(again) == 3
         for rec in example_records:
-            loaded = again.get(rec.id)
+            loaded = again[rec.id]
             assert loaded.features == rec.features
             assert loaded.profile.points() == rec.profile.points()
             assert loaded.provenance == rec.provenance
@@ -115,7 +114,8 @@ class TestPersistence:
         assert len(path.read_text().strip().splitlines()) == 2
         again = RecordStore(path)
         assert len(again) == 1
-        assert again.get(updated.id).provenance == "simulated"
+        assert again.records[0].id == updated.id
+        assert again.records[0].provenance == "simulated"
 
     def test_canonical_keys_on_disk(self, tmp_path, example_records):
         path = tmp_path / "store.jsonl"
@@ -138,7 +138,7 @@ class TestPersistence:
             '"ssa_m2_g": 1.7, "vol_eq_um": 1.17, '
             '"profile": [[0.0, 0.0], [0.25, 0.001], [2.0, 80.5], [6.0, 100.0]], '
             '"provenance": "experimental", "source": "bench"}\n')
-        assert RecordStore(path).get("pin").to_dict() == record.to_dict()
+        assert [r.to_dict() for r in RecordStore(path).records] == [record.to_dict()]
 
     def test_ingest_creates_missing_directories(self, tmp_path, example_records):
         path = tmp_path / "a" / "b" / "store.jsonl"
@@ -224,32 +224,33 @@ class TestVerbatimImport:
 class TestAdaptWeights:
     def test_small_store_uniform_over_varying(self, example_records):
         store = _store_with(example_records)
-        weights = store.adapt_weights()
-        assert abs(weights.weights.sum() - 1.0) <= 1e-9
+        weights, _ = store.adapt_weights()
+        assert abs(weights.sum() - 1.0) <= 1e-9
         # d50, ssa and vol-eq vary across the three records; the rest do not.
-        assert weights.weight("d50_um") == pytest.approx(1 / 3)
-        assert weights.weight("ssa_m2_g") == pytest.approx(1 / 3)
-        assert weights.weight("vol_eq_um") == pytest.approx(1 / 3)
-        assert weights.weight("aspect_ratio") == 0.0
-        assert weights.weight("solubility_mg_ml") == 0.0
+        weight = dict(zip(FEATURE_NAMES, weights))
+        assert weight["d50_um"] == pytest.approx(1 / 3)
+        assert weight["ssa_m2_g"] == pytest.approx(1 / 3)
+        assert weight["vol_eq_um"] == pytest.approx(1 / 3)
+        assert weight["aspect_ratio"] == 0.0
+        assert weight["solubility_mg_ml"] == 0.0
 
     def test_constant_feature_gets_zero_weight_large_store(self):
         store = _store_with(_synthetic_records())
-        weights = store.adapt_weights()
-        assert weights.weight("aspect_ratio") == 0.0          # constant across store
-        assert abs(weights.weights.sum() - 1.0) <= 1e-9
+        weights, _ = store.adapt_weights()
+        assert weights[FEATURE_NAMES.index("aspect_ratio")] == 0.0    # constant across store
+        assert abs(weights.sum() - 1.0) <= 1e-9
 
     def test_informative_feature_outweighs_noise(self):
         store = _store_with(_synthetic_records())
-        weights = store.adapt_weights()
-        assert weights.weight("d50_um") > weights.weight("roundness")
+        weight = dict(zip(FEATURE_NAMES, store.adapt_weights()[0]))
+        assert weight["d50_um"] > weight["roundness"]
 
     def test_scales_are_mad(self, example_records):
         store = _store_with(example_records)
-        weights = store.adapt_weights()
+        _, scales = store.adapt_weights()
         d50s = np.array([45.0, 200.0, 97.5])
         mad = np.median(np.abs(d50s - np.median(d50s)))
-        assert weights.scales[FEATURE_NAMES.index("d50_um")] == pytest.approx(mad)
+        assert scales[FEATURE_NAMES.index("d50_um")] == pytest.approx(mad)
 
     def test_empty_store(self):
         with pytest.raises(ValidationError, match="empty store"):
@@ -278,7 +279,7 @@ class TestAdaptWeights:
         release = [r.profile.released_at(1.0) for r in store.records]
         raw = np.array([abs(stats.spearmanr(col, release).statistic) if np.ptp(col) else 0.0
                         for col in matrix.T])
-        np.testing.assert_allclose(store.adapt_weights().weights, raw / raw.sum(),
+        np.testing.assert_allclose(store.adapt_weights()[0], raw / raw.sum(),
                                    rtol=0.0, atol=1e-12)
 
 
@@ -291,15 +292,15 @@ class TestRetrieve:
             assert hits[0][1] == pytest.approx(1.0)
 
     def test_hand_computed_order_d50_only(self, example_records):
+        # d50 alone carries the weight, scaled by its MAD: the d50s 45, 97.5 and 200
+        # have median 97.5 and deviations 52.5, 0 and 102.5, so the MAD is 52.5.
         store = _store_with(example_records)
-        w = np.zeros(len(FEATURE_NAMES))
-        w[FEATURE_NAMES.index("d50_um")] = 1.0
-        weights = RetrievalWeights(FEATURE_NAMES, w, np.ones(len(FEATURE_NAMES)))
         query = FormulationInput(d50_um=50.0)
-        hits = store.retrieve(query, k=3, weights=weights)
+        hits = store.retrieve(query, k=3, feature_subset=("d50_um",))
         assert [h[0].features.d50_um for h in hits] == [45.0, 97.5, 200.0]
-        # hand check: exp(-|50-45|) > exp(-|50-97.5|) > exp(-|50-200|)
-        assert hits[0][1] == pytest.approx(np.exp(-5.0))
+        # hand check: exp(-|50-45|/52.5) > exp(-|50-97.5|/52.5) > exp(-|50-200|/52.5)
+        assert [h[1] for h in hits] == pytest.approx(
+            np.exp(-np.array([5.0, 47.5, 150.0]) / 52.5), rel=1e-15)
 
     def test_d50_subset_reference_query(self, example_records):
         # A query that only specifies d50 scores on d50 alone.
@@ -322,9 +323,8 @@ class TestRetrieve:
     def test_self_retrieval_synthetic_sweep(self):
         records = _synthetic_records()
         store = _store_with(records)
-        weights = store.adapt_weights()
         for rec in records:
-            hits = store.retrieve(rec.features, k=1, weights=weights)
+            hits = store.retrieve(rec.features, k=1)
             assert hits[0][0].id == rec.id
 
     def test_score_bounds(self):
@@ -345,13 +345,13 @@ class TestRetrieve:
         records += [FormulationRecord(f"{twin.id}-{c}", twin.features, twin.profile)
                     for c in ("b", "a")]
         store = _store_with(records)
-        weights = store.adapt_weights()
+        weights, scales = store.adapt_weights()
         for query in [twin.features] + [r.features for r in records[::7]]:
             scored = []
             for rec in records:
-                distance = np.sum(weights.weights
+                distance = np.sum(weights
                                   * np.abs(query.feature_vector() - rec.features.feature_vector())
-                                  / weights.scales)
+                                  / scales)
                 scored.append((rec.id, float(np.exp(-distance))))
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
             got = [(r.id, s) for r, s in store.retrieve(query, k=8)]
@@ -364,6 +364,7 @@ class TestRetrieve:
         before = store.adapt_weights()
         assert store.adapt_weights() is before
         assert not store.feature_matrix().flags.writeable
+        assert not any(array.flags.writeable for array in before)
         assert store.retrieve(query, k=1)[0][0].id != records[-1].id
         store.ingest(records[-1])
         assert store.feature_matrix().shape == (20, len(FEATURE_NAMES))
@@ -420,8 +421,8 @@ def test_load_records_reads_jsonl_as_the_store_does(tmp_path, example_records):
 def test_single_record_store_still_retrieves(example_records):
     store = RecordStore()
     store.ingest(example_records[0])
-    weights = store.adapt_weights()
-    assert abs(weights.weights.sum() - 1.0) <= 1e-9
+    weights, _ = store.adapt_weights()
+    assert abs(weights.sum() - 1.0) <= 1e-9
     hits = store.retrieve(example_records[0].features, k=1)
     assert hits[0][0].id == example_records[0].id
     assert hits[0][1] == pytest.approx(1.0)

@@ -4,6 +4,7 @@ whether built directly or imported through the verbatim prompt-block keys."""
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,7 +27,7 @@ _FEATURES = st.builds(
     vol_eq_um=_POSITIVE)
 _PROFILES = st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 100.0)), min_size=1,
                      max_size=12, unique_by=lambda point: point[0]).map(
-                         DissolutionProfile.from_points)
+                         lambda points: DissolutionProfile(*np.transpose(points)))
 _ROWS = st.lists(st.tuples(st.text(min_size=1), _FEATURES, _PROFILES,
                            st.sampled_from(PROVENANCE_VALUES), st.text(), st.booleans()),
                  max_size=5, unique_by=lambda row: row[0])
