@@ -43,14 +43,15 @@ p_quiet = simulate_dissolution(drug, sphere, psd, quiet)
 print(f"\nreleased at 15 min: {profile.released_at(0.25):.1f} % stirred vs "
       f"{p_quiet.released_at(0.25):.1f} % stagnant")
 
-# --- the full result object carries extinction times and per-grid arrays ----
+# --- the full result object carries extinction times and per-bin sizes ------
 result = simulate(drug, sphere, psd_from_lognormal(45.0, 1.3, 10), vessel)
 t_done = result.complete_dissolution_time_s
 print(f"\n45 um narrow powder fully dissolved after {t_done:.0f} s")
 i = 2
+dissolved_mg = result.profile.released_pct[i] / 100.0 * vessel.dose_mg
+bulk_mg_ml = min(dissolved_mg / vessel.medium_volume_ml, drug.c_sat_mg_ml)
 print(f"at t = {result.profile.times_hr[i] * 3600:.0f} s: dissolved "
-      f"{result.dissolved_mass_mg[i]:.2f} mg, "
-      f"bulk concentration {result.bulk_concentration_mg_ml[i] * 1000:.3f} ug/mL")
+      f"{dissolved_mg:.2f} mg, bulk concentration {bulk_mg_ml * 1000:.3f} ug/mL")
 
 # --- doses above the solubility capacity plateau below 100% -----------------
 overloaded = DissolutionConditions(dose_mg=500.0)

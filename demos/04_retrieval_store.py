@@ -19,21 +19,21 @@ from formukit import (
 )
 from formukit.types import FEATURE_NAMES
 
-workdir = Path(tempfile.mkdtemp(prefix="formukit_demo_"))
-store_path = workdir / "store.jsonl"
+with tempfile.TemporaryDirectory(prefix="formukit_demo_") as workdir:
+    store_path = Path(workdir) / "store.jsonl"
 
-# --- ingest the bundled worked examples (verbatim-key import) ---------------
-records = load_records(files("formukit") / "data" / "seed_records.json")
-store = RecordStore(store_path)
-for rec in records:
-    store.ingest(rec)
-print(f"store at {store_path} holds {len(store)} records: "
-      f"{[r.id for r in store.records]}")
+    # --- ingest the bundled worked examples (verbatim-key import) -----------
+    records = load_records(files("formukit") / "data" / "seed_records.json")
+    store = RecordStore(store_path)
+    for rec in records:
+        store.ingest(rec)
+    print(f"store at {store_path} holds {len(store)} records: "
+          f"{[r.id for r in store.records]}")
 
-# --- the store persists; reloading gives the same records -------------------
-again = RecordStore(store_path)
-assert [r.id for r in again.records] == [r.id for r in store.records]
-print("reload round-trip OK")
+    # --- the store persists; reloading gives the same records ---------------
+    again = RecordStore(store_path)
+    assert [r.id for r in again.records] == [r.id for r in store.records]
+    print("reload round-trip OK")
 
 # --- adapted weights: only varying features carry weight ---------------------
 weights, _ = store.adapt_weights()

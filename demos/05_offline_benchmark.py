@@ -20,6 +20,7 @@ from formukit import (
     LLMClient,
     MockBackend,
     ParticleMorphology,
+    ReplayBackend,
     TranscriptRecorder,
     psd_from_lognormal,
     run_benchmark,
@@ -30,7 +31,6 @@ from formukit.svgplot import profile_overlay_svg
 drug = HYDROCHLOROTHIAZIDE
 sphere = ParticleMorphology()
 vessel = DissolutionConditions()
-workdir = Path(tempfile.mkdtemp(prefix="formukit_demo_"))
 
 # --- synthesize a dataset of "measured" records ------------------------------
 dataset = []
@@ -40,26 +40,27 @@ for d50 in (45.0, 97.5, 200.0):
         id=f"demo-{d50:g}", features=FormulationInput(d50_um=d50),
         profile=profile, provenance="simulated", source="demo sweep"))
 
-# --- run all five strategies through the mock backend ------------------------
-recorder = TranscriptRecorder(workdir / "transcripts.jsonl")
-client = LLMClient(backend=MockBackend(), recorder=recorder)
-result = run_benchmark(dataset, client=client)
+with tempfile.TemporaryDirectory(prefix="formukit_demo_") as tmp:
+    workdir = Path(tmp)
 
-print(result.report.to_text())
-print(f"transcripts recorded to {recorder.path} "
-      f"({len(recorder.records)} completions)")
+    # --- run all five strategies through the mock backend --------------------
+    recorder = TranscriptRecorder(workdir / "transcripts.jsonl")
+    client = LLMClient(backend=MockBackend(), recorder=recorder)
+    result = run_benchmark(dataset, client=client)
 
-# --- overlay plot for one record ---------------------------------------------
-rec = dataset[1]
-curves = {s: result.predictions[s][rec.id] for s in result.predictions}
-svg_path = workdir / f"overlay_{rec.id}.svg"
-svg_path.write_text(profile_overlay_svg(rec.profile, curves, title=rec.id))
-print(f"overlay plot written to {svg_path}")
+    print(result.report.to_text())
+    print(f"transcripts recorded to {recorder.path} "
+          f"({len(recorder.records)} completions)")
 
-# --- the stored transcripts replay to an identical report --------------------
-from formukit import ReplayBackend
+    # --- overlay plot for one record -----------------------------------------
+    rec = dataset[1]
+    curves = {s: result.predictions[s][rec.id] for s in result.predictions}
+    svg_path = workdir / f"overlay_{rec.id}.svg"
+    svg_path.write_text(profile_overlay_svg(rec.profile, curves, title=rec.id))
+    print(f"overlay plot written to {svg_path}")
 
-replay_client = LLMClient(backend=ReplayBackend.from_jsonl(recorder.path))
-again = run_benchmark(dataset, client=replay_client)
-assert again.report == result.report
-print("replayed benchmark reproduces the report bit-for-bit")
+    # --- the stored transcripts replay to an identical report ----------------
+    replay_client = LLMClient(backend=ReplayBackend.from_jsonl(recorder.path))
+    again = run_benchmark(dataset, client=replay_client)
+    assert again.report == result.report
+    print("replayed benchmark reproduces the report bit-for-bit")

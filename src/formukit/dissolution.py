@@ -222,8 +222,6 @@ class SimulationResult:
     extinction_times_s: np.ndarray   # per bin; nan if the bin outlives the run
     released_cap_pct: float          # solubility-capacity ceiling; 100 under sink
     sizes_m: np.ndarray              # (grid point, bin); 0.0 once a bin has dissolved
-    dissolved_mass_mg: np.ndarray
-    bulk_concentration_mg_ml: np.ndarray
 
     @property
     def complete_dissolution_time_s(self) -> float:
@@ -309,8 +307,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     t_end = float(grid_s[-1])
     y0 = (psd.sizes_um * M_PER_UM) ** 2
 
-    dose = conditions.dose_mg
-    dose_over_v = dose / conditions.medium_volume_ml
+    dose_over_v = conditions.dose_mg / conditions.medium_volume_ml
     c_sat = drug.c_sat_mg_ml                                  # mg/mL == kg/m^3
     rho_s = drug.true_density_g_ml * KG_M3_PER_G_ML
     sink = conditions.sink_override
@@ -439,15 +436,12 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     released = 100.0 * np.clip(1.0 - y_grid ** 1.5 @ mass_w, 0.0, 1.0)
     released = np.minimum(np.maximum.accumulate(np.clip(released, 0.0, cap_pct)), cap_pct)
     released[0] = 0.0
-    c_b = np.zeros_like(released) if sink else np.minimum(released / 100.0 * dose_over_v, c_sat)
 
     result = SimulationResult(
         profile=DissolutionProfile(grid_hr, released),
         extinction_times_s=extinction,
         released_cap_pct=cap_pct,
         sizes_m=np.sqrt(y_grid),
-        dissolved_mass_mg=released / 100.0 * dose,
-        bulk_concentration_mg_ml=c_b,
     )
     if not _jacobian:
         return result

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import ParseError, TransportError, ValidationError
 from .prompts import PromptBundle, extract_section, parse_input_block, render_profile_json
-from .store import JsonlRows, append_jsonl
+from .store import append_jsonl, read_jsonl
 
 DEFAULT_API_KEY_ENV = "FORMU_API_KEY"
 #: First retry delay [s] and its growth per retry, before jitter.
@@ -193,7 +193,7 @@ class ReplayBackend:
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
         """Responses from a transcript file; a torn final line is skipped."""
         responses = {}
-        for row in JsonlRows(path):
+        for row in read_jsonl(path):
             if not isinstance(row, dict) or not isinstance(row.get("prompt_sha256"), str):
                 raise ValidationError(f"{path}: a line is not a transcript record")
             response = row.get("response")

@@ -1,10 +1,12 @@
 """Formulation record persistence and weighted nearest-record retrieval.
 
 Records live in an append-only JSONL file (one object per line, canonical
-snake_case keys) with an in-memory index; reloading keeps the last version
-of each id, and skips a truncated final line (an append cut short), which
-the next ingest cuts off. Retrieval scores records with an exponential
-weighted-L1 kernel
+snake_case keys; a byte-order mark at the start is ignored) with an
+in-memory index; reloading keeps the last version of each id. A final line
+with no newline is a record when it reads as JSON, and the next ingest ends
+it before appending. Otherwise it is an append cut short: a load skips it
+with a warning, and the next ingest cuts it off. Retrieval scores records
+with an exponential weighted-L1 kernel
 
     score(q, r) = exp(-sum_j w_j * |q_j - r_j| / s_j)
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,67 +152,66 @@ def record_from_verbatim(obj: dict, record_id: str) -> FormulationRecord:
     )
 
 
-class JsonlRows:
-    """The rows of an append-only JSONL file, read one at a time as iterated.
-    A final line cut short (invalid, no newline) is skipped with a logged
-    warning and its size in bytes kept in ``torn_bytes``; any other invalid
-    line (nested past the recursion limit too) raises ValidationError naming
-    it, and so does text that is not UTF-8."""
-
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.torn_bytes = 0
-
-    def __iter__(self):
-        with open_input(self.path) as fh:
-            try:
-                for line_no, raw in enumerate(fh, start=1):
-                    try:
-                        if raw.strip():
-                            yield json.loads(raw)
-                    except (ValueError, RecursionError) as exc:     # not JSON, or too deep
-                        if raw.endswith("\n"):
-                            raise ValidationError(
-                                f"{self.path}:{line_no}: invalid JSON line") from exc
-                        logging.getLogger(__name__).warning(
-                            "%s:%d: skipped a truncated final line", self.path, line_no)
-                        self.torn_bytes = len(raw.encode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"{self.path}: {exc}") from exc
+def read_jsonl(path: str | Path):
+    """The rows of an append-only JSONL file, read one at a time. A final line
+    cut short (invalid, no newline) is skipped with a logged warning; any other
+    invalid line (nested past the recursion limit too) raises ValidationError
+    naming it, and so does text that is not UTF-8."""
+    with open_input(path) as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    if raw.strip():
+                        yield json.loads(raw)
+                except (ValueError, RecursionError) as exc:     # not JSON, or too deep
+                    if raw.endswith("\n"):
+                        raise ValidationError(f"{path}:{line_no}: invalid JSON line") from exc
+                    logging.getLogger(__name__).warning(
+                        "%s:%d: skipped a truncated final line", path, line_no)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
-def append_jsonl(path: Path, row, torn_bytes: int = 0) -> None:
-    """Append ``row`` to ``path`` as one JSON line, creating the directory,
-    after cutting the file's last ``torn_bytes`` bytes (a truncated final line)."""
+def append_jsonl(path: Path, row) -> None:
+    """Append ``row`` to ``path`` as one JSON line, creating the directory. A last
+    line with no newline is first ended if it reads as JSON, as ``read_jsonl``
+    reads it, or cut off if not (an append cut short)."""
     try:
-        fh = open(path, "a", encoding="utf-8")
+        fh = open(path, "a+b")
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "a", encoding="utf-8")
+        fh = open(path, "a+b")
     with fh:
-        if torn_bytes:
-            fh.truncate(fh.tell() - torn_bytes)
-        fh.write(json.dumps(row) + "\n")
+        end = fh.seek(0, os.SEEK_END)
+        fh.seek(max(end - 1, 0))
+        if fh.read(1) not in b"\r\n":                 # an empty file reads b"", which is
+            fh.seek(0)
+            tail = fh.read().splitlines()[-1]           # split as read_jsonl's text mode splits
+            try:
+                json.loads(tail.decode("utf-8-sig" if len(tail) == end else "utf-8"))
+                fh.write(b"\n")
+            except (ValueError, RecursionError):
+                fh.truncate(end - len(tail))
+        fh.write(json.dumps(row).encode() + b"\n")
 
 
 class RecordStore:
     """Append-only JSONL store with deterministic top-k retrieval.
 
-    Single-writer, multi-reader: ingest appends and updates the in-memory
-    index; retrieval works on the current snapshot.
+    Ingest appends and updates the in-memory index; retrieval works on the
+    current snapshot. Each append first ends the file's last line if it is JSON
+    with no newline, or cuts it off if it is an append cut short, judged from
+    the file as it is then, so a second store on the same file loses no record.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: dict[str, FormulationRecord] = {}     # in first-ingest order
         self._matrix = self._weights = None     # retrieval state: built on use, reset by ingest
-        self._torn_bytes = 0                    # size of a truncated final line, dropped on ingest
         if self.path is not None and self.path.exists():        # a missing store is empty
-            rows = JsonlRows(self.path)
-            for row in rows:
+            for row in read_jsonl(self.path):
                 record = FormulationRecord.from_dict(row)
                 self._records[record.id] = record
-            self._torn_bytes = rows.torn_bytes
 
     def __len__(self) -> int:
         return len(self._records)
@@ -225,8 +227,7 @@ class RecordStore:
         self._records[record.id] = record
         self._matrix = self._weights = None
         if self.path is not None:
-            torn, self._torn_bytes = self._torn_bytes, 0      # never cut twice
-            append_jsonl(self.path, record.to_dict(), torn)
+            append_jsonl(self.path, record.to_dict())
 
     def feature_matrix(self) -> np.ndarray:
         """Feature vectors of the records in store order (read-only, cached)."""

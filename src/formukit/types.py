@@ -28,10 +28,11 @@ SIZE_RANGE_UM = (1e-3, 1e6)
 
 
 def open_input(path: str | os.PathLike):
-    """``path`` opened as UTF-8 text; ValidationError unless it names a regular file."""
+    """``path`` opened as UTF-8 text, a leading byte-order mark dropped;
+    ValidationError unless it names a regular file."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ValidationError(f"{path}: not a regular file")
-    return open(path, encoding="utf-8")
+    return open(path, encoding="utf-8-sig")
 
 
 def read_json(path: str | os.PathLike):

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -307,6 +308,17 @@ class TestStore:
         assert main(["store", "list", "--store", str(store)]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "2 record(s)"
         assert f"{store}:3: skipped a truncated final line" in caplog.text
+
+    @pytest.mark.parametrize("start", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_ingest_keeps_a_last_line_with_no_newline(self, tmp_path, capsys, start):
+        # as `printf '%s' "$row" > store.jsonl` writes it, or a spreadsheet with a BOM
+        store = tmp_path / "store.jsonl"
+        store.write_bytes(start + json.dumps(_RECORD).encode())
+        assert main(["store", "ingest", "--file", SEED_FILE, "--store", str(store)]) == 0
+        assert main(["store", "list", "--store", str(store)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[0] for line in out[-5:]] == [
+            "r1", "salish-d50-45", "salish-d50-200", "salish-d50-97p5", "4"]
 
     def test_ingest_with_a_nan_feature_exit_2(self, tmp_path, capsys):
         # JSON reads the NaN literal; a NaN d50 that got into the store would
@@ -804,6 +816,28 @@ def test_csv_rows_with_a_blank_first_cell_are_skipped(tmp_path, capsys):
     assert main(["eval", "--reference", str(ref), "--predicted", str(pred),
                  "--output-dir", str(tmp_path / "out"), "--run-id", "t"]) == 0
     assert json.loads((_out(tmp_path) / "eval.json").read_text())["n"] == 3
+
+
+_PROFILE_CSV = "time_hr,released_pct\n0,0\n0.5,40\n1,60\n2,80\n"
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["eval", "--predicted", "ok.csv", "--reference"], "r.csv", _PROFILE_CSV),
+    (["design", "--n-starts", "1", "--n-bins", "4", "--target"], "t.csv", _PROFILE_CSV),
+    (["simulate", "--d50", "50", "--config"], "c.json",
+     json.dumps({"conditions": {"dose_mg": 25.0}})),
+], ids=["eval-reference-csv", "design-target-csv", "config"])
+def test_a_byte_order_mark_is_not_read_as_text(tmp_path, monkeypatch, argv, name, text):
+    # spreadsheet programs save "CSV UTF-8" with a BOM
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.csv").write_text(_PROFILE_CSV)
+    for run, start in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / name).write_bytes(start + text.encode())
+        assert main([*argv, str(Path(run, name)), "--output-dir", "out", "--run-id", run]) == 0
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / "out" / run).iterdir()}
+               for run in ("plain", "bom")]
+    assert outputs[0] == outputs[1]
 
 
 def _fresh_env():

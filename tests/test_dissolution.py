@@ -56,6 +56,11 @@ _X0_M = 9.75e-5
 _K_STAGNANT = 1.5e-9 / _X0_M
 
 
+def _dissolved_mg_ml(result, cond):
+    """Dissolved mass over the medium volume: the bulk concentration, uncapped."""
+    return result.profile.released_pct / 100.0 * (cond.dose_mg / cond.medium_volume_ml)
+
+
 def _one_sphere(drug, sphere, cond, grid_hr):
     return simulate(drug, sphere, SizeDistribution([_X0_M * 1e6], [1.0]), cond, grid_hr)
 
@@ -126,9 +131,10 @@ class TestShrinkRate:
 
     def test_no_driving_force(self, drug, sphere):
         # 600 mg in 900 mL passes the capacity; once C_b = C_sat the sizes hold.
-        result = simulate(drug, sphere, psd_from_lognormal(120.0, 1.5, 12),
-                          DissolutionConditions(dose_mg=600.0), (0.0, 6.0, 24.0, 48.0))
-        assert result.bulk_concentration_mg_ml[-2] == drug.c_sat_mg_ml
+        cond = DissolutionConditions(dose_mg=600.0)
+        result = simulate(drug, sphere, psd_from_lognormal(120.0, 1.5, 12), cond,
+                          (0.0, 6.0, 24.0, 48.0))
+        assert _dissolved_mg_ml(result, cond)[-2] >= drug.c_sat_mg_ml
         assert np.any(result.sizes_m[-1] > 0.0)
         assert np.array_equal(result.sizes_m[-2], result.sizes_m[-1])
 
@@ -156,9 +162,9 @@ class TestShrinkRate:
     def test_saturation_violation(self, drug, sphere, grid):
         # Far past the capacity the bulk still never exceeds the solubility.
         for dose_mg in (1e4, 1e9):
-            result = simulate(drug, sphere, psd_from_lognormal(45.0, 1.5, 30),
-                              DissolutionConditions(dose_mg=dose_mg), grid)
-            assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml)
+            cond = DissolutionConditions(dose_mg=dose_mg)
+            result = simulate(drug, sphere, psd_from_lognormal(45.0, 1.5, 30), cond, grid)
+            assert np.all(_dissolved_mg_ml(result, cond) <= drug.c_sat_mg_ml * (1 + 1e-12))
             assert np.all(result.profile.released_pct <= result.released_cap_pct)
 
     def test_never_positive(self, drug, sphere):
@@ -417,10 +423,8 @@ class TestSimulate:
         dose = conditions.dose_mg
         x0 = psd.sizes_um * 1e-6
         assert result.sizes_m.shape == (len(grid), psd.n_bins)
-        assert result.dissolved_mass_mg.shape == (len(grid),)
-        assert result.bulk_concentration_mg_ml.shape == (len(grid),)
         remaining_frac = (result.sizes_m / x0) ** 3 @ psd.fractions
-        total = result.dissolved_mass_mg + remaining_frac * dose
+        total = result.profile.released_pct / 100.0 * dose + remaining_frac * dose
         assert np.all(np.abs(total - dose) / dose <= 1e-6)
 
     def test_saturation_bound_and_cap(self, drug, sphere, grid):
@@ -431,7 +435,7 @@ class TestSimulate:
         cap = 100.0 * 0.45 * 900.0 / 500.0
         assert result.released_cap_pct == pytest.approx(cap)
         assert np.all(result.profile.released_pct <= cap + 1e-9)
-        assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
+        assert np.all(_dissolved_mg_ml(result, cond) <= drug.c_sat_mg_ml + 1e-12)
 
     def test_clock_too_slow_for_a_float_raises(self, sphere):
         # At D = 1e-300 m^2/s the clock's rate, rate_base * (C_sat - C_b), falls below the
@@ -461,10 +465,13 @@ class TestSimulate:
         assert abs(force) <= 4.0 * np.finfo(float).eps * dose_over_v
 
     def test_sink_override_forces_zero_bulk(self, drug, sphere, grid):
-        cond = DissolutionConditions(dose_mg=500.0, sink_override=True)
+        # With C_b held at 0 the dose past the capacity changes nothing.
         psd = psd_from_lognormal(45.0, 1.5, 30)
-        result = simulate(drug, sphere, psd, cond, grid)
-        assert np.all(result.bulk_concentration_mg_ml == 0.0)
+        over, under = (simulate(drug, sphere, psd,
+                                DissolutionConditions(dose_mg=dose, sink_override=True), grid)
+                       for dose in (500.0, 10.0))
+        assert over.released_cap_pct == 100.0
+        assert np.array_equal(over.profile.released_pct, under.profile.released_pct)
 
     def test_monotone_in_size(self, drug, sphere, conditions, grid):
         # A distribution smaller at every quantile dissolves at least as fast.
@@ -567,9 +574,10 @@ def test_random_sweep_preserves_physical_invariants(drug, sphere):
         assert np.all(released <= result.released_cap_pct + 1e-9)
         x0 = psd.sizes_um * 1e-6
         remaining = (result.sizes_m / x0) ** 3 @ psd.fractions
-        total = result.dissolved_mass_mg + remaining * cond.dose_mg
+        total = result.profile.released_pct / 100.0 * cond.dose_mg + remaining * cond.dose_mg
         assert np.all(np.abs(total - cond.dose_mg) / cond.dose_mg <= 1e-6)
-        assert np.all(result.bulk_concentration_mg_ml <= drug.c_sat_mg_ml + 1e-12)
+        assert cond.sink_override or np.all(
+            _dissolved_mg_ml(result, cond) <= drug.c_sat_mg_ml + 1e-12)
 
 
 class TestSensitivities:

@@ -57,7 +57,7 @@ def test_simulate_invariants(drug, powder, aspect_ratio, volume_ml, rpm, velocit
 
     x0 = psd.sizes_um * 1e-6
     remaining = (result.sizes_m / x0) ** 3 @ psd.fractions
-    total = result.dissolved_mass_mg + remaining * cond.dose_mg
+    total = result.profile.released_pct / 100.0 * cond.dose_mg + remaining * cond.dose_mg
     assert np.all(np.abs(total - cond.dose_mg) <= 1e-6 * cond.dose_mg)
 
     fine = SizeDistribution(psd.sizes_um * finer, psd.fractions)

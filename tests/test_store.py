@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -162,6 +164,41 @@ class TestPersistence:
         torn.ingest(example_records[2])
         again = RecordStore(path)
         assert [r.id for r in again.records] == [example_records[0].id, example_records[2].id]
+
+    def test_an_ingest_after_a_cut_at_any_byte_keeps_what_the_load_read(self, tmp_path,
+                                                                         caplog):
+        # A crash may stop an append at any byte. The store the next load reads,
+        # plus the next ingest, is what every later load must read.
+        path = tmp_path / "store.jsonl"
+        records = load_records(SEED_FILE)
+        for rec in records:
+            RecordStore(path).ingest(rec)
+        whole = path.read_bytes()
+        new = dataclasses.replace(records[0], id="new")
+        broken = []
+        with caplog.at_level(logging.ERROR, logger="formukit.store"):
+            for cut in range(len(whole) + 1):
+                path.write_bytes(whole[:cut])
+                store = RecordStore(path)
+                loaded = [r.id for r in store.records]
+                store.ingest(new)
+                try:
+                    if [r.id for r in RecordStore(path).records] != loaded + ["new"]:
+                        broken.append(cut)
+                except ValidationError:
+                    broken.append(cut)
+        assert broken == []
+
+    def test_two_stores_on_one_torn_file_keep_both_ingests(self, tmp_path, example_records):
+        path = tmp_path / "store.jsonl"
+        for rec in example_records[:2]:
+            RecordStore(path).ingest(rec)
+        path.write_bytes(path.read_bytes()[:-40])
+        first, second = RecordStore(path), RecordStore(path)
+        first.ingest(example_records[2])
+        second.ingest(dataclasses.replace(example_records[2], id="other"))
+        assert [r.id for r in RecordStore(path).records] == [
+            example_records[0].id, example_records[2].id, "other"]
 
     def test_invalid_line_before_the_last_raises(self, tmp_path, example_records):
         path = tmp_path / "store.jsonl"
