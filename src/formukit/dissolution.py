@@ -175,6 +175,11 @@ def reynolds_schmidt(conditions: DissolutionConditions, x, diffusivity: float):
     return re, float(sc)
 
 
+def lognormal_offsets(n_bins: int) -> np.ndarray:
+    """Each bin's ln(size / d50) in units of ln(geo_sigma): +-3 evenly spaced, 0 for one bin."""
+    return np.linspace(-3.0, 3.0, n_bins) if n_bins > 1 else np.zeros(1)
+
+
 def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDistribution:
     """Binned log-normal mass distribution.
 
@@ -189,10 +194,10 @@ def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDist
         raise ValidationError("geo_sigma must be finite and >= 1")
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    u = np.linspace(-3.0, 3.0, n_bins)
+    u = lognormal_offsets(n_bins)
     with np.errstate(over="ignore"):                  # SizeDistribution rejects what overflows
         sizes = d50_um * np.exp(np.log(geo_sigma) * u)
-    if n_bins == 1 or sizes[0] >= SIZE_RANGE_UM[0] and np.any(np.diff(sizes) <= 0.0):
+    if sizes[0] >= SIZE_RANGE_UM[0] and np.any(np.diff(sizes) <= 0.0):
         return SizeDistribution(np.array([d50_um]), np.array([1.0]))
     fractions = np.exp(-0.5 * u ** 2)
     fractions /= fractions.sum()
@@ -235,6 +240,8 @@ def _check_grid(output_grid_hr) -> np.ndarray:
     grid = np.asarray(output_grid_hr, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("output grid must be a non-empty 1-D sequence")
+    if not np.isfinite(grid).all():
+        raise ValidationError("output grid must be finite")
     if grid[0] != 0.0:
         raise ValidationError("output grid must start at 0")
     if np.any(np.diff(grid) <= 0):
@@ -293,8 +300,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     Returns
     -------
     SimulationResult
-        Release profile on the grid plus per-bin extinction times, and the
-        bin sizes, dissolved mass and bulk concentration at the grid points.
+        Release profile on the grid plus per-bin extinction times, the
+        solubility-capacity ceiling and the bin sizes at the grid points.
 
     Raises
     ------

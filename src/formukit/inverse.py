@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dissolution import derived_metrics, psd_from_lognormal, simulate, simulate_dissolution
+from .dissolution import (derived_metrics, lognormal_offsets, psd_from_lognormal, simulate,
+                          simulate_dissolution)
 from .errors import ValidationError
 from .types import (
     DissolutionConditions,
@@ -253,8 +254,8 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int) -> DesignResul
                 {"d50_um": d50, "geo_sigma": sigma, "n_bins": param.n_bins})
 
     def columns(d_f, d_ln_y0):
-        # ln y0_i = 2 ln d50 + 2 u_i ln sigma; a single bin sits at d50 (u = 0).
-        u = np.linspace(-3.0, 3.0, d_ln_y0.shape[1]) if d_ln_y0.shape[1] > 1 else np.zeros(1)
+        # ln y0_i = 2 ln d50 + 2 u_i ln sigma
+        u = lognormal_offsets(d_ln_y0.shape[1])
         return 2.0 * np.stack((d_ln_y0.sum(axis=1), d_ln_y0 @ u), axis=1)
 
     rng = np.random.default_rng(seed)

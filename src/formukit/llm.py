@@ -26,6 +26,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from . import __version__
 from .errors import ParseError, TransportError, ValidationError
 from .prompts import PromptBundle, extract_section, parse_input_block, render_profile_json
 from .store import append_jsonl, read_jsonl
@@ -101,15 +102,23 @@ class RetryableTransportFailure(TransportError):
     """Transient failure (connection error, timeout, 429 or 5xx)."""
 
 
-def _requests_transport(url: str, headers: dict, payload: dict,
-                        timeout: float) -> tuple[int, str]:
-    import requests
+def _urllib_transport(url: str, headers: dict, payload: dict,
+                      timeout: float) -> tuple[int, str]:
+    from http.client import HTTPException
+    from urllib import parse, request
 
+    if parse.urlsplit(url).scheme not in ("http", "https"):      # urllib opens file: too
+        raise ValidationError(f"llm base_url must be an http or https URL, got {url!r}")
+    opener = request.OpenerDirector()     # http(s) only; no redirect, no raising on a status
+    for handler in (request.ProxyHandler(), request.HTTPHandler(), request.HTTPSHandler()):
+        opener.add_handler(handler)
+    req = request.Request(url, json.dumps(payload).encode("utf-8"), method="POST",
+                          headers={**headers, "User-Agent": f"formukit/{__version__}"})
     try:
-        response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        with opener.open(req, timeout=timeout) as response:
+            return response.status, response.read().decode("utf-8", "replace")
+    except (OSError, HTTPException) as exc:     # URLError and timeouts included
         raise RetryableTransportFailure(f"transport failure: {exc}") from exc
-    return response.status_code, response.text
 
 
 class LiveBackend:
@@ -119,7 +128,7 @@ class LiveBackend:
 
     def __init__(self, config: LLMConfig, transport=None):
         self.config = config
-        self.transport = transport if transport is not None else _requests_transport
+        self.transport = transport if transport is not None else _urllib_transport
 
     def respond(self, prompt: PromptBundle) -> tuple[str, dict | None]:
         """The answer's text and usage; TransportError unless the body holds a string answer."""

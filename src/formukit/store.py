@@ -79,10 +79,10 @@ class FormulationRecord:
 
 
 def _number(name: str, value) -> float:
-    try:
-        if math.isfinite(number := float(value)):
-            return number
-    except (TypeError, ValueError, OverflowError):
+    try:                                      # OverflowError: an int past the float range
+        if isinstance(value, (int, float)) and type(value) is not bool and math.isfinite(value):
+            return float(value)
+    except OverflowError:
         pass
     raise ValidationError(f"{name} must be a finite number, got {value!r}")
 

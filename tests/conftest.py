@@ -1,3 +1,9 @@
+import collections
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -106,3 +112,72 @@ def analytic_release_pct(t_s, x0_m, drug):
     t_s = np.asarray(t_s, dtype=float)
     frac = np.where(t_s >= t_d, 1.0, 1.0 - (1.0 - np.minimum(t_s, t_d) / t_d) ** 1.5)
     return 100.0 * frac, t_d
+
+
+class _EndpointHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        from formukit.llm import MockBackend
+
+        endpoint = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        endpoint.requests.append((self.path, self.headers, payload))
+        try:
+            status, body, *extra = endpoint.replies.popleft()
+        except IndexError:
+            answer, _ = MockBackend().respond(
+                SimpleNamespace(rendered=payload["messages"][0]["content"]))
+            status, body, extra = 200, json.dumps({"choices": [{"message": {"content": answer}}]}), ()
+        endpoint.released.wait(endpoint.delay_s)
+        data = body.encode("utf-8")
+        self.send_response(status)
+        for name, value in {"Content-Type": "application/json", **(extra[0] if extra else {})}.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class LoopbackEndpoint(ThreadingHTTPServer):
+    """A chat-completions endpoint on 127.0.0.1, to be served from a thread.
+
+    Each POST takes the next of ``replies``, a ``(status, body)`` or
+    ``(status, body, headers)``; with none queued it answers 200 with the
+    mock backend's answer to the prompt, as a live model would. Each reply
+    waits ``delay_s`` first, cut short once ``released`` is set. ``requests``
+    holds each request's ``(path, headers, payload)``.
+    """
+
+    daemon_threads = False              # so that server_close() joins every handler thread
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _EndpointHandler)
+        host, port = self.server_address
+        self.url = f"http://{host}:{port}/v1/chat/completions"
+        self.replies = collections.deque()
+        self.requests = []
+        self.delay_s = 0.0
+        self.released = threading.Event()
+
+    def handle_error(self, request, client_address):
+        pass                            # a client that timed out and left
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A running :class:`LoopbackEndpoint`, shut down with every thread and socket at teardown."""
+    for name in ("http_proxy", "https_proxy", "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)       # a proxy must not take loopback traffic
+    server = LoopbackEndpoint()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.released.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

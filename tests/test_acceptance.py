@@ -225,8 +225,7 @@ def test_criterion_9_optional_live_reference(tmp_path):
     seed_file = str(files("formukit") / "data" / "seed_records.json")
     store_path = str(tmp_path / "store.jsonl")
     out = str(tmp_path / "out")
-    assert main(["store", "ingest", "--file", seed_file, "--store", store_path,
-                 "--output-dir", out, "--run-id", "ing"]) == 0
+    assert main(["store", "ingest", "--file", seed_file, "--store", store_path]) == 0
     code = main(["bench", "--dataset", store_path, "--backend", "live",
                  "--output-dir", out, "--run-id", "live"])
     assert code in (0, 4)          # informational: live output may not parse

@@ -1,6 +1,7 @@
 import codecs
 import json
 import os
+import socket
 import subprocess
 import sys
 from importlib.resources import files
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import formukit
-from formukit import cli, llm
+from formukit import cli
 from formukit.cli import AppConfig, main
 from formukit.errors import DuplicateTimeError, ParseError, TransportError, ValidationError
 
@@ -71,7 +72,10 @@ class TestSimulate:
                                        ["simulate", "--d50", "50", "--medium-volume", "inf"],
                                        ["simulate", "--d50", "50", "--rpm", "inf"],
                                        ["simulate", "--d50", "50", "--geo-sigma", "inf"],
-                                       ["simulate", "--d50", "50", "--geo-sigma", "1e300"]])
+                                       ["simulate", "--d50", "50", "--geo-sigma", "1e300"],
+                                       ["simulate", "--d50", "50", "--sink", "--grid", "0,nan"],
+                                       ["simulate", "--d50", "50", "--grid", "0,nan"],
+                                       ["simulate", "--d50", "50", "--grid", "0,1,inf"]])
     def test_non_finite_feature_exit_2(self, tmp_path, capsys, flags):
         code = main([*flags, "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
         assert code == 2
@@ -1036,6 +1040,12 @@ def test_hostile_file_exit_2_naming_it(tmp_path, monkeypatch, capsys, argv, name
         assert err == f"error: {path}:{text.count(chr(10))}: invalid JSON line\n"
 
 
+def _live_config(tmp_path, base_url, **llm_fields):
+    path = tmp_path / "live.json"
+    path.write_text(json.dumps({"llm": {"base_url": base_url, **llm_fields}}))
+    return str(path)
+
+
 @pytest.mark.parametrize("body", [
     json.dumps({"choices": [{"message": {"content": None}}]}),
     json.dumps({"choices": [{"message": {"content": 5}}]}),
@@ -1043,13 +1053,88 @@ def test_hostile_file_exit_2_naming_it(tmp_path, monkeypatch, capsys, argv, name
     '{"choices": [{"message": {"content": "x"}}], "usage": ' + "9" * 5000 + "}",
 ], ids=["null-content", "number-content", "deep-body", "int-past-the-digit-limit"])
 @pytest.mark.parametrize("argv", [_PREDICT, _BENCH], ids=["predict", "bench"])
-def test_live_body_without_a_string_answer_exit_3(tmp_path, monkeypatch, capsys, argv, body):
+def test_live_body_without_a_string_answer_exit_3(tmp_path, monkeypatch, capsys, endpoint,
+                                                 argv, body):
     monkeypatch.setenv("FORMU_API_KEY", "offline")
-    monkeypatch.setattr(llm, "_requests_transport", lambda *args: (200, body))
-    code = main([*argv, "--backend", "live", "--output-dir", str(tmp_path), "--run-id", "t"])
+    endpoint.replies.extend([(200, body)] * 15)        # one for each call bench may make
+    code = main([*argv, "--backend", "live", "--config", _live_config(tmp_path, endpoint.url),
+                 "--output-dir", str(tmp_path), "--run-id", "t"])
     assert code == 3
     err = capsys.readouterr().err
     assert err == f"transport error: unexpected response body: {body[:200]}\n"
+
+
+def test_live_bench_on_a_loopback_endpoint_matches_mock(tmp_path, monkeypatch, endpoint):
+    # acceptance criterion 9's sequence, against an endpoint that answers as the mock does
+    monkeypatch.setenv("FORMU_API_KEY", "sk-loopback")
+    store, out = str(tmp_path / "store.jsonl"), str(tmp_path / "out")
+    assert main(["store", "ingest", "--file", SEED_FILE, "--store", store]) == 0
+    config = _live_config(tmp_path, endpoint.url, model="m-1", max_tokens=512)
+    for backend in ("live", "mock"):
+        assert main(["bench", "--dataset", store, "--backend", backend, "--config", config,
+                     "--output-dir", out, "--run-id", backend]) == 0
+    live, mock = (_out(tmp_path, backend) / "report.json" for backend in ("live", "mock"))
+    assert live.read_bytes() == mock.read_bytes()
+    prompts = sorted(json.loads(line)["prompt"] for line in
+                     (_out(tmp_path, "mock") / "transcripts.jsonl").read_text().splitlines())
+    assert len(endpoint.requests) == len(prompts) == 15
+    for path, headers, payload in endpoint.requests:
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-loopback"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["User-Agent"] == f"formukit/{formukit.__version__}"
+        assert payload.keys() == {"model", "messages", "temperature", "max_tokens"}
+        assert (payload["model"], payload["temperature"], payload["max_tokens"]) == ("m-1", 0.0, 512)
+    assert sorted(payload["messages"][0]["content"]
+                  for _, _, payload in endpoint.requests) == prompts
+    assert all(payload["messages"][0]["role"] == "user" for _, _, payload in endpoint.requests)
+
+
+def _closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}/v1/chat/completions"
+
+
+@pytest.mark.parametrize("reply, expected", [
+    ((429, "slow down"), "retries exhausted after 0 retries: HTTP 429: slow down"),
+    ((500, "boom"), "retries exhausted after 0 retries: HTTP 500: boom"),
+    ((400, "bad request"), "HTTP 400: bad request"),
+    ((302, "moved", {"Location": "/v1/other"}), "unexpected response body: moved"),
+    ((307, "moved", {"Location": "/v1/other"}), "unexpected response body: moved"),
+    ("slow", "retries exhausted after 0 retries: transport failure: timed out"),
+    ("closed", "retries exhausted after 0 retries: transport failure: <urlopen error"),
+], ids=["429", "500", "400", "302-not-followed", "307-not-followed", "timeout", "closed-port"])
+def test_live_failure_exit_3_with_one_line(tmp_path, monkeypatch, capsys, endpoint, reply,
+                                          expected):
+    monkeypatch.setenv("FORMU_API_KEY", "offline")
+    url = _closed_port_url() if reply == "closed" else endpoint.url
+    if reply == "slow":
+        endpoint.delay_s = 30.0
+    elif reply != "closed":
+        endpoint.replies.append(reply)
+    code = main([*_PREDICT, "--backend", "live", "--output-dir", str(tmp_path), "--run-id", "t",
+                 "--config", _live_config(tmp_path, url, max_retries=0, timeout_s=0.3)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"transport error: {expected}") and err.count("\n") == 1, err
+    assert len(endpoint.requests) == (0 if reply == "closed" else 1)
+
+
+@pytest.mark.parametrize("template", ["file://{answer}", "ftp://{host}/answer.json", "{host}/v1"],
+                         ids=["file", "ftp", "no-scheme"])
+def test_live_base_url_that_is_not_http_exit_2(tmp_path, monkeypatch, capsys, endpoint, template):
+    # a file that holds a well-formed answer, which urllib's default opener would read
+    monkeypatch.setenv("FORMU_API_KEY", "offline")
+    answer = tmp_path / "answer.json"
+    answer.write_text(json.dumps({"choices": [{"message": {"content": "{}"}}]}))
+    base_url = template.format(answer=answer, host=endpoint.url.split("/")[2])
+    code = main([*_PREDICT, "--backend", "live", "--output-dir", str(tmp_path), "--run-id", "t",
+                 "--config", _live_config(tmp_path, base_url)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: llm base_url must be an http or https URL, got {base_url!r}\n")
+    assert endpoint.requests == []
 
 
 @pytest.mark.parametrize("argv", [_PREDICT, _BENCH], ids=["predict", "bench"])

@@ -533,6 +533,11 @@ class TestSimulate:
             simulate_dissolution(drug, sphere, psd, conditions, (0.5, 1.0))
         with pytest.raises(ValidationError):
             simulate_dissolution(drug, sphere, psd, conditions, (0.0, 1.0, 1.0))
+        sink = DissolutionConditions(sink_override=True)
+        for vessel, times in ((sink, (0.0, np.nan)), (conditions, (0.0, np.nan)),
+                              (conditions, (0.0, 1.0, np.inf))):
+            with pytest.raises(ValidationError, match="output grid must be finite"):
+                simulate_dissolution(drug, sphere, psd, vessel, times)
 
     def test_aspect_ratio_speeds_dissolution(self, drug, conditions, grid):
         # More surface per volume at aspect ratio > 1 must not slow release.

@@ -132,6 +132,20 @@ class TestRetries:
         client = _client(LiveBackend(config, transport=throttled), config=config)
         assert client.complete(prompt).response == "later"
 
+    def test_429_then_answer_over_http(self, reference_input, monkeypatch, endpoint):
+        # the default transport, against a loopback endpoint
+        prompt = build_prompt(PromptStrategy.ZS, reference_input)
+        config = LLMConfig(base_url=endpoint.url, max_retries=1)
+        monkeypatch.setenv(config.api_key_env, "k")
+        endpoint.replies.extend([(429, "slow down"), (200, json.dumps(
+            {"choices": [{"message": {"content": "later"}}], "usage": {"total_tokens": 7}}))])
+        sleeps, recorder = [], TranscriptRecorder()
+        client = _client(LiveBackend(config), config=config, recorder=recorder, sleeps=sleeps)
+        assert client.complete(prompt).response == "later"
+        assert len(sleeps) == 1 and len(endpoint.requests) == 2
+        assert [(r.response, r.usage, r.error) for r in recorder.records] == [
+            ("later", {"total_tokens": 7}, None)]
+
     def test_missing_key_is_validation_error(self, reference_input, monkeypatch):
         config = LLMConfig()
         monkeypatch.delenv(config.api_key_env, raising=False)

@@ -247,7 +247,7 @@ class TestVerbatimImport:
             record_from_verbatim({"Input": {"Roundness": 1.0},
                                   "Output": [[0, 0], [1, 50]]}, "bad")
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf", 10 ** 400])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf", 10 ** 400, True, "60"])
     def test_non_finite_feature_rejected(self, value, example_records):
         row = {**example_records[0].to_dict(), "ssa_m2_g": value}
         with pytest.raises(ValidationError, match="ssa_m2_g must be a finite number"):
