@@ -20,14 +20,14 @@ _EXPORTS = {
                  "mse", "profile_metrics", "r_squared", "run_benchmark"),
     "inverse": ("DesignResult", "DesignSpec", "FreeBinsParameterization",
                 "LognormalParameterization", "design_psd", "design_report", "objective"),
-    "llm": ("LiveBackend", "LLMClient", "LLMConfig", "MockBackend", "ReplayBackend",
+    "llm": ("LiveBackend", "LLMClient", "MockBackend", "ReplayBackend",
             "Transcript", "TranscriptRecorder", "make_backend", "prompt_sha256"),
     "prompts": ("PromptBundle", "PromptStrategy", "build_prompt", "parse_profile_response",
                 "render_example_blocks", "validate_profile"),
     "store": ("FormulationRecord", "RecordStore", "load_records", "record_from_verbatim"),
     "types": ("DEFAULT_OUTPUT_GRID_HR", "HYDROCHLOROTHIAZIDE", "DissolutionConditions",
-              "DissolutionProfile", "DrugSubstance", "FormulationInput", "ParticleMorphology",
-              "SizeDistribution"),
+              "DissolutionProfile", "DrugSubstance", "FormulationInput", "LLMConfig",
+              "ParticleMorphology", "SizeDistribution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 #: The submodules that ``formukit.<name>`` reaches without importing them by name.

@@ -23,17 +23,21 @@ from typing import TYPE_CHECKING
 
 from .errors import DuplicateTimeError, FormukitError, ParseError, TransportError, ValidationError
 from .types import (
+    DEFAULT_GEO_SIGMA,
+    DEFAULT_N_BINS,
     DEFAULT_OUTPUT_GRID_HR,
+    DEFAULT_START_D50_UM,
     FEATURE_NAMES,
     DissolutionConditions,
     DissolutionProfile,
     FormulationInput,
+    LLMConfig,
     open_input,
     read_json,
 )
 
 if TYPE_CHECKING:                       # each command imports the modules it runs
-    from .llm import LLMClient, LLMConfig, TranscriptRecorder
+    from .llm import LLMClient
     from .store import RecordStore
 
 EXIT_OK = 0
@@ -54,7 +58,7 @@ def _from_json(kind, obj, where: str):
 
 @dataclass
 class AppConfig:
-    llm: LLMConfig | None = None                  # None: the defaults, built with the client
+    llm: LLMConfig = field(default_factory=LLMConfig)
     conditions: DissolutionConditions = field(default_factory=DissolutionConditions)
     store_path: str = "formukit_store.jsonl"
     output_dir: str = "formukit_out"
@@ -74,12 +78,9 @@ class AppConfig:
         if path is None:
             return cls()
         obj = read_json(path)
-        from .llm import LLMConfig
-
         config = _from_json(cls, obj, path)        # its two sections are read next
-        config.llm = _from_json(LLMConfig, obj.get("llm", {}), f"{path}: llm")
-        config.conditions = _from_json(DissolutionConditions, obj.get("conditions", {}),
-                                       f"{path}: conditions")
+        for name, kind in (("llm", LLMConfig), ("conditions", DissolutionConditions)):
+            setattr(config, name, _from_json(kind, obj.get(name, {}), f"{path}: {name}"))
         return config
 
 
@@ -119,10 +120,17 @@ def _conditions_with_overrides(config: AppConfig, args) -> DissolutionConditions
     return replace(config.conditions, **_given(args, names))
 
 
-def _parse_grid(text: str | None):
+def _numbers(flag: str, text: str | None, count: int | None = None) -> tuple | None:
+    """The numbers of ``flag``'s comma list, ``count`` of them if given; None if it is empty."""
     if not text:
-        return DEFAULT_OUTPUT_GRID_HR
-    return tuple(float(tok) for tok in text.split(","))
+        return None
+    try:
+        values = tuple(float(tok) for tok in text.split(","))
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValidationError(f"{flag} takes {count or 'only'} comma-separated numbers, got {text!r}")
 
 
 def _write_profile_csv(path: Path, profile: DissolutionProfile) -> None:
@@ -175,7 +183,7 @@ def cmd_simulate(config: AppConfig, args) -> int:
     features = FormulationInput(**_load_features(args))
     conditions = _conditions_with_overrides(config, args)
     psd = psd_from_lognormal(features.d50_um, args.geo_sigma, args.n_bins)
-    grid = _parse_grid(args.grid)
+    grid = _numbers("--grid", args.grid) or DEFAULT_OUTPUT_GRID_HR
     profile = simulate_dissolution(features.drug(), features.morphology(), psd,
                                    conditions, grid)
     out = _run_dir(config, args)
@@ -198,9 +206,8 @@ def cmd_design(config: AppConfig, args) -> int:
                           design_psd, design_report)
 
     target = _read_profile_file(args.target)
-    bounds = [tuple(float(x) for x in given.split(",")) if given else default
-              for given, default in zip((args.d50_bounds, args.sigma_bounds),
-                                        DEFAULT_LOGNORMAL_BOUNDS)]
+    bounds = (_numbers("--d50-bounds", args.d50_bounds, 2) or DEFAULT_LOGNORMAL_BOUNDS[0],
+              _numbers("--sigma-bounds", args.sigma_bounds, 2) or DEFAULT_LOGNORMAL_BOUNDS[1])
     features = FormulationInput(**{"d50_um": args.start_d50, **_load_features(args, ())})
     spec = DesignSpec(
         target=target,
@@ -209,7 +216,7 @@ def cmd_design(config: AppConfig, args) -> int:
         conditions=_conditions_with_overrides(config, args),
         parameterization=LognormalParameterization(args.start_d50, args.start_sigma,
                                                    n_bins=args.n_bins),
-        bounds=tuple(bounds),
+        bounds=bounds,
     )
     result = design_psd(spec, seed=args.seed if args.seed is not None else config.seed,
                         n_starts=args.n_starts)
@@ -232,14 +239,17 @@ def cmd_design(config: AppConfig, args) -> int:
     return EXIT_OK
 
 
-def _build_client(config: AppConfig, args, recorder: TranscriptRecorder) -> LLMClient:
-    from .llm import LLMClient, LLMConfig, make_backend
+def _run_dir_and_client(config: AppConfig, args, transcript: str) -> tuple[Path, LLMClient]:
+    """The run directory and a client that records to its ``transcript`` file; the
+    backend is built first, so that one which can make no call leaves no directory."""
+    from .llm import LLMClient, TranscriptRecorder, make_backend
 
-    llm = config.llm or LLMConfig()
-    backend = make_backend(args.backend, llm, replay_path=getattr(args, "replay", None),
+    backend = make_backend(args.backend, config.llm, replay_path=getattr(args, "replay", None),
                            conditions=config.conditions)
-    return LLMClient(config=llm, backend=backend, recorder=recorder,
-                     seed=args.seed if args.seed is not None else config.seed)
+    out = _run_dir(config, args)
+    return out, LLMClient(config=config.llm, backend=backend,
+                          recorder=TranscriptRecorder(out / transcript),
+                          seed=args.seed if args.seed is not None else config.seed)
 
 
 def _reject_unread(args, *flags) -> None:
@@ -266,7 +276,6 @@ def _examples_for_predict(config: AppConfig, args, strategy, features: Formulati
 
 
 def cmd_predict(config: AppConfig, args) -> int:
-    from .llm import TranscriptRecorder
     from .prompts import STRATEGY_ALIASES, build_prompt, parse_profile_response, validate_profile
 
     if args.strategy not in STRATEGY_ALIASES:
@@ -278,9 +287,7 @@ def cmd_predict(config: AppConfig, args) -> int:
     features = FormulationInput(**_load_features(args))
     examples = _examples_for_predict(config, args, strategy, features)
     prompt = build_prompt(strategy, features, examples=examples)
-    out = _run_dir(config, args)
-    recorder = TranscriptRecorder(out / "transcript.jsonl")
-    client = _build_client(config, args, recorder)
+    out, client = _run_dir_and_client(config, args, "transcript.jsonl")
     profile, report = parse_profile_response(client.complete(prompt).response, full_output=True)
     findings = validate_profile(profile)
     (out / "parse_report.json").write_text(json.dumps({
@@ -329,16 +336,13 @@ def cmd_store_retrieve(config: AppConfig, args) -> int:
 
 def cmd_bench(config: AppConfig, args) -> int:
     from . import evaluate as ev
-    from .llm import TranscriptRecorder
     from .store import load_records
     from .svgplot import profile_overlay_svg
 
     _reject_unread(args)
     dataset = load_records(args.dataset)
     store = _open_store(config, args) if args.store else None
-    out = _run_dir(config, args)
-    recorder = TranscriptRecorder(out / "transcripts.jsonl")
-    client = _build_client(config, args, recorder)
+    out, client = _run_dir_and_client(config, args, "transcripts.jsonl")
     result = ev.run_benchmark(dataset, client=client, store=store)
     (out / "report.txt").write_text(result.report.to_text(), encoding="utf-8")
     (out / "report.csv").write_text(result.report.to_csv(), encoding="utf-8")
@@ -441,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "SSA [m^2/g] and volume-equivalent size [um].")
     _add_input(p, SOLVER_FEATURES)
     _add_condition_flags(p)
-    p.add_argument("--geo-sigma", dest="geo_sigma", type=float, default=1.5,
+    p.add_argument("--geo-sigma", type=float, default=DEFAULT_GEO_SIGMA,
                    help="geometric standard deviation of the log-normal PSD [-]")
-    p.add_argument("--n-bins", dest="n_bins", type=int, default=50, help="PSD bin count")
+    p.add_argument("--n-bins", type=int, default=DEFAULT_N_BINS, help="PSD bin count")
     p.add_argument("--grid", help="comma-separated output times [hr], e.g. 0,0.5,1")
     p.add_argument("--svg", action="store_true", help="also write an SVG plot")
 
@@ -454,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_condition_flags(p)
     p.add_argument("--target", required=True,
                    help="target profile file (CSV time_hr,released_pct or JSON table)")
-    p.add_argument("--start-d50", dest="start_d50", type=float, default=100.0,
+    p.add_argument("--start-d50", type=float, default=DEFAULT_START_D50_UM,
                    help="starting d50 [um]")
-    p.add_argument("--start-sigma", dest="start_sigma", type=float, default=1.5,
+    p.add_argument("--start-sigma", type=float, default=DEFAULT_GEO_SIGMA,
                    help="starting geometric standard deviation [-]")
     p.add_argument("--d50-bounds", dest="d50_bounds", help="d50 bounds LO,HI [um]")
     p.add_argument("--sigma-bounds", dest="sigma_bounds", help="geo-sigma bounds LO,HI [-]")
-    p.add_argument("--n-bins", dest="n_bins", type=int, default=50, help="PSD bin count")
+    p.add_argument("--n-bins", type=int, default=DEFAULT_N_BINS, help="PSD bin count")
     p.add_argument("--n-starts", dest="n_starts", type=int, default=4,
                    help="number of optimizer starts")
     p.add_argument("--seed", type=int, help="seed for the random starts (default: config seed)")

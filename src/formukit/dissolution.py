@@ -43,6 +43,8 @@ from .types import (
     SizeDistribution,
 )
 
+#: Most bins a log-normal distribution may take: a one-start design at 10 000 peaks at 300 MB.
+MAX_N_BINS = 10_000
 M_PER_UM = 1e-6
 S_PER_HR = 3600.0
 KG_M3_PER_G_ML = 1000.0   # true densities arrive in g/mL
@@ -192,8 +194,8 @@ def psd_from_lognormal(d50_um: float, geo_sigma: float, n_bins: int) -> SizeDist
         raise ValidationError("d50 must be > 0")
     if not 1.0 <= geo_sigma < np.inf:
         raise ValidationError("geo_sigma must be finite and >= 1")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    if not 1 <= n_bins <= MAX_N_BINS:
+        raise ValidationError(f"n_bins must be between 1 and {MAX_N_BINS}")
     u = lognormal_offsets(n_bins)
     with np.errstate(over="ignore"):                  # SizeDistribution rejects what overflows
         sizes = d50_um * np.exp(np.log(geo_sigma) * u)

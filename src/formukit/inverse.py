@@ -34,6 +34,9 @@ from .dissolution import (derived_metrics, lognormal_offsets, psd_from_lognormal
                           simulate_dissolution)
 from .errors import ValidationError
 from .types import (
+    DEFAULT_GEO_SIGMA,
+    DEFAULT_N_BINS,
+    DEFAULT_START_D50_UM,
     DissolutionConditions,
     DissolutionProfile,
     DrugSubstance,
@@ -67,7 +70,7 @@ class LognormalParameterization:
 
     d50_um: float
     geo_sigma: float
-    n_bins: int = 50
+    n_bins: int = DEFAULT_N_BINS
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class DesignSpec:
     morph: ParticleMorphology = field(default_factory=ParticleMorphology)
     conditions: DissolutionConditions = field(default_factory=DissolutionConditions)
     parameterization: LognormalParameterization | FreeBinsParameterization = field(
-        default_factory=lambda: LognormalParameterization(100.0, 1.5))
+        default_factory=lambda: LognormalParameterization(DEFAULT_START_D50_UM, DEFAULT_GEO_SIGMA))
     bounds: tuple | None = None              # log-normal only: (lo, hi) of d50, geo_sigma
 
     def __post_init__(self):

@@ -30,35 +30,11 @@ from . import __version__
 from .errors import ParseError, TransportError, ValidationError
 from .prompts import PromptBundle, extract_section, parse_input_block, render_profile_json
 from .store import append_jsonl, read_jsonl
+from .types import DEFAULT_GEO_SIGMA, DEFAULT_N_BINS, DissolutionConditions, LLMConfig
 
-DEFAULT_API_KEY_ENV = "FORMU_API_KEY"
 #: First retry delay [s] and its growth per retry, before jitter.
 BACKOFF_BASE_S = 1.0
 BACKOFF_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class LLMConfig:
-    base_url: str = "https://api.deepseek.com/v1/chat/completions"
-    model: str = "deepseek-r1"
-    temperature: float = 0.0
-    max_tokens: int = 4096
-    timeout_s: float = 120.0
-    max_retries: int = 3
-    max_inflight: int = 4
-    api_key_env: str = DEFAULT_API_KEY_ENV
-
-    def __post_init__(self):
-        for name, got in vars(self).items():          # each field takes its default's type
-            kind = type(getattr(LLMConfig, name))
-            if type(got) is bool or not isinstance(got, (int, float) if kind is float else kind):
-                raise ValidationError(f"llm {name} must be of type {kind.__name__}")
-        for name, least in (("temperature", 0), ("max_tokens", 1), ("max_retries", 0),
-                            ("max_inflight", 1)):
-            if not getattr(self, name) >= least:
-                raise ValidationError(f"{name} must be >= {least}")
-        if not 0 < self.timeout_s < float("inf"):
-            raise ValidationError("timeout_s must be finite and > 0")
 
 
 def prompt_sha256(prompt: PromptBundle) -> str:
@@ -105,10 +81,8 @@ class RetryableTransportFailure(TransportError):
 def _urllib_transport(url: str, headers: dict, payload: dict,
                       timeout: float) -> tuple[int, str]:
     from http.client import HTTPException
-    from urllib import parse, request
+    from urllib import request
 
-    if parse.urlsplit(url).scheme not in ("http", "https"):      # urllib opens file: too
-        raise ValidationError(f"llm base_url must be an http or https URL, got {url!r}")
     opener = request.OpenerDirector()     # http(s) only; no redirect, no raising on a status
     for handler in (request.ProxyHandler(), request.HTTPHandler(), request.HTTPSHandler()):
         opener.add_handler(handler)
@@ -122,29 +96,27 @@ def _urllib_transport(url: str, headers: dict, payload: dict,
 
 
 class LiveBackend:
-    """HTTP chat-completions backend."""
+    """HTTP chat-completions backend; built only with an API key, so ``respond`` only posts."""
 
     tag = "live"
 
     def __init__(self, config: LLMConfig, transport=None):
+        key = os.environ.get(config.api_key_env, "")
+        if not key:
+            raise ValidationError(f"live backend requires the {config.api_key_env} environment variable")
         self.config = config
+        self.headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self.transport = transport if transport is not None else _urllib_transport
 
     def respond(self, prompt: PromptBundle) -> tuple[str, dict | None]:
         """The answer's text and usage; TransportError unless the body holds a string answer."""
-        key = os.environ.get(self.config.api_key_env, "")
-        if not key:
-            raise ValidationError(
-                f"live backend requires the {self.config.api_key_env} environment variable")
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt.rendered}],
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        headers = {"Authorization": f"Bearer {key}",
-                   "Content-Type": "application/json"}
-        status, text = self.transport(self.config.base_url, headers, payload,
+        status, text = self.transport(self.config.base_url, self.headers, payload,
                                       self.config.timeout_s)
         if status == 429 or status >= 500:
             raise RetryableTransportFailure(f"HTTP {status}: {text[:200]}")
@@ -163,8 +135,8 @@ class LiveBackend:
 class MockBackend:
     """Physics-oracle backend for offline runs.
 
-    Parses the prompt's Input Format block, builds a log-normal distribution
-    (geo sigma 1.5, 50 bins) around the given D50, simulates release under
+    Parses the prompt's Input Format block, builds the default powder's
+    log-normal distribution around the given D50, simulates release under
     default conditions on the standard grid and renders the output JSON.
     Responses are byte-deterministic for identical prompts.
     """
@@ -172,8 +144,6 @@ class MockBackend:
     tag = "mock"
 
     def __init__(self, conditions=None):
-        from .types import DissolutionConditions
-
         self.conditions = conditions if conditions is not None else DissolutionConditions()
 
     def respond(self, prompt: PromptBundle) -> tuple[str, None]:
@@ -184,7 +154,7 @@ class MockBackend:
             features = parse_input_block(block)
         except ParseError as exc:
             raise ParseError(f"mock backend cannot read the prompt input: {exc}") from exc
-        psd = psd_from_lognormal(features.d50_um, 1.5, 50)
+        psd = psd_from_lognormal(features.d50_um, DEFAULT_GEO_SIGMA, DEFAULT_N_BINS)
         profile = simulate_dissolution(
             features.drug(), features.morphology(), psd, self.conditions)
         return render_profile_json(profile), None
@@ -226,7 +196,9 @@ class LLMClient:
     Retries only transient transport failures, with exponential backoff
     (base 1 s, factor 2, multiplicative jitter). The client does not bound
     concurrent calls: ``run_benchmark``'s pool of ``max_inflight`` workers does.
-    The sleep function and jitter seed are injectable for tests.
+    With no backend given it builds a ``LiveBackend``, which raises
+    ValidationError unless the API key is set. The sleep function and jitter
+    seed are injectable for tests.
     """
 
     def __init__(self, config: LLMConfig | None = None, backend=None,

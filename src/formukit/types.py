@@ -13,6 +13,7 @@ import os
 import stat
 from dataclasses import dataclass, field, fields
 from numbers import Real
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -20,11 +21,14 @@ from .errors import DuplicateTimeError, ValidationError
 
 # Default reporting grid for release curves, in hours.
 DEFAULT_OUTPUT_GRID_HR = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+#: The default powder's log-normal geometric std [-] and bin count, and a design's start d50 [um].
+DEFAULT_GEO_SIGMA, DEFAULT_N_BINS, DEFAULT_START_D50_UM = 1.5, 50, 100.0
 #: Paddle (impeller) radius of the standard vessel [m].
 IMPELLER_RADIUS_M = 0.037
 #: Bin sizes a distribution may hold [um]: 1 nm to 1 m spans every powder, well
 #: inside the range where the solver's squared sizes stay finite and nonzero.
 SIZE_RANGE_UM = (1e-3, 1e6)
+DEFAULT_API_KEY_ENV = "FORMU_API_KEY"
 
 
 def open_input(path: str | os.PathLike):
@@ -198,6 +202,44 @@ class DissolutionConditions:
         """Characteristic particle-fluid slip velocity [m/s]."""
         tip_speed = 2.0 * math.pi * self.paddle_rpm / 60.0 * IMPELLER_RADIUS_M
         return self.velocity_factor * tip_speed
+
+
+@dataclass(frozen=True)
+class LLMConfig:
+    """The chat-completions endpoint and how to call it; ``api_key_env`` names the key's variable."""
+
+    base_url: str = "https://api.deepseek.com/v1/chat/completions"
+    model: str = "deepseek-r1"
+    temperature: float = 0.0
+    max_tokens: int = 4096
+    timeout_s: float = 120.0
+    max_retries: int = 3
+    max_inflight: int = 4
+    api_key_env: str = DEFAULT_API_KEY_ENV
+
+    def __post_init__(self):
+        for name, got in vars(self).items():          # each field takes its default's type
+            kind = type(getattr(LLMConfig, name))
+            if type(got) is bool or not isinstance(got, (int, float) if kind is float else kind):
+                raise ValidationError(f"llm {name} must be of type {kind.__name__}")
+        for name, least in (("max_tokens", 1), ("max_retries", 0), ("max_inflight", 1)):
+            if not getattr(self, name) >= least:
+                raise ValidationError(f"{name} must be >= {least}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValidationError("temperature must be finite and >= 0")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValidationError("timeout_s must be finite and > 0")
+        url = self.base_url
+        try:
+            parts = urlsplit(url)
+            port = parts.port                         # ValueError unless a number in 0-65535
+        except ValueError as exc:
+            raise ValidationError(f"llm base_url {url!r}: {exc}") from exc
+        if parts.scheme not in ("http", "https"):     # urllib would open file: too
+            raise ValidationError(f"llm base_url must be an http or https URL, got {url!r}")
+        if not parts.hostname or port == 0 or any(c <= " " or c == "\x7f" for c in url):
+            raise ValidationError(f"llm base_url needs a host, a port in 1-65535 and no space "
+                                  f"or control character (http.client refuses one), got {url!r}")
 
 
 @dataclass(frozen=True)

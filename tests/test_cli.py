@@ -90,6 +90,14 @@ class TestSimulate:
         assert code == 2
         assert "bin sizes must be" in capsys.readouterr().err
 
+    def test_grid_that_is_not_numbers_exit_2_naming_the_flag(self, tmp_path, capsys):
+        code = main(["simulate", "--d50", "50", "--grid", "0,x",
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --grid takes only comma-separated numbers, got '0,x'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_custom_grid(self, tmp_path, input_file):
         code = main(["simulate", "--input", input_file, "--grid", "0,0.5,1",
                      "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
@@ -197,7 +205,9 @@ class TestDesign:
 
     @pytest.mark.parametrize("flag", ["--d50-bounds=0,100", "--d50-bounds=-5,100",
                                       "--d50-bounds=5,inf", "--sigma-bounds=1.05,inf",
-                                      "--sigma-bounds=0.5,2", "--d50-bounds=nan,100"])
+                                      "--sigma-bounds=0.5,2", "--d50-bounds=nan,100",
+                                      "--d50-bounds=abc", "--d50-bounds=1,2,3",
+                                      "--d50-bounds=5"])
     def test_unusable_bounds_exit_2(self, tmp_path, input_file, capsys, flag):
         assert main(["simulate", "--input", input_file,
                      "--output-dir", str(tmp_path / "out"), "--run-id", "sim"]) == 0
@@ -227,6 +237,27 @@ class TestDesign:
         path.write_text(json.dumps({"solubility of drug (mg/mL)": 5, "aspect_ratio": 2}))
         assert (self._design(tmp_path, "file", "--input", str(path))
                 == self._design(tmp_path, "flags", "--solubility", "5", "--aspect-ratio", "2"))
+
+
+#: Backend flags that can make no call, and the error each exits 2 with.
+_BACKENDS_THAT_CANNOT_CALL = [
+    (["--backend", "live"], "live backend requires the FORMU_API_KEY environment variable"),
+    (["--backend", "replay"], "replay backend needs a transcript file"),
+    (["--backend", "replay", "--replay", "{tmp}/none.jsonl"],
+     "[Errno 2] No such file or directory: '{tmp}/none.jsonl'"),
+]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--d50", "50"],
+                                  ["design", "--target", "t.csv", "--n-starts", "1"]])
+def test_more_bins_than_the_bound_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # the bound + 1 only: a count far past it would allocate before it is refused
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("time_hr,released_pct\n0,0\n1,20\n2,35\n6,70\n")
+    code = main([*argv, "--n-bins", "10001", "--output-dir", "out"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: n_bins must be between 1 and 10000\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestPredict:
@@ -270,12 +301,16 @@ class TestPredict:
         assert "### Example1: ###" in row["prompt"]
         assert '"Mean Particle Size, D50"' in row["prompt"]
 
-    def test_live_without_key_exit_2(self, tmp_path, input_file, monkeypatch):
+    def test_live_without_key_exit_2(self, tmp_path, input_file, monkeypatch, capsys):
+        # like a replay with no transcript file, it exits before making the run directory
         monkeypatch.delenv("FORMU_API_KEY", raising=False)
-        code = main(["predict", "--strategy", "zs", "--backend", "live",
-                     "--input", input_file,
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
-        assert code == 2
+        for backend, expected in _BACKENDS_THAT_CANNOT_CALL:
+            backend = [arg.format(tmp=tmp_path) for arg in backend]
+            code = main(["predict", "--strategy", "zs", *backend, "--input", input_file,
+                         "--output-dir", str(tmp_path / "out"), "--run-id", "t"])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {expected.format(tmp=tmp_path)}\n"
+            assert not (tmp_path / "out").exists()
 
     def test_unknown_strategy_exit_2(self, tmp_path, input_file):
         code = main(["predict", "--strategy", "few", "--backend", "mock",
@@ -450,12 +485,16 @@ class TestBench:
         assert len(err) == 1 and "record 'one'" in err[0]
         assert not (_out(tmp_path, "b") / "transcripts.jsonl").exists()
 
-    def test_live_without_key_exit_2(self, tmp_path, monkeypatch):
+    def test_live_without_key_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("FORMU_API_KEY", raising=False)
         dataset = _make_sim_dataset(tmp_path, d50s=(45.0, 97.5))
-        code = main(["bench", "--dataset", dataset, "--backend", "live",
-                     "--output-dir", str(tmp_path / "out"), "--run-id", "b"])
-        assert code == 2
+        for backend, expected in _BACKENDS_THAT_CANNOT_CALL:
+            backend = [arg.format(tmp=tmp_path) for arg in backend]
+            code = main(["bench", "--dataset", dataset, *backend,
+                         "--output-dir", str(tmp_path / "out"), "--run-id", "b"])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {expected.format(tmp=tmp_path)}\n"
+            assert not (tmp_path / "out").exists()
 
 
 class TestParseFailureExitCodes:
@@ -964,11 +1003,16 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
                          ("t.csv", (0, 50, 80))):
         (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
             f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "c.json").write_text(json.dumps({"llm": {"model": "m", "temperature": 0.5}}))
     base = {"errors", "types", "prompts"}
     solver = base | {"store", "dissolution"}
     cases = [(["store", "list", "--store", "s.jsonl"], base | {"store"}),
              (["eval", "--reference", "ref.csv", "--predicted", "pred.csv"], base | {"evaluate"}),
+             (["store", "list", "--store", "s.jsonl", "--config", "empty.json"],
+              base | {"store"}),
              (["simulate", "--d50", "50"], solver),
+             (["simulate", "--d50", "50", "--config", "c.json"], solver),
              (["simulate", "--d50", "50", "--svg"], solver | {"svgplot"}),
              (["design", "--target", "t.csv", "--n-starts", "1", "--n-bins", "4"],
               solver | {"inverse"}),
@@ -1121,20 +1165,37 @@ def test_live_failure_exit_3_with_one_line(tmp_path, monkeypatch, capsys, endpoi
     assert len(endpoint.requests) == (0 if reply == "closed" else 1)
 
 
-@pytest.mark.parametrize("template", ["file://{answer}", "ftp://{host}/answer.json", "{host}/v1"],
-                         ids=["file", "ftp", "no-scheme"])
+@pytest.mark.parametrize("template", [
+    "file://{answer}", "ftp://{host}/answer.json", "{host}/v1", "http://{hostname}:abc/v1",
+    "http://{hostname}:99999/v1", "http:///v1", "http://{host}/v 1",
+], ids=["file", "ftp", "no-scheme", "port-not-a-number", "port-out-of-range", "no-host",
+        "space-in-path"])
 def test_live_base_url_that_is_not_http_exit_2(tmp_path, monkeypatch, capsys, endpoint, template):
     # a file that holds a well-formed answer, which urllib's default opener would read
     monkeypatch.setenv("FORMU_API_KEY", "offline")
     answer = tmp_path / "answer.json"
     answer.write_text(json.dumps({"choices": [{"message": {"content": "{}"}}]}))
-    base_url = template.format(answer=answer, host=endpoint.url.split("/")[2])
+    host = endpoint.url.split("/")[2]
+    base_url = template.format(answer=answer, host=host, hostname=host.split(":")[0])
     code = main([*_PREDICT, "--backend", "live", "--output-dir", str(tmp_path), "--run-id", "t",
                  "--config", _live_config(tmp_path, base_url)])
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: llm base_url must be an http or https URL, got {base_url!r}\n")
+    err = capsys.readouterr().err
+    if not template.startswith("http:"):
+        assert err == f"error: llm base_url must be an http or https URL, got {base_url!r}\n"
+    assert err.startswith("error: llm base_url ") and err.count("\n") == 1, err
     assert endpoint.requests == []
+    assert not (tmp_path / "t").exists()
+
+
+def test_live_infinite_temperature_exit_2(tmp_path, monkeypatch, capsys, endpoint):
+    monkeypatch.setenv("FORMU_API_KEY", "offline")
+    code = main([*_PREDICT, "--backend", "live", "--output-dir", str(tmp_path), "--run-id", "t",
+                 "--config", _live_config(tmp_path, endpoint.url, temperature=float("inf"))])
+    assert code == 2
+    assert capsys.readouterr().err == "error: temperature must be finite and >= 0\n"
+    assert endpoint.requests == []
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("argv", [_PREDICT, _BENCH], ids=["predict", "bench"])

@@ -60,11 +60,18 @@ _RECORDS = st.lists(_mutated(
               _FEATURES, _POINTS)
     | st.builds(lambda f, table: {"Input": f, "Output": table}, _VERBATIM_FEATURES,
                 _TABLES | _POINTS)), min_size=1, max_size=3)
+# Endpoints the config must refuse, and two it takes; the command opens none of them.
+_BASE_URLS = st.sampled_from([
+    "file:///dev/null", "ftp://127.0.0.1/v1", "127.0.0.1/v1", "http://127.0.0.1:abc/v1",
+    "http://127.0.0.1:99999/v1", "http://127.0.0.1:0/v1", "http:///v1", "http://[::1/v1",
+    "http://127.0.0.1/v 1", "http://127.0.0.1/v1\x7f", "http://127.0.0.1/v1\n",
+    "http://127.0.0.1:8000/v1", "HTTPS://example.invalid/v1"]) | st.text(max_size=6)
 _CONFIGS = st.fixed_dictionaries({}, optional={
     "conditions": st.fixed_dictionaries({}, optional={
         "dose_mg": st.floats(), "paddle_rpm": st.floats(), "sink_override": _SCALARS}),
     "llm": st.fixed_dictionaries({}, optional={
-        "max_inflight": st.integers(-1, 8), "temperature": st.floats(), "model": _SCALARS}),
+        "max_inflight": st.integers(-1, 8), "temperature": st.floats(), "model": _SCALARS,
+        "base_url": _BASE_URLS}),
     "seed": _SCALARS})
 # The digest of the --replay command's prompt, so that a drawn response reaches the parser.
 _DIGEST = prompt_sha256(build_prompt(PromptStrategy.ZS, FormulationInput(d50_um=50.0)))

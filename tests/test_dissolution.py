@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.integrate import quad, solve_ivp
 
 from formukit.dissolution import (
+    MAX_N_BINS,
     _size_law,
     derived_metrics,
     psd_from_lognormal,
@@ -309,6 +310,9 @@ class TestLognormalPsd:
             psd_from_lognormal(97.5, 0.9, 50)
         with pytest.raises(ValidationError):
             psd_from_lognormal(97.5, 1.5, 0)
+        assert psd_from_lognormal(97.5, 1.5, MAX_N_BINS).n_bins == MAX_N_BINS
+        with pytest.raises(ValidationError, match="n_bins"):
+            psd_from_lognormal(97.5, 1.5, MAX_N_BINS + 1)
 
 
 class TestDerivedMetrics:

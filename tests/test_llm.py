@@ -62,7 +62,7 @@ class TestMockBackend:
 
 
 class TestRetries:
-    def test_two_failures_then_success(self, reference_input):
+    def test_two_failures_then_success(self, reference_input, monkeypatch):
         prompt = build_prompt(PromptStrategy.ZS, reference_input)
         calls = {"n": 0}
 
@@ -75,13 +75,9 @@ class TestRetries:
 
         sleeps = []
         config = LLMConfig(max_retries=3)
+        monkeypatch.setenv(config.api_key_env, "test-key")
         client = _client(LiveBackend(config, transport=flaky), config=config, sleeps=sleeps)
-        monkey = pytest.MonkeyPatch()
-        monkey.setenv(config.api_key_env, "test-key")
-        try:
-            result = client.complete(prompt)
-        finally:
-            monkey.undo()
+        result = client.complete(prompt)
         assert result.response == "ok"
         assert calls["n"] == 3
         assert len(sleeps) == 2
@@ -146,13 +142,14 @@ class TestRetries:
         assert [(r.response, r.usage, r.error) for r in recorder.records] == [
             ("later", {"total_tokens": 7}, None)]
 
-    def test_missing_key_is_validation_error(self, reference_input, monkeypatch):
+    def test_missing_key_is_validation_error(self, monkeypatch):
+        # the key is read when the backend is built, so no call is made or recorded
         config = LLMConfig()
         monkeypatch.delenv(config.api_key_env, raising=False)
-        prompt = build_prompt(PromptStrategy.ZS, reference_input)
-        client = _client(LiveBackend(config))
         with pytest.raises(ValidationError, match="environment variable"):
-            client.complete(prompt)
+            LiveBackend(config)
+        with pytest.raises(ValidationError, match="environment variable"):
+            LLMClient(config)
 
 
 class TestReplay:
@@ -239,8 +236,9 @@ class TestOfflinePurity:
 
 
 class TestFactory:
-    def test_make_backend(self, tmp_path):
+    def test_make_backend(self, tmp_path, monkeypatch):
         config = LLMConfig()
+        monkeypatch.setenv(config.api_key_env, "k")
         assert isinstance(make_backend("mock", config), MockBackend)
         assert isinstance(make_backend("live", config), LiveBackend)
         transcript = {"prompt_sha256": "ab", "response": "x"}
