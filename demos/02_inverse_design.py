@@ -35,8 +35,8 @@ spec = DesignSpec(
     drug=drug,
     morph=sphere,
     conditions=vessel,
-    parameterization=LognormalParameterization(300.0, 1.2),   # deliberately wrong
-    bounds=((5.0, 1000.0), (1.01, 3.0)),
+    # deliberately wrong start, searched within d50 5-1000 um and geo_sigma 1.01-3
+    parameterization=LognormalParameterization(300.0, 1.2, bounds=((5.0, 1000.0), (1.01, 3.0))),
 )
 result = design_psd(spec, seed=0)
 

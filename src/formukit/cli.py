@@ -17,6 +17,7 @@ import itertools
 import json
 import sys
 import time
+import urllib.parse
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -87,7 +88,7 @@ class AppConfig:
 def _run_dir(config: AppConfig, args) -> Path:
     """A fresh run directory: --run-id must not name a non-empty one, and a
     taken default (timestamp) id gets a numeric suffix."""
-    base = Path(args.output_dir or config.output_dir)
+    base = Path(config.output_dir)
     stamp = args.run_id or time.strftime("run-%Y%m%d-%H%M%S", time.gmtime())
     path = base / stamp
     if args.run_id and path.is_dir() and any(path.iterdir()):
@@ -113,11 +114,6 @@ def _load_features(args, required=("d50_um",)) -> dict[str, float]:
     if args.input:
         obj, where = read_json(args.input), f"input file {args.input}"
     return read_features(obj, where, required, given=_given(args, FEATURE_NAMES))
-
-
-def _conditions_with_overrides(config: AppConfig, args) -> DissolutionConditions:
-    names = (f.name for f in fields(DissolutionConditions))
-    return replace(config.conditions, **_given(args, names))
 
 
 def _numbers(flag: str, text: str | None, count: int | None = None) -> tuple | None:
@@ -181,11 +177,10 @@ def cmd_simulate(config: AppConfig, args) -> int:
     from .dissolution import derived_metrics, psd_from_lognormal, simulate_dissolution
 
     features = FormulationInput(**_load_features(args))
-    conditions = _conditions_with_overrides(config, args)
     psd = psd_from_lognormal(features.d50_um, args.geo_sigma, args.n_bins)
     grid = _numbers("--grid", args.grid) or DEFAULT_OUTPUT_GRID_HR
     profile = simulate_dissolution(features.drug(), features.morphology(), psd,
-                                   conditions, grid)
+                                   config.conditions, grid)
     out = _run_dir(config, args)
     if args.svg:
         from .svgplot import profile_overlay_svg
@@ -213,13 +208,11 @@ def cmd_design(config: AppConfig, args) -> int:
         target=target,
         drug=features.drug(),
         morph=features.morphology(),
-        conditions=_conditions_with_overrides(config, args),
+        conditions=config.conditions,
         parameterization=LognormalParameterization(args.start_d50, args.start_sigma,
-                                                   n_bins=args.n_bins),
-        bounds=bounds,
+                                                   n_bins=args.n_bins, bounds=bounds),
     )
-    result = design_psd(spec, seed=args.seed if args.seed is not None else config.seed,
-                        n_starts=args.n_starts)
+    result = design_psd(spec, seed=config.seed, n_starts=args.n_starts)
     out = _run_dir(config, args)
     report = design_report(result, spec)
     payload = {
@@ -249,7 +242,7 @@ def _run_dir_and_client(config: AppConfig, args, transcript: str) -> tuple[Path,
     out = _run_dir(config, args)
     return out, LLMClient(config=config.llm, backend=backend,
                           recorder=TranscriptRecorder(out / transcript),
-                          seed=args.seed if args.seed is not None else config.seed)
+                          seed=config.seed)
 
 
 def _reject_unread(args, *flags) -> None:
@@ -353,7 +346,8 @@ def cmd_bench(config: AppConfig, args) -> int:
                   for s in result.predictions if rec_id in result.predictions[s]}
         if curves:
             svg = profile_overlay_svg(reference, curves, title=f"record {rec_id}")
-            (out / f"overlay_{rec_id}.svg").write_text(svg, encoding="utf-8")
+            name = urllib.parse.quote(rec_id, safe="")     # any id names one file in ``out``
+            (out / f"overlay_{name}.svg").write_text(svg, encoding="utf-8")
     print(result.report.to_text())
     print(f"outputs: {out}")
     if all(not row.evaluable for row in result.report.rows):
@@ -517,6 +511,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = AppConfig.load(args.config)
+        # the flags given override their config values, through the same checks
+        config = replace(config, **_given(args, ("output_dir", "seed")), conditions=replace(
+            config.conditions, **_given(args, (f.name for f in fields(DissolutionConditions)))))
         return args.func(config, args)
     except TransportError as exc:
         code, kind, message = EXIT_TRANSPORT, "transport error", str(exc)

@@ -62,15 +62,28 @@ _XTOL = 1e-12
 _MAX_ROUNDS = 40
 #: ``_bvls`` gives up, unconverged, after this many variables entering per variable.
 _BVLS_ROUNDS = 3
+#: The (lo, hi) of d50 [um] and of geo_sigma a log-normal design searches by default.
+DEFAULT_LOGNORMAL_BOUNDS = ((5.0, 1000.0), (1.01, 3.0))
 
 
 @dataclass(frozen=True)
 class LognormalParameterization:
-    """Log-normal family; the values given here are the optimizer's start."""
+    """Log-normal family; the values given here are the optimizer's start, and
+    ``bounds`` the (lo, hi) of d50 [um] and of geo_sigma that it searches within."""
 
     d50_um: float
     geo_sigma: float
     n_bins: int = DEFAULT_N_BINS
+    bounds: tuple = DEFAULT_LOGNORMAL_BOUNDS
+
+    def __post_init__(self):
+        if len(self.bounds) != 2:
+            raise ValidationError(f"need 2 (lo, hi) bounds, got {len(self.bounds)}")
+        for lo, hi in self.bounds:
+            if not -np.inf < lo < hi < np.inf:
+                raise ValidationError(f"infeasible bound ({lo}, {hi}): need finite lo < hi")
+        if not (self.bounds[0][0] > 0.0 and self.bounds[1][0] >= 1.0):
+            raise ValidationError("d50 bounds must be > 0 and geo_sigma bounds >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,10 +107,7 @@ class FreeBinsParameterization:
         return int(self.sizes_um.size)
 
 
-DEFAULT_LOGNORMAL_BOUNDS = ((5.0, 1000.0), (1.01, 3.0))
-
-
-@dataclass
+@dataclass(frozen=True)
 class DesignSpec:
     """Everything the inverse solver needs: target, physics, knobs."""
 
@@ -107,25 +117,12 @@ class DesignSpec:
     conditions: DissolutionConditions = field(default_factory=DissolutionConditions)
     parameterization: LognormalParameterization | FreeBinsParameterization = field(
         default_factory=lambda: LognormalParameterization(DEFAULT_START_D50_UM, DEFAULT_GEO_SIGMA))
-    bounds: tuple | None = None              # log-normal only: (lo, hi) of d50, geo_sigma
 
     def __post_init__(self):
         if self.target.n_points < 2:
             raise ValidationError("target must have at least 2 points")
         if not self.target.starts_at_zero:
             raise ValidationError("target profile must start at (0, 0)")
-        if not self.is_lognormal:
-            if self.bounds is not None:
-                raise ValidationError("free-bin fractions lie in [0, 1]: give no bounds")
-            return
-        self.bounds = DEFAULT_LOGNORMAL_BOUNDS if self.bounds is None else self.bounds
-        if len(self.bounds) != 2:
-            raise ValidationError(f"need 2 (lo, hi) bounds, got {len(self.bounds)}")
-        for lo, hi in self.bounds:
-            if not -np.inf < lo < hi < np.inf:
-                raise ValidationError(f"infeasible bound ({lo}, {hi}): need finite lo < hi")
-        if not (self.bounds[0][0] > 0.0 and self.bounds[1][0] >= 1.0):
-            raise ValidationError("d50 bounds must be > 0 and geo_sigma bounds >= 1")
 
     @property
     def is_lognormal(self) -> bool:
@@ -249,7 +246,7 @@ def _gauss_newton(spec: DesignSpec, make_psd, x, columns, bounds, penalty,
 
 def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int) -> DesignResult:
     param = spec.parameterization
-    lb, ub = np.log(spec.bounds).T
+    lb, ub = np.log(param.bounds).T
 
     def lognormal(z):
         d50, sigma = float(np.exp(z[0])), float(np.exp(z[1]))
@@ -263,7 +260,7 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int) -> DesignResul
 
     rng = np.random.default_rng(seed)
     z0 = np.clip(np.log([param.d50_um, param.geo_sigma]), lb, ub)
-    starts = [z0] + [rng.uniform(lb, ub) for _ in range(n_starts - 1)]
+    starts = (rng.uniform(lb, ub) if i else z0 for i in range(n_starts))
     return _multi_start(spec, lognormal, starts, columns=columns, bounds=(lb, ub),
                         penalty=(np.empty((0, 2)), np.empty(0)), perfect=ROUNDING_OBJECTIVE,
                         max_rounds=_MAX_ROUNDS)
@@ -300,21 +297,23 @@ def _multi_start(spec: DesignSpec, make_psd, starts, **search) -> DesignResult:
     turn, skipping the rest after a numerically perfect fit, which cannot be
     beaten materially. The best start has the lowest value, then the fewest
     accepted steps, then the lowest index."""
-    searches = []                  # (history, runs, converged, x, result) per start
-    for start in starts:
-        searches.append(_gauss_newton(spec, make_psd, start, **search))
-        if searches[-1][0][-1] < CONVERGED_OBJECTIVE:
+    best, evaluations = None, 0      # ((value, steps, index), history, converged, x, result)
+    for index, start in enumerate(starts):
+        history, runs, converged, x, result = _gauss_newton(spec, make_psd, start, **search)
+        evaluations += runs
+        rank = (history[-1], len(history), index)
+        if best is None or rank < best[0]:
+            best = rank, history, converged, x, result
+        if history[-1] < CONVERGED_OBJECTIVE:
             break
-    start_index = min(range(len(searches)), key=lambda i: (
-        searches[i][0][-1], len(searches[i][0]), i))
-    history, _, converged, x, result = searches[start_index]
+    (_, _, start_index), history, converged, x, result = best
     psd, parameters = make_psd(x)
     residual = spec.target.released_pct - result.profile.released_pct     # on the same grid
     return DesignResult(
         psd=psd, achieved=result.profile, residual_mse=float(np.mean(residual ** 2)),
         iterations=len(history) - 1, converged=bool(converged), parameters=parameters,
         objective_history=tuple(history), start_index=start_index,
-        evaluations=sum(search[1] for search in searches))
+        evaluations=evaluations)
 
 
 def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
@@ -323,7 +322,7 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
 
     A log-normal design runs ``n_starts`` bounded Gauss-Newton searches, the
     first from the parameterization's own values and the rest from ``seed``'s
-    draws within the bounds, each of at most ``_MAX_ROUNDS`` rounds; starts
+    draws within its bounds, each of at most ``_MAX_ROUNDS`` rounds; starts
     after one that fits below ``CONVERGED_OBJECTIVE`` are skipped. The best
     residual wins, ties broken by fewer iterations then lower start index. A
     free-bin design runs one search of at most ``max_iter_free`` rounds from
@@ -334,6 +333,8 @@ def design_psd(spec: DesignSpec, *, seed: int = 0, n_starts: int = 4,
     """
     if n_starts < 1:
         raise ValidationError("n_starts must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if spec.is_lognormal:
         return _design_lognormal(spec, seed, n_starts)
     return _design_free_bins(spec, max_iter_free)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput
+from .types import DEFAULT_OUTPUT_GRID_HR, FEATURE_NAMES, DissolutionProfile, FormulationInput
 
 
 class PromptStrategy(enum.Enum):
@@ -74,30 +74,13 @@ _FORWARD_REQUEST_BODY = """\
 3. you need to design the physical properties of the drugs and optimize the conditions based on given
 dissolution profile (dissolution rate)"""
 
-_OUTPUT_FORMAT_SAMPLE = """\
-{
-  "columns": ["Time (hr)", "Drug Released (%)"],
-  "data": [
-    [0, 0],
-    [0.25, 85],
-    [0.5, 87],
-    [0.75, 88],
-    [1, 89],
-    [2, 89],
-    [3, 89],
-    [4, 88],
-    [5, 87],
-    [6, 87]
-  ]
-}"""
-
-_FORWARD_OUTPUT_BODY = """\
+_FORWARD_OUTPUT_REQUEST = """\
 please generate a table with columns: [Time(min), Drug Released (%)].
 Include key metrics: {t_0}, {t_0.25}, {t_0.5}, {t_0.75}, {t_1}, {t_2}, {t_3}, {t_4}, {t_5},
 {t_6}
 where t refers to the abbreviation of "Time (hrs)"
 
-""" + _OUTPUT_FORMAT_SAMPLE
+"""
 
 _CONSTRAINTS_BODY = """\
 1. Nernst-Brunner equation = {
@@ -176,6 +159,11 @@ def render_profile_json(profile: DissolutionProfile) -> str:
     )
     return ('{\n  "columns": ["Time (hr)", "Drug Released (%)"],\n'
             f'  "data": [\n{rows}\n  ]\n}}')
+
+
+#: The Output Format section: the request, then a sample of the block to answer in.
+_FORWARD_OUTPUT_BODY = _FORWARD_OUTPUT_REQUEST + render_profile_json(
+    DissolutionProfile(DEFAULT_OUTPUT_GRID_HR, (0, 85, 87, 88, 89, 89, 89, 88, 87, 87)))
 
 
 def render_example_blocks(records) -> str:

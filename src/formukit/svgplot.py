@@ -6,6 +6,8 @@ byte-stable across runs so replayed benchmarks diff clean.
 
 from __future__ import annotations
 
+from html import escape
+
 from .types import DissolutionProfile
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -50,7 +52,7 @@ def profile_overlay_svg(reference: DissolutionProfile | None,
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_MARGIN_L}" y="22" font-family="sans-serif" font-size="14" '
-        f'font-weight="bold">{title}</text>',
+        f'font-weight="bold">{escape(title, quote=False)}</text>',
     ]
     # frame and gridlines every 20%
     parts.append(
@@ -87,7 +89,7 @@ def profile_overlay_svg(reference: DissolutionProfile | None,
         parts.append(f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
                      f'stroke="{color}" stroke-width="1.8"/>')
         parts.append(f'<text x="{lx + 28}" y="{legend_y + 4}" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
+                     f'font-size="11">{escape(label, quote=False)}</text>')
         legend_y += 18
 
     if reference is not None:

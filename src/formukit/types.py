@@ -11,6 +11,7 @@ import json
 import math
 import os
 import stat
+import threading
 from dataclasses import dataclass, field, fields
 from numbers import Real
 from urllib.parse import urlsplit
@@ -227,8 +228,8 @@ class LLMConfig:
                 raise ValidationError(f"{name} must be >= {least}")
         if not 0 <= self.temperature < math.inf:
             raise ValidationError("temperature must be finite and >= 0")
-        if not 0 < self.timeout_s < math.inf:
-            raise ValidationError("timeout_s must be finite and > 0")
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:      # socket.settimeout's bound
+            raise ValidationError(f"timeout_s must be > 0 and at most {threading.TIMEOUT_MAX:g}")
         url = self.base_url
         try:
             parts = urlsplit(url)
@@ -237,9 +238,9 @@ class LLMConfig:
             raise ValidationError(f"llm base_url {url!r}: {exc}") from exc
         if parts.scheme not in ("http", "https"):     # urllib would open file: too
             raise ValidationError(f"llm base_url must be an http or https URL, got {url!r}")
-        if not parts.hostname or port == 0 or any(c <= " " or c == "\x7f" for c in url):
-            raise ValidationError(f"llm base_url needs a host, a port in 1-65535 and no space "
-                                  f"or control character (http.client refuses one), got {url!r}")
+        if not (parts.hostname and port != 0 and url.isascii() and url.isprintable()) or " " in url:
+            raise ValidationError(f"llm base_url needs a host, a port in 1-65535 and printable "
+                                  f"ASCII but no space (http.client refuses others), got {url!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from importlib.resources import files
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -462,6 +463,24 @@ class TestBench:
         assert (_out(tmp_path, "r1") / "report.csv").read_text() == \
             (_out(tmp_path, "r2") / "report.csv").read_text()
 
+    def test_ids_name_one_well_formed_overlay_each(self, tmp_path, capsys):
+        # "/" and " " are quoted out of the file name, "<" and "&" escaped inside the SVG
+        ids = ("lot 7/2024", "a<b & c")
+        dataset = tmp_path / "ids.json"
+        dataset.write_text(json.dumps({"records": [
+            {"id": rec_id, "Input": REFERENCE_INPUT, "profile": [[0, 0], [1, 50], [2, 80]]}
+            for rec_id in ids]}))
+        code = main(["bench", "--dataset", str(dataset), "--backend", "mock",
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "b"])
+        assert code == 0
+        assert "RAG" in capsys.readouterr().out
+        svgs = sorted(_out(tmp_path, "b").glob("*.svg"))
+        assert [p.name for p in svgs] == ["overlay_a%3Cb%20%26%20c.svg",
+                                          "overlay_lot%207%2F2024.svg"]
+        titles = [ElementTree.parse(p).getroot().find("{http://www.w3.org/2000/svg}text").text
+                  for p in svgs]
+        assert titles == [f"record {rec_id}" for rec_id in sorted(ids)]
+
     def test_reused_run_id_exit_2_keeps_first_run(self, tmp_path, capsys):
         args = ["bench", "--dataset", SEED_FILE, "--backend", "mock",
                 "--output-dir", str(tmp_path / "out"), "--run-id", "same"]
@@ -766,6 +785,12 @@ _REPEATED_TIME_JSON = json.dumps({"columns": ["Time (hr)", "Drug Released (%)"],
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"llm": {"timeout_s": NaN}}', id="config-nan-timeout"),
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
+                 '{"llm": {"timeout_s": 1e10}}', id="config-timeout-past-socket-max"),
+    pytest.param(["design", "--target", "ok.csv", "--config"], "c.json",
+                 '{"seed": -1}', id="config-negative-seed-design"),
+    pytest.param(["design", "--target", "ok.csv", "--seed", "-1", "--config"], "c.json",
+                 '{}', id="negative-seed-flag-design"),
+    pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"seed": 1.7}', id="config-float-seed"),
     pytest.param(["simulate", "--d50", "50", "--config"], "c.json",
                  '{"seed": true}', id="config-bool-seed"),
@@ -796,6 +821,8 @@ def test_json_of_the_wrong_shape_exit_2(tmp_path, monkeypatch, capsys, argv, nam
     assert err.startswith("error: ") and err.count("\n") == 1, err
     unknown = [key for key in ("bogus", "dose", "modle", "seeds", "sorce") if f'"{key}"' in text]
     assert all(f"'{key}'" in err for key in unknown), err
+    assert "seed" in err or not ("seed" in text or "--seed" in argv), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, name, text", [
@@ -1167,9 +1194,9 @@ def test_live_failure_exit_3_with_one_line(tmp_path, monkeypatch, capsys, endpoi
 
 @pytest.mark.parametrize("template", [
     "file://{answer}", "ftp://{host}/answer.json", "{host}/v1", "http://{hostname}:abc/v1",
-    "http://{hostname}:99999/v1", "http:///v1", "http://{host}/v 1",
+    "http://{hostname}:99999/v1", "http:///v1", "http://{host}/v 1", "http://{host}/caf\u00e9",
 ], ids=["file", "ftp", "no-scheme", "port-not-a-number", "port-out-of-range", "no-host",
-        "space-in-path"])
+        "space-in-path", "non-ascii"])
 def test_live_base_url_that_is_not_http_exit_2(tmp_path, monkeypatch, capsys, endpoint, template):
     # a file that holds a well-formed answer, which urllib's default opener would read
     monkeypatch.setenv("FORMU_API_KEY", "offline")

@@ -65,7 +65,7 @@ _BASE_URLS = st.sampled_from([
     "file:///dev/null", "ftp://127.0.0.1/v1", "127.0.0.1/v1", "http://127.0.0.1:abc/v1",
     "http://127.0.0.1:99999/v1", "http://127.0.0.1:0/v1", "http:///v1", "http://[::1/v1",
     "http://127.0.0.1/v 1", "http://127.0.0.1/v1\x7f", "http://127.0.0.1/v1\n",
-    "http://127.0.0.1:8000/v1", "HTTPS://example.invalid/v1"]) | st.text(max_size=6)
+    "http://127.0.0.1:8000/v1", "HTTPS://example.invalid/v1", "http://127.0.0.1/caf\u00e9"]) | st.text(max_size=6)
 _CONFIGS = st.fixed_dictionaries({}, optional={
     "conditions": st.fixed_dictionaries({}, optional={
         "dose_mg": st.floats(), "paddle_rpm": st.floats(), "sink_override": _SCALARS}),

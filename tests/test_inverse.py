@@ -70,6 +70,18 @@ class TestDesignLognormal:
         assert result.parameters["geo_sigma"] == pytest.approx(1.2)
         assert result.residual_mse <= 1e-6
 
+    def test_starts_after_a_fit_are_never_drawn(self, drug, sphere, conditions):
+        # The first start fits exactly, so the other 10**9 - 1 cost nothing.
+        target = simulate_dissolution(drug, sphere, psd_from_lognormal(300.0, 1.2, 12),
+                                      conditions)
+        spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=conditions,
+                          parameterization=LognormalParameterization(300.0, 1.2, n_bins=12))
+        one = design_psd(spec, seed=0, n_starts=1)
+        many = design_psd(spec, seed=0, n_starts=10**9)
+        for name in ("objective_history", "evaluations", "parameters", "iterations",
+                     "converged", "start_index", "residual_mse"):
+            assert getattr(one, name) == getattr(many, name), name
+
     def test_round_trip_recovery(self, drug, sphere, conditions, round_trip_target):
         spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                           conditions=conditions,
@@ -154,8 +166,8 @@ class TestDesignLognormal:
         with pytest.raises(ValidationError):
             DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                        conditions=conditions,
-                       parameterization=LognormalParameterization(100.0, 1.5),
-                       bounds=((500.0, 100.0), (1.05, 2.0)))
+                       parameterization=LognormalParameterization(
+                           100.0, 1.5, bounds=((500.0, 100.0), (1.05, 2.0))))
 
     @pytest.mark.parametrize("bounds", [
         ((0.0, 100.0), (1.05, 2.0)), ((-5.0, 100.0), (1.05, 2.0)), ((5.0, np.inf), (1.05, 2.0)),
@@ -166,7 +178,7 @@ class TestDesignLognormal:
         with pytest.raises(ValidationError):
             DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                        conditions=conditions,
-                       parameterization=LognormalParameterization(100.0, 1.5), bounds=bounds)
+                       parameterization=LognormalParameterization(100.0, 1.5, bounds=bounds))
 
     def test_measured_exemplar_recovery(self, drug, sphere, example_records):
         # The measured 45 um exemplar plateaus near 88%; representing that
@@ -176,8 +188,8 @@ class TestDesignLognormal:
         target = example_records[0].profile
         cond = DissolutionConditions(velocity_factor=0.1, dose_mg=457.6)
         spec = DesignSpec(target=target, drug=drug, morph=sphere, conditions=cond,
-                          parameterization=LognormalParameterization(60.0, 1.5),
-                          bounds=((5.0, 1000.0), (1.05, 2.0)))
+                          parameterization=LognormalParameterization(
+                              60.0, 1.5, bounds=((5.0, 1000.0), (1.05, 2.0))))
         result = design_psd(spec, seed=0, n_starts=1)
         d50 = result.parameters["d50_um"]
         assert 20.0 <= d50 <= 90.0
@@ -190,8 +202,7 @@ class TestDesignLognormal:
         bounds = ((50.0, 200.0), (1.1, 2.0))
         spec = DesignSpec(target=round_trip_target, drug=drug, morph=sphere,
                           conditions=conditions,
-                          parameterization=LognormalParameterization(60.0, 1.2),
-                          bounds=bounds)
+                          parameterization=LognormalParameterization(60.0, 1.2, bounds=bounds))
         result = design_psd(spec, seed=1, n_starts=1)
         assert bounds[0][0] <= result.parameters["d50_um"] <= bounds[0][1]
         assert bounds[1][0] <= result.parameters["geo_sigma"] <= bounds[1][1]
@@ -263,13 +274,6 @@ class TestDesignFreeBins:
             assert getattr(a, name) == getattr(b, name), name
         assert np.array_equal(a.psd.fractions, b.psd.fractions)
         assert np.array_equal(a.achieved.released_pct, b.achieved.released_pct)
-
-    def test_bounds_rejected(self, drug, sphere, conditions, small_target):
-        # Fractions always lie in [0, 1]; a free-bin design takes no bounds.
-        with pytest.raises(ValidationError):
-            DesignSpec(target=small_target, drug=drug, morph=sphere, conditions=conditions,
-                       parameterization=FreeBinsParameterization.geometric(8, 30.0, 300.0),
-                       bounds=((0.0, 1.0),) * 8)
 
 
 class TestEvaluationCount:
