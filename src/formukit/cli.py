@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import json
+import re
 import sys
 import time
 import urllib.parse
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 EXIT_PARSE = 4
+_NOT_XML_RE = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _from_json(kind, obj, where: str):
@@ -334,6 +336,13 @@ def cmd_bench(config: AppConfig, args) -> int:
 
     _reject_unread(args)
     dataset = load_records(args.dataset)
+    # Each id titles an SVG overlay, so it must be XML 1.0 text, and names its file.
+    overlays = {r.id: f"overlay_{urllib.parse.quote(r.id, safe='', errors='replace')}.svg"
+                for r in dataset}               # a lone surrogate, not XML, quotes as "?"
+    for rec_id, name in overlays.items():
+        if _NOT_XML_RE.search(rec_id) or len(name) > 255:
+            raise ValidationError(f"record id {rec_id!r} names no overlay: an SVG title takes only "
+                                  f"XML 1.0 characters, and a file name at most 255 bytes")
     store = _open_store(config, args) if args.store else None
     out, client = _run_dir_and_client(config, args, "transcripts.jsonl")
     result = ev.run_benchmark(dataset, client=client, store=store)
@@ -346,8 +355,7 @@ def cmd_bench(config: AppConfig, args) -> int:
                   for s in result.predictions if rec_id in result.predictions[s]}
         if curves:
             svg = profile_overlay_svg(reference, curves, title=f"record {rec_id}")
-            name = urllib.parse.quote(rec_id, safe="")     # any id names one file in ``out``
-            (out / f"overlay_{name}.svg").write_text(svg, encoding="utf-8")
+            (out / overlays[rec_id]).write_text(svg, encoding="utf-8")
     print(result.report.to_text())
     print(f"outputs: {out}")
     if all(not row.evaluable for row in result.report.rows):

@@ -342,17 +342,16 @@ def read_profile_table(table: dict) -> tuple[list[float], list[float], bool]:
     rows = table.get("data")
     if not isinstance(rows, list) or len(rows) == 0:
         raise ParseError("profile table has an empty data array")
-    times, released = [], []
+    times, released, last_idx = [], [], max(time_idx, value_idx)
     for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) <= max(time_idx, value_idx):
+        if not isinstance(row, (list, tuple)) or len(row) <= last_idx:
             raise ParseError(f"malformed data row: {row!r}")
         try:
-            t = float(row[time_idx])
+            times.append(float(row[time_idx]))
             released.append(float(row[value_idx]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"non-numeric data row: {row!r}") from exc
-        times.append(t / 60.0 if minutes else t)
-    return times, released, minutes
+    return [t / 60.0 for t in times] if minutes else times, released, minutes
 
 
 def profile_from_table(table: dict, where: str) -> DissolutionProfile:

@@ -41,7 +41,7 @@ _FEATURE_KEYS = {**dict(zip(FEATURE_NAMES, FEATURE_NAMES)), **dict(VERBATIM_KEYS
 _RECORD_KEYS = frozenset(("id", "profile", "Output", "output", "provenance", "source"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormulationRecord:
     """One stored formulation: features, measured profile, provenance."""
 
@@ -59,13 +59,10 @@ class FormulationRecord:
                 f"provenance must be one of {PROVENANCE_VALUES}, got {self.provenance!r}")
 
     def to_dict(self) -> dict:
-        row = {"id": self.id}
-        for name in FEATURE_NAMES:
-            row[name] = getattr(self.features, name)
-        row["profile"] = np.column_stack((self.profile.times_hr, self.profile.released_pct)).tolist()
-        row["provenance"] = self.provenance
-        row["source"] = self.source
-        return row
+        profile = zip(self.profile.times_hr.tolist(), self.profile.released_pct.tolist())
+        return {"id": self.id, **{name: getattr(self.features, name) for name in FEATURE_NAMES},
+                "profile": [[t, r] for t, r in profile], "provenance": self.provenance,
+                "source": self.source}
 
     @classmethod
     def from_dict(cls, row: dict) -> "FormulationRecord":
@@ -79,6 +76,8 @@ class FormulationRecord:
 
 
 def _number(name: str, value) -> float:
+    if type(value) is float and math.isfinite(value):      # a JSON number, as most are
+        return value
     try:                                      # OverflowError: an int past the float range
         if isinstance(value, (int, float)) and type(value) is not bool and math.isfinite(value):
             return float(value)
@@ -175,24 +174,29 @@ def read_jsonl(path: str | Path):
 def append_jsonl(path: Path, row) -> None:
     """Append ``row`` to ``path`` as one JSON line, creating the directory. A last
     line with no newline is first ended if it reads as JSON, as ``read_jsonl``
-    reads it, or cut off if not (an append cut short)."""
+    reads it (in the same ``O_APPEND`` write), or cut off if not (an append cut short)."""
+    line = json.dumps(row).encode() + b"\n"
+    flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
-        fh = open(path, "a+b")
+        fd = os.open(path, flags, 0o666)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "a+b")
-    with fh:
-        end = fh.seek(0, os.SEEK_END)
-        fh.seek(max(end - 1, 0))
-        if fh.read(1) not in b"\r\n":                 # an empty file reads b"", which is
-            fh.seek(0)
-            tail = fh.read().splitlines()[-1]           # split as read_jsonl's text mode splits
+        fd = os.open(path, flags, 0o666)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        os.lseek(fd, max(end - 1, 0), os.SEEK_SET)
+        if os.read(fd, 1) not in b"\r\n":                 # an empty file reads b"", which is in it
+            os.lseek(fd, 0, os.SEEK_SET)                # the last line, split as read_jsonl splits it
+            tail = b"".join(iter(lambda: os.read(fd, 1 << 20), b"")).splitlines()[-1]
             try:
                 json.loads(tail.decode("utf-8-sig" if len(tail) == end else "utf-8"))
-                fh.write(b"\n")
+                line = b"\n" + line
             except (ValueError, RecursionError):
-                fh.truncate(end - len(tail))
-        fh.write(json.dumps(row).encode() + b"\n")
+                os.ftruncate(fd, end - len(tail))
+        while line:
+            line = line[os.write(fd, line):]
+    finally:
+        os.close(fd)
 
 
 class RecordStore:

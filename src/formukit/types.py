@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import stat
 import threading
@@ -243,7 +244,7 @@ class LLMConfig:
                                   f"ASCII but no space (http.client refuses others), got {url!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DissolutionProfile:
     """Percent drug released over time.
 
@@ -262,18 +263,19 @@ class DissolutionProfile:
         r = np.array(self.released_pct, dtype=float)
         if t.ndim != 1 or r.shape != t.shape or t.size == 0:
             raise ValidationError("times and released values must be matching non-empty 1-D arrays")
-        if not (np.isfinite(t).all() and np.isfinite(r).all()):
+        ts, rs = t.tolist(), r.tolist()           # at ~10 points, faster checked than numpy
+        if not all(map(math.isfinite, ts + rs)):
             raise ValidationError("times and released values must be finite")
-        if not (t[1:] > t[:-1]).all():                    # strictly increasing: no sort, no duplicates
+        if not all(map(operator.lt, ts, ts[1:])):        # strictly increasing: no sort, no duplicates
             order = t.argsort(kind="stable")
             t, r = t[order], r[order]
             if (t[1:] == t[:-1]).any():
                 raise DuplicateTimeError("profile contains duplicate times")
         object.__setattr__(self, "times_hr", t)
         object.__setattr__(self, "released_pct", r)
-        if t[0] < 0:
+        if min(ts) < 0:
             raise ValidationError("times must be >= 0")
-        if r.min() < 0 or r.max() > 100:
+        if min(rs) < 0 or max(rs) > 100:
             raise ValidationError("released % must be within [0, 100]")
 
     @property
@@ -292,7 +294,7 @@ class DissolutionProfile:
         return float(np.interp(time_hr, self.times_hr, self.released_pct))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormulationInput:
     """The numeric feature set describing one formulation.
 

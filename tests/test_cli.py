@@ -481,6 +481,22 @@ class TestBench:
                   for p in svgs]
         assert titles == [f"record {rec_id}" for rec_id in sorted(ids)]
 
+    @pytest.mark.parametrize("rec_id", ["a\x01b", "/" * 90, "lone \ud800"])
+    def test_id_that_names_no_overlay_exit_2_before_any_call(self, tmp_path, capsys, rec_id):
+        # XML 1.0 holds no "\x01" or lone surrogate, even escaped, and 90 "/" quote to a
+        # 282-byte file name: each is found before the run directory and its transcript.
+        dataset = tmp_path / "ids.json"
+        dataset.write_text(json.dumps({"records": [
+            {"id": i, "Input": REFERENCE_INPUT, "profile": [[0, 0], [1, 50], [2, 80]]}
+            for i in ("plain", rec_id)]}))
+        code = main(["bench", "--dataset", str(dataset), "--backend", "mock",
+                     "--output-dir", str(tmp_path / "out"), "--run-id", "b"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"record id {rec_id!r}" in err
+        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.rglob("transcripts.jsonl")) == []
+
     def test_reused_run_id_exit_2_keeps_first_run(self, tmp_path, capsys):
         args = ["bench", "--dataset", SEED_FILE, "--backend", "mock",
                 "--output-dir", str(tmp_path / "out"), "--run-id", "same"]

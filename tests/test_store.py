@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import os
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -199,6 +200,30 @@ class TestPersistence:
         second.ingest(dataclasses.replace(example_records[2], id="other"))
         assert [r.id for r in RecordStore(path).records] == [
             example_records[0].id, example_records[2].id, "other"]
+
+    def test_short_writes_append_the_same_bytes(self, tmp_path, example_records, monkeypatch):
+        # The newline that ends a bare last line and the record go out in one write,
+        # retried from where each short write stops.
+        def ingest_onto_a_bare_last_line(path):
+            RecordStore(path).ingest(example_records[0])
+            path.write_bytes(path.read_bytes().rstrip(b"\n"))
+            for rec in example_records[1:]:
+                RecordStore(path).ingest(rec)
+            return path.read_bytes()
+
+        whole = ingest_onto_a_bare_last_line(tmp_path / "whole.jsonl")
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(write(fd, bytes(data[:7])))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        short = ingest_onto_a_bare_last_line(tmp_path / "short.jsonl")
+        monkeypatch.undo()
+        assert short == whole and max(sizes) == 7
+        assert [r.id for r in RecordStore(tmp_path / "short.jsonl").records] == \
+            [r.id for r in example_records]
 
     def test_invalid_line_before_the_last_raises(self, tmp_path, example_records):
         path = tmp_path / "store.jsonl"

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from formukit.errors import DuplicateTimeError, ValidationError
+from formukit.store import FormulationRecord
 from formukit.types import (
     SIZE_RANGE_UM,
     DissolutionConditions,
@@ -179,3 +181,20 @@ class TestFormulationInput:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValidationError):
             FormulationInput(**{"d50_um": 45.0, name: value})
+
+
+def test_records_are_slotted_and_frozen():
+    # A stored record and its parts hold their fields in slots: no per-instance dict.
+    features = FormulationInput(d50_um=45.0)
+    profile = DissolutionProfile([0.0, 1.0], [0.0, 50.0])
+    record = FormulationRecord("r1", features, profile)
+    for obj, name in ((features, "d50_um"), (profile, "times_hr"), (record, "id")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    moved = dataclasses.replace(record, id="r2", provenance="simulated")
+    assert (moved.id, moved.provenance, moved.features, moved.profile) == \
+        ("r2", "simulated", features, profile)
+    assert record.id == "r1"
+    with pytest.raises(ValidationError, match="record id must be non-empty"):
+        dataclasses.replace(record, id="")

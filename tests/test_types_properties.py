@@ -77,11 +77,7 @@ def _distributions(draw):
     return sizes, fractions
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(points=_pairs(_TIMES, _RELEASED, 8), as_arrays=st.booleans())
-def test_profile_follows_its_contract(points, as_arrays):
-    times, released = points
-    wrap = np.array if as_arrays else list
+def _assert_profile_follows_its_contract(times, released, wrap):
     expected = _outcome(_profile_contract, times, released)
     got = _outcome(DissolutionProfile, wrap(times), wrap(released))
     if isinstance(expected, tuple):
@@ -89,6 +85,20 @@ def test_profile_follows_its_contract(points, as_arrays):
     else:
         assert got.points() == expected
         assert got.times_hr.dtype == got.released_pct.dtype == np.float64
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(points=_pairs(_TIMES, _RELEASED, 64), as_arrays=st.booleans())
+def test_profile_follows_its_contract(points, as_arrays):
+    _assert_profile_follows_its_contract(*points, np.array if as_arrays else list)
+
+
+@pytest.mark.parametrize("wrap", [np.array, list])
+@pytest.mark.parametrize("last", [100.0, math.nan])
+def test_a_10000_point_profile_follows_its_contract(last, wrap):
+    times = np.linspace(0.0, 6.0, 10_000).tolist()
+    released = [*np.linspace(0.0, 99.0, 9_999).tolist(), last]
+    _assert_profile_follows_its_contract(times, released, wrap)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
