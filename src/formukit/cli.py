@@ -15,7 +15,6 @@ import argparse
 import csv
 import itertools
 import json
-import re
 import sys
 import time
 import urllib.parse
@@ -46,7 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 EXIT_PARSE = 4
-_NOT_XML_RE = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _from_json(kind, obj, where: str):
@@ -135,8 +133,7 @@ def _write_profile_csv(path: Path, profile: DissolutionProfile) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time_hr", "released_pct"])
-        for t, v in profile.points():
-            writer.writerow([repr(float(t)), repr(float(v))])
+        writer.writerows([repr(t), repr(v)] for t, v in profile.points())
 
 
 def _read_profile_file(path: str) -> DissolutionProfile:
@@ -224,7 +221,7 @@ def cmd_design(config: AppConfig, args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "start_index": result.start_index,
-        "achieved": [[float(t), float(v)] for t, v in result.achieved.points()],
+        "achieved": [list(point) for point in result.achieved.points()],
     }
     (out / "design.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     (out / "design_report.txt").write_text(report, encoding="utf-8")
@@ -336,13 +333,12 @@ def cmd_bench(config: AppConfig, args) -> int:
 
     _reject_unread(args)
     dataset = load_records(args.dataset)
-    # Each id titles an SVG overlay, so it must be XML 1.0 text, and names its file.
-    overlays = {r.id: f"overlay_{urllib.parse.quote(r.id, safe='', errors='replace')}.svg"
-                for r in dataset}               # a lone surrogate, not XML, quotes as "?"
+    # Each id names its SVG overlay's file (a record's id is XML 1.0 text, so UTF-8).
+    overlays = {r.id: f"overlay_{urllib.parse.quote(r.id, safe='')}.svg" for r in dataset}
     for rec_id, name in overlays.items():
-        if _NOT_XML_RE.search(rec_id) or len(name) > 255:
-            raise ValidationError(f"record id {rec_id!r} names no overlay: an SVG title takes only "
-                                  f"XML 1.0 characters, and a file name at most 255 bytes")
+        if len(name) > 255:
+            raise ValidationError(f"record id {rec_id!r} names no overlay: a file name takes "
+                                  f"at most 255 bytes")
     store = _open_store(config, args) if args.store else None
     out, client = _run_dir_and_client(config, args, "transcripts.jsonl")
     result = ev.run_benchmark(dataset, client=client, store=store)
@@ -365,10 +361,10 @@ def cmd_bench(config: AppConfig, args) -> int:
 
 
 def cmd_eval(config: AppConfig, args) -> int:
-    from . import evaluate as ev
-
     reference = _read_profile_file(args.reference)
     predicted = _read_profile_file(args.predicted)
+    from . import evaluate as ev                  # numpy loads only once both files are read
+
     pair = ev.align_profiles(reference, predicted)
     metrics = {"mse_pct2": ev.mse(pair), "r_squared": ev.r_squared(pair), "n": pair.n}
     out = _run_dir(config, args)

@@ -21,8 +21,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
 from .types import DEFAULT_OUTPUT_GRID_HR, FEATURE_NAMES, DissolutionProfile, FormulationInput
 
@@ -394,7 +392,7 @@ def parse_profile_response(text: str, full_output: bool = False):
             f"{len(report.clamped_points)} value(s) clamped into [0, 100]")
 
     try:
-        profile = DissolutionProfile(np.asarray(times), np.asarray(released))
+        profile = DissolutionProfile(times, released)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
     return (profile, report) if full_output else profile
@@ -415,19 +413,18 @@ def validate_profile(profile: DissolutionProfile) -> list[RuleViolation]:
     flags drops of more than 5 percentage points between consecutive points.
     """
     findings: list[RuleViolation] = []
+    points = profile.points()
     if not profile.starts_at_zero:
         findings.append(RuleViolation(
             "initial-condition", "error",
-            f"first point is ({profile.times_hr[0]:g}, {profile.released_pct[0]:g}), expected (0, 0)"))
-    within_hour = profile.times_hr <= 1.0
-    if not np.any(profile.released_pct[within_hour] >= 85.0):
+            f"first point is ({points[0][0]:g}, {points[0][1]:g}), expected (0, 0)"))
+    if not any(r >= 85.0 for t, r in points if t <= 1.0):
         findings.append(RuleViolation(
             "usp-dissolution-rule", "advisory",
             "no point with released >= 85% within 60 min"))
-    drops = np.diff(profile.released_pct)
-    for i in np.nonzero(drops < -5.0)[0]:
-        findings.append(RuleViolation(
-            "non-monotonic", "advisory",
-            f"released drops {-drops[i]:.1f} pp between t={profile.times_hr[i]:g} "
-            f"and t={profile.times_hr[i + 1]:g} hr"))
+    for (t0, r0), (t1, r1) in zip(points, points[1:]):
+        if r1 - r0 < -5.0:
+            findings.append(RuleViolation(
+                "non-monotonic", "advisory",
+                f"released drops {r0 - r1:.1f} pp between t={t0:g} and t={t1:g} hr"))
     return findings

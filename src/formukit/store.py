@@ -23,16 +23,22 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .prompts import VERBATIM_KEYS, profile_from_table
 from .types import FEATURE_NAMES, DissolutionProfile, FormulationInput, open_input, read_json
 
+if TYPE_CHECKING:                       # numpy loads in the functions that compute with it
+    import numpy as np
+
 PROVENANCE_VALUES = ("experimental", "simulated")
+#: A character XML 1.0 cannot carry: a C0 control but tab, newline and carriage return, a
+#: lone surrogate (not UTF-8 either), U+FFFE or U+FFFF. Ids title SVG overlays.
+_NOT_XML_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 #: Each name a feature goes by, canonical or verbatim (as in prompt blocks), to its field.
 _FEATURE_KEYS = {**dict(zip(FEATURE_NAMES, FEATURE_NAMES)), **dict(VERBATIM_KEYS)}
@@ -54,15 +60,16 @@ class FormulationRecord:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("record id must be non-empty")
+        if _NOT_XML_RE.search(f"{self.id}{self.source}"):
+            raise ValidationError(f"record id {self.id!r}: its id and source must be XML 1.0 text")
         if self.provenance not in PROVENANCE_VALUES:
             raise ValidationError(
                 f"provenance must be one of {PROVENANCE_VALUES}, got {self.provenance!r}")
 
     def to_dict(self) -> dict:
-        profile = zip(self.profile.times_hr.tolist(), self.profile.released_pct.tolist())
         return {"id": self.id, **{name: getattr(self.features, name) for name in FEATURE_NAMES},
-                "profile": [[t, r] for t, r in profile], "provenance": self.provenance,
-                "source": self.source}
+                "profile": [[t, r] for t, r in self.profile.points()],
+                "provenance": self.provenance, "source": self.source}
 
     @classmethod
     def from_dict(cls, row: dict) -> "FormulationRecord":
@@ -88,6 +95,8 @@ def _number(name: str, value) -> float:
 
 def _spearman(x, y) -> float:
     """Spearman's rho: the Pearson correlation of average ranks; nan if x or y is constant."""
+    import numpy as np
+
     ranks = [(np.cumsum(counts) - 0.5 * (counts - 1))[where] for _, where, counts in
              (np.unique(v, return_inverse=True, return_counts=True) for v in (x, y))]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -235,6 +244,8 @@ class RecordStore:
 
     def feature_matrix(self) -> np.ndarray:
         """Feature vectors of the records in store order (read-only, cached)."""
+        import numpy as np
+
         if self._matrix is None:
             self._matrix = np.array([r.features.feature_vector() for r in self.records])
             self._matrix.flags.writeable = False
@@ -249,6 +260,8 @@ class RecordStore:
         at 1 hr, summing to 1; uniform over varying features when the store is
         small (< 5 records) or no correlation is measurable.
         """
+        import numpy as np
+
         if len(self) == 0:
             raise ValidationError("cannot adapt weights on an empty store")
         if self._weights is not None:
@@ -283,6 +296,8 @@ class RecordStore:
         features (weights renormalized over them), for queries that only
         specify some fields.
         """
+        import numpy as np
+
         if k < 1:
             raise ValidationError("k must be >= 1")
         if len(self) == 0:

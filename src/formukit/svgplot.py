@@ -81,8 +81,7 @@ def profile_overlay_svg(reference: DissolutionProfile | None,
     legend_y = _MARGIN_T + 10
     for i, (label, profile) in enumerate(curves.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{_fmt(sx(float(t)))},{_fmt(sy(float(v)))}"
-                          for t, v in profile.points())
+        points = " ".join(f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in profile.points())
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
         lx = _MARGIN_L + plot_w + 12
@@ -94,8 +93,7 @@ def profile_overlay_svg(reference: DissolutionProfile | None,
 
     if reference is not None:
         for t, v in reference.points():
-            parts.append(f'<circle cx="{_fmt(sx(float(t)))}" cy="{_fmt(sy(float(v)))}" '
-                         f'r="2.6" fill="black"/>')
+            parts.append(f'<circle cx="{_fmt(sx(t))}" cy="{_fmt(sy(v))}" r="2.6" fill="black"/>')
         lx = _MARGIN_L + plot_w + 12
         parts.append(f'<circle cx="{lx + 11}" cy="{legend_y}" r="2.6" fill="black"/>')
         parts.append(f'<text x="{lx + 28}" y="{legend_y + 4}" font-family="sans-serif" '

@@ -13,13 +13,16 @@ import operator
 import os
 import stat
 import threading
+from array import array
 from dataclasses import dataclass, field, fields
 from numbers import Real
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
-import numpy as np
-
 from .errors import DuplicateTimeError, ValidationError
+
+if TYPE_CHECKING:                       # numpy loads in the functions that compute with it
+    import numpy as np
 
 # Default reporting grid for release curves, in hours.
 DEFAULT_OUTPUT_GRID_HR = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
@@ -129,6 +132,8 @@ class SizeDistribution:
     fractions: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         sizes = np.array(self.sizes_um, dtype=float)      # copies: the distribution owns its bins
         fracs = np.array(self.fractions, dtype=float)
         object.__setattr__(self, "sizes_um", sizes)
@@ -156,6 +161,8 @@ class SizeDistribution:
         Uses the midpoint convention (half of a bin's mass lies below its
         center), which is unbiased for symmetric binnings.
         """
+        import numpy as np
+
         cum = np.cumsum(self.fractions) - 0.5 * self.fractions
         if self.n_bins == 1 or cum[0] >= 0.5:
             return float(self.sizes_um[0])
@@ -244,7 +251,8 @@ class LLMConfig:
                                   f"ASCII but no space (http.client refuses others), got {url!r}")
 
 
-@dataclass(frozen=True, slots=True)
+# Slotted by hand: under slots=True, setting a property raises TypeError, not FrozenInstanceError.
+@dataclass(frozen=True, init=False)
 class DissolutionProfile:
     """Percent drug released over time.
 
@@ -253,44 +261,72 @@ class DissolutionProfile:
     (0, 0) start is an output guarantee of the simulator, not a type
     constraint: parsed LLM responses may violate it and ``validate_profile``
     reports that as a finding.
+
+    The points live in one immutable buffer of float64 values, times first.
+    ``times_hr`` and ``released_pct`` are read-only float64 views of it, built
+    on each access: the profile caches no array.
     """
 
-    times_hr: np.ndarray
-    released_pct: np.ndarray
+    __slots__ = ("_points",)
+    _points: bytes
 
-    def __post_init__(self):
-        t = np.array(self.times_hr, dtype=float)          # a copy: the profile owns its points
-        r = np.array(self.released_pct, dtype=float)
-        if t.ndim != 1 or r.shape != t.shape or t.size == 0:
+    def __init__(self, times_hr, released_pct):
+        try:                                  # an ndarray goes through tolist: its rows are lists
+            ts, rs = ([float(v) for v in (x.tolist() if hasattr(x, "tolist") else x)]
+                      for x in (times_hr, released_pct))
+        except TypeError:                     # a scalar, or rows that are not numbers
+            ts = rs = []
+        if not ts or len(rs) != len(ts):
             raise ValidationError("times and released values must be matching non-empty 1-D arrays")
-        ts, rs = t.tolist(), r.tolist()           # at ~10 points, faster checked than numpy
         if not all(map(math.isfinite, ts + rs)):
             raise ValidationError("times and released values must be finite")
         if not all(map(operator.lt, ts, ts[1:])):        # strictly increasing: no sort, no duplicates
-            order = t.argsort(kind="stable")
-            t, r = t[order], r[order]
-            if (t[1:] == t[:-1]).any():
+            order = sorted(range(len(ts)), key=ts.__getitem__)        # stable
+            ts, rs = [ts[i] for i in order], [rs[i] for i in order]
+            if not all(map(operator.ne, ts, ts[1:])):
                 raise DuplicateTimeError("profile contains duplicate times")
-        object.__setattr__(self, "times_hr", t)
-        object.__setattr__(self, "released_pct", r)
-        if min(ts) < 0:
+        if ts[0] < 0:
             raise ValidationError("times must be >= 0")
         if min(rs) < 0 or max(rs) > 100:
             raise ValidationError("released % must be within [0, 100]")
+        object.__setattr__(self, "_points", array("d", ts + rs).tobytes())
+
+    def __reduce__(self):                     # pickle and copy through the constructor
+        return type(self), tuple(map(list, zip(*self.points())))
+
+    def __repr__(self) -> str:
+        times, released = zip(*self.points())
+        return f"DissolutionProfile(times_hr={list(times)}, released_pct={list(released)})"
 
     @property
     def n_points(self) -> int:
-        return int(self.times_hr.size)
+        return len(self._points) // 16
+
+    @property
+    def times_hr(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self._points, count=self.n_points)
+
+    @property
+    def released_pct(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self._points, offset=len(self._points) // 2)
 
     @property
     def starts_at_zero(self) -> bool:
-        return bool(self.times_hr[0] == 0.0 and self.released_pct[0] == 0.0)
+        values = memoryview(self._points).cast("d")
+        return values[0] == 0.0 and values[self.n_points] == 0.0
 
     def points(self) -> list[tuple[float, float]]:
-        return [(float(t), float(r)) for t, r in zip(self.times_hr, self.released_pct)]
+        values = memoryview(self._points).cast("d").tolist()
+        return list(zip(values[:len(values) // 2], values[len(values) // 2:]))
 
     def released_at(self, time_hr: float) -> float:
         """Linear interpolation within the profile's time range."""
+        import numpy as np
+
         return float(np.interp(time_hr, self.times_hr, self.released_pct))
 
 
@@ -323,6 +359,8 @@ class FormulationInput:
             raise ValidationError("roundness must be in (0, 1]")
 
     def feature_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
     def drug(self) -> DrugSubstance:

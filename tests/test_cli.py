@@ -391,6 +391,31 @@ class TestStore:
         assert capsys.readouterr().err.startswith("error: record 'bad': ")
         assert not store.exists()
 
+    def test_ingest_of_an_id_xml_cannot_carry_exit_2_store_unchanged(self, tmp_path, capsys):
+        # A lone surrogate (a JSON escape) cannot be written out as UTF-8.
+        rec_id, records = "\ud800x", tmp_path / "records.json"
+        records.write_text(json.dumps([{**_RECORD, "id": "ok"}, {**_RECORD, "id": rec_id}]))
+        store = tmp_path / "store.jsonl"
+        assert main(["store", "ingest", "--file", SEED_FILE, "--store", str(store)]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: record id {rec_id!r}: its id and source must be XML 1.0 text\n"
+        assert store.read_bytes() == before
+
+    @pytest.mark.parametrize("name, value", [("id", "\ud800x"), ("source", "a\x01b")])
+    def test_list_of_a_store_holding_text_xml_cannot_carry_exit_2_before_output(
+            self, tmp_path, capsys, name, value):
+        store = tmp_path / "store.jsonl"
+        store.write_text(json.dumps(_RECORD) + "\n" + json.dumps({**_RECORD, name: value}) + "\n")
+        assert main(["store", "list", "--store", str(store)]) == 2
+        out, err = capsys.readouterr()
+        rec_id = value if name == "id" else _RECORD["id"]
+        assert (out, err) == ("", f"error: record id {rec_id!r}: its id and source must be "
+                                  f"XML 1.0 text\n")
+
     def test_list_empty_store(self, tmp_path, capsys):
         code = main(["store", "list", "--store", str(tmp_path / "nothing.jsonl")])
         assert code == 0
@@ -1038,6 +1063,41 @@ def test_import_loads_no_scipy(tmp_path):
         assert json.loads(out.stdout.splitlines()[-1]) == [0, []], (argv, out.stderr)
 
 
+def test_commands_that_compute_no_array_load_no_numpy(tmp_path):
+    # Ingesting, listing, an eval whose predicted file holds no table (exit 4) and a
+    # replayed zero-shot predict compute nothing with arrays, so none loads numpy,
+    # which is half the start-up of a fresh process; nor does importing the modules.
+    from formukit.llm import prompt_sha256
+    from formukit.prompts import PromptStrategy, build_prompt
+    from formukit.types import FormulationInput
+
+    code = ("import sys, formukit.types, formukit.store, formukit.prompts, formukit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+    (tmp_path / "ref.csv").write_text("time_hr,released_pct\n0,0\n1,40\n2,70\n")
+    (tmp_path / "prose.txt").write_text("The release reaches 85% within the hour.\n")
+    digest = prompt_sha256(build_prompt(PromptStrategy.ZS, FormulationInput(d50_um=50.0)))
+    (tmp_path / "replay.jsonl").write_text(json.dumps({"prompt_sha256": digest, "response": (
+        '{"columns": ["Time (hr)", "Drug Released (%)"], "data": [[0, 0], [1, 90]]}')}) + "\n")
+    code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')]))")
+    for argv, expected in ((["store", "ingest", "--file", SEED_FILE, "--store", "s.jsonl"], 0),
+                           (["store", "list", "--store", "s.jsonl"], 0),
+                           (["eval", "--reference", "ref.csv", "--predicted", "prose.txt",
+                             "--output-dir", "out"], 4),
+                           (["predict", "--strategy", "zs", "--d50", "50", "--backend", "replay",
+                             "--replay", "replay.jsonl", "--output-dir", "replayed"], 0)):
+        out = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                             env=_fresh_env(), capture_output=True, text=True, timeout=60)
+        assert json.loads(out.stdout.splitlines()[-1]) == [expected, []], (argv, out.stderr)
+        assert out.stderr.startswith("parse error: ") and len(out.stderr.splitlines()) == 1 \
+            if expected else out.stderr == "", (argv, out.stderr)
+    assert not (tmp_path / "out").exists() and (tmp_path / "replayed").is_dir()
+
+
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     # Each case runs in a fresh interpreter and lists the formukit modules
     # loaded once main returns: the solver, the design loop, the LLM client
@@ -1047,11 +1107,13 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         (tmp_path / name).write_text("time_hr,released_pct\n" + "".join(
             f"{t},{v}\n" for t, v in zip((0, 1, 2), values)))
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "prose.txt").write_text("no table here\n")
     (tmp_path / "c.json").write_text(json.dumps({"llm": {"model": "m", "temperature": 0.5}}))
     base = {"errors", "types", "prompts"}
     solver = base | {"store", "dissolution"}
     cases = [(["store", "list", "--store", "s.jsonl"], base | {"store"}),
              (["eval", "--reference", "ref.csv", "--predicted", "pred.csv"], base | {"evaluate"}),
+             (["eval", "--reference", "ref.csv", "--predicted", "prose.txt"], base),
              (["store", "list", "--store", "s.jsonl", "--config", "empty.json"],
               base | {"store"}),
              (["simulate", "--d50", "50"], solver),
@@ -1069,7 +1131,9 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         out = subprocess.run([sys.executable, "-c", code, *argv, *run_dir],
                              cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
                              timeout=60)
-        assert json.loads(out.stdout.splitlines()[-1]) == [0, sorted(modules)], (argv, out.stderr)
+        exit_code = 4 if "prose.txt" in argv else 0         # a file with no table
+        assert json.loads(out.stdout.splitlines()[-1]) == [exit_code, sorted(modules)], \
+            (argv, out.stderr)
 
 
 @pytest.mark.parametrize("error, code, kind", [

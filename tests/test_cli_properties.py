@@ -55,9 +55,12 @@ _TABLES = st.fixed_dictionaries({
     "columns": st.sampled_from([["Time (hr)", "Drug Released (%)"],
                                 ["Drug Released (%)", "Time (min)"]]),
     "data": _POINTS})
+# Ids and sources, with the lone surrogates and C0 controls that no record may hold.
+_RECORD_TEXT = st.text(st.characters() | st.characters(categories=["Cs"])
+                       | st.characters(max_codepoint=0x1F), max_size=4)
 _RECORDS = st.lists(_mutated(
-    st.builds(lambda rid, f, p: {"id": rid, **f, "profile": p}, st.text(max_size=4),
-              _FEATURES, _POINTS)
+    st.builds(lambda rid, source, f, p: {"id": rid, "source": source, **f, "profile": p},
+              _RECORD_TEXT, _RECORD_TEXT, _FEATURES, _POINTS)
     | st.builds(lambda f, table: {"Input": f, "Output": table}, _VERBATIM_FEATURES,
                 _TABLES | _POINTS)), min_size=1, max_size=3)
 # Endpoints the config must refuse, and two it takes; the command opens none of them.
@@ -91,6 +94,7 @@ _COMMANDS = {
     "--examples": (["predict", "--strategy", "fs", "--d50", "50"], ["e.json", "e.jsonl"]),
     "--replay": (["predict", "--strategy", "zs", "--d50", "50", "--backend", "replay"],
                  ["r.jsonl"]),
+    "--store": (["store", "list"], ["s.jsonl"]),
 }
 
 

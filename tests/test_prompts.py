@@ -284,3 +284,11 @@ class TestValidateProfile:
         # the 89 -> 87 style shallow decline is fine
         gentle = DissolutionProfile(*np.transpose(REFERENCE_POINTS))
         assert all(f.rule != "non-monotonic" for f in validate_profile(gentle))
+
+    def test_findings_name_their_points(self):
+        profile = DissolutionProfile([0.25, 0.5, 1.0, 2.0, 3.0], [5.0, 90.0, 80.25, 70.0, 64.0])
+        assert [(f.rule, f.severity, f.message) for f in validate_profile(profile)] == [
+            ("initial-condition", "error", "first point is (0.25, 5), expected (0, 0)"),
+            ("non-monotonic", "advisory", "released drops 9.8 pp between t=0.5 and t=1 hr"),
+            ("non-monotonic", "advisory", "released drops 10.2 pp between t=1 and t=2 hr"),
+            ("non-monotonic", "advisory", "released drops 6.0 pp between t=2 and t=3 hr")]

@@ -12,6 +12,7 @@ from scipy import stats
 
 from formukit.errors import ValidationError
 from formukit.store import (
+    _NOT_XML_RE,
     FormulationRecord,
     RecordStore,
     _spearman,
@@ -89,6 +90,31 @@ class TestIngest:
             FormulationRecord(
                 id="x", features=example_records[0].features,
                 profile=example_records[0].profile, provenance="guessed")
+
+    @pytest.mark.parametrize("name", ["id", "source"])
+    @pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x1f", "\ud800", "\udfff",
+                                      "\ufffe", "\uffff"])
+    def test_text_xml_cannot_carry_rejected(self, example_records, name, char):
+        # Ids title SVG overlays, and a lone surrogate cannot be written as UTF-8.
+        record, text = example_records[0], f"a{char}b"
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(record, **{name: text})
+        rec_id = text if name == "id" else record.id
+        assert str(info.value) == f"record id {rec_id!r}: its id and source must be XML 1.0 text"
+
+    def test_xml_text_accepted(self, example_records):
+        text = "a\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        record = dataclasses.replace(example_records[0], id=text, source=text)
+        assert (record.id, record.source) == (text, text)
+
+    def test_not_xml_is_exactly_what_xml_excludes(self):
+        # XML 1.0's Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+        def is_xml(c):
+            return c in (0x9, 0xA, 0xD) or 0x20 <= c <= 0xD7FF or 0xE000 <= c <= 0xFFFD \
+                or c >= 0x10000
+        every = "".join(map(chr, range(0x110000)))
+        assert [ord(c) for c in _NOT_XML_RE.findall(every)] == \
+            [c for c in range(0x110000) if not is_xml(c)]
 
 
 class TestPersistence:

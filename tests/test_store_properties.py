@@ -28,8 +28,13 @@ _FEATURES = st.builds(
 _PROFILES = st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 100.0)), min_size=1,
                      max_size=12, unique_by=lambda point: point[0]).map(
                          lambda points: DissolutionProfile(*np.transpose(points)))
-_ROWS = st.lists(st.tuples(st.text(min_size=1), _FEATURES, _PROFILES,
-                           st.sampled_from(PROVENANCE_VALUES), st.text(), st.booleans()),
+# Ids and sources are XML 1.0 text: no lone surrogate, U+FFFE, U+FFFF or C0 control but
+# tab, newline and carriage return.
+_XML_CHARACTERS = st.characters(exclude_categories=["Cs"], exclude_characters=[
+    *(chr(c) for c in range(0x20) if c not in (0x09, 0x0A, 0x0D)), "\ufffe", "\uffff"])
+_ROWS = st.lists(st.tuples(st.text(_XML_CHARACTERS, min_size=1), _FEATURES, _PROFILES,
+                           st.sampled_from(PROVENANCE_VALUES), st.text(_XML_CHARACTERS),
+                           st.booleans()),
                  max_size=5, unique_by=lambda row: row[0])
 
 

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -198,3 +200,11 @@ def test_records_are_slotted_and_frozen():
     assert record.id == "r1"
     with pytest.raises(ValidationError, match="record id must be non-empty"):
         dataclasses.replace(record, id="")
+
+
+def test_a_profile_copies_pickles_and_prints_its_points():
+    profile = DissolutionProfile([1.0, 0.0], [50.0, 0.0])
+    for twin in (copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+        assert twin == profile and twin.points() == [(0.0, 0.0), (1.0, 50.0)]
+    assert profile != DissolutionProfile([0.0, 1.0], [0.0, 50.5])
+    assert repr(profile) == "DissolutionProfile(times_hr=[0.0, 1.0], released_pct=[0.0, 50.0])"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from formukit.errors import DuplicateTimeError, FormukitError, ValidationError  # noqa: E402
 from formukit.types import SIZE_RANGE_UM, DissolutionProfile, SizeDistribution  # noqa: E402
@@ -117,3 +117,54 @@ def test_a_profile_owns_its_points():
     profile = DissolutionProfile(times, released)
     times[1], released[1] = 2.0, 60.0
     assert profile.points() == [(0.0, 0.0), (1.0, 50.0)]
+
+
+_WRAPS = [list, tuple, np.array, lambda values: np.array(values, dtype=np.float32)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(times=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 6.0]) | st.floats(0, 1e6)
+                      | st.integers(0, 10**6), min_size=1, max_size=16, unique=True),
+       data=st.data(), wrap=st.sampled_from(_WRAPS))
+def test_profile_views_are_the_sorted_float64_arrays(times, data, wrap):
+    # The views hold, bit for bit, what np.array(x, dtype=float) holds after a
+    # stable sort by time: -0.0 stays -0.0, and a float32 input widens exactly.
+    released = data.draw(st.lists(st.sampled_from([0.0, -0.0, 100.0]) | st.floats(0, 100)
+                                  | st.integers(0, 100), min_size=len(times), max_size=len(times)))
+    times, released = wrap(times), wrap(released)
+    t, r = np.array(times, dtype=float), np.array(released, dtype=float)
+    assume(np.unique(t).size == t.size)                 # float32 may round two times to one
+    profile = DissolutionProfile(times, released)
+    order = t.argsort(kind="stable")
+    for got, want in ((profile.times_hr, t[order]), (profile.released_pct, r[order])):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1.0
+    points = profile.points()
+    assert points == list(zip(t[order].tolist(), r[order].tolist()))
+    assert all(type(v) is float for point in points for v in point)
+    assert profile.times_hr.tobytes() == t[order].tobytes()      # a fresh view, unchanged
+
+
+_SHAPE = (ValidationError, "times and released values must be matching non-empty 1-D arrays")
+_FINITE = (ValidationError, "times and released values must be finite")
+
+
+@pytest.mark.parametrize("times, released, expected", [
+    ([0.0, 1.0], [0.0], _SHAPE),                                  # ragged
+    (np.array([0.0]), np.array([0.0, 1.0]), _SHAPE),
+    (np.zeros((2, 2)), np.zeros((2, 2)), _SHAPE),                 # 2-D
+    (np.zeros((2, 1)), np.zeros((2, 1)), _SHAPE),
+    ([[0.0, 1.0]], [[0.0, 50.0]], _SHAPE),
+    ([], [], _SHAPE),                                             # empty
+    (np.array([]), np.array([]), _SHAPE),
+    (np.float64(1.0), np.float64(1.0), _SHAPE),                   # 0-D
+    ([0.0, math.nan], [0.0, 1.0], _FINITE),                       # non-finite
+    (np.array([0.0, 1.0]), np.array([0.0, math.inf]), _FINITE),
+    ([math.nan, 0.0, 0.0], [0.0, 0.0, 200.0], _FINITE),           # finite is checked first
+    ([1.0, 0.0, 1.0], [0.0, 0.0, 200.0], (DuplicateTimeError, "profile contains duplicate times")),
+    ([1.0, -1.0], [0.0, 200.0], (ValidationError, "times must be >= 0")),
+])
+def test_profile_rejects_as_it_did(times, released, expected):
+    assert _outcome(DissolutionProfile, times, released) == expected
