@@ -19,7 +19,8 @@ G(y) the integral of 1 / (2 + b * y^0.26), which is lambda * G1(y / lambda) with
 lambda = b^(-1/0.26) and G1 its value at b = 1: one table of G1 and one of its
 inverse, built at import, serve every run. Under sink conditions tau is linear in
 t; when the bulk C_b = dissolved mass / medium volume couples back, t(tau) is a
-quadrature of 1 / (dtau/dt), with the saturating tail integrated in log form.
+quadrature of 1 / (dtau/dt), with the saturating tail integrated in log form; a spent
+bin costs it no work, as each slice of its nodes sizes only the bins still alive.
 Bin i vanishes exactly at tau = G(y0_i) and stays at zero size; dissolved mass is
 closed algebraically against the remaining sizes, so the mass balance holds exactly.
 
@@ -65,13 +66,19 @@ _GL_WEIGHTS = np.array([0.10122853629037626, 0.22238103445337448, 0.313706645877
 _GL_LAGRANGE = np.array([np.poly(np.delete(_GL_NODES, i))[::-1]
                          / np.prod(_GL_NODES[i] - np.delete(_GL_NODES, i))
                          for i in range(_GL_NODES.size)])
+#: The powers k of those monomials, (-1)^(k+1), k + 1, and the integrals of s^k over [-1, 1].
+_K = np.arange(_GL_NODES.size)
+_K_SIGN, _K_NEXT, _GL_MOMENTS = (-1.0) ** (_K + 1), _K + 1, (_K % 2 == 0) * 2.0 / (_K + 1)
 #: Most bin lifetimes used as panel edges; more are thinned to this many.
 _MAX_EDGES = 32
-#: Widest panel in the log variable of the clock quadrature.
+#: Widest panel in the log variable of the clock quadrature, and the uniform panel edges
+#: up to u_cut = -ln _TAU_RTOL, where it stops.
 _MAX_PANEL_U = 1.0
-#: Sizes evaluated at once by the clock quadrature. Larger slices make temporaries
-#: that glibc's malloc returns to the system and faults in again on every call (8192
-#: ran 1.5x slower where no big import had grown the heap); smaller cost more per slice.
+_U_EDGES = np.linspace(0.0, -np.log(_TAU_RTOL),
+                       int(np.ceil(-np.log(_TAU_RTOL) / _MAX_PANEL_U)) + 1)
+#: Most sizes one slice of the clock quadrature evaluates: nodes times bins alive at its
+#: first node. glibc maps temporaries past 128 KB afresh and faults them in on every call:
+#: 16384 ran 1.5-2x slower than 4096 at 200 bins, 8192 about even; smaller cost more a slice.
 _CHUNK = 4096
 #: The G1 table's knots in ln z: a Gauss-Legendre panel of their step is exact to rounding.
 #: Below them G1 = z/2 to 2e-13; above, ln(z / G1) goes on at its asymptotic slope, to 1e-13.
@@ -97,7 +104,7 @@ _G1 = 0.5 * np.exp(_LN_Z_LO) + np.concatenate(([0.0], np.cumsum(_panels(_LN_Z[:-
 def _log_g1(lz):
     """ln G1(e^lz): the knot below plus one panel; z / G1 held below the table, and
     d ln G1 / d ln z at its asymptote 0.74 above it."""
-    inside = np.clip(lz, _LN_Z_LO, _LN_Z_HI)
+    inside = np.minimum(np.maximum(lz, _LN_Z_LO), _LN_Z_HI)
     k = np.minimum(((inside - _LN_Z_LO) / _G1_STEP).astype(np.intp), _LN_Z.size - 2)
     out = lz - inside
     return np.log(_G1[k] + _panels(_LN_Z[k], inside)) + out * np.where(out < 0.0, 1.0, 0.74)
@@ -128,7 +135,7 @@ _RATIO_K0, _RATIO = _ratio_table()
 def _log_ratio(v):
     """ln(z / G1) at ln G1 = v: the interval by arithmetic, the offset into it exact."""
     u = v * (1.0 / _RATIO_STEP)
-    knot = np.clip(np.floor(u), _RATIO_K0, _RATIO_K0 + _RATIO.shape[1] - 1.0)
+    knot = np.minimum(np.maximum(np.floor(u), _RATIO_K0), _RATIO_K0 + _RATIO.shape[1] - 1.0)
     s = u - knot
     c3, c2, c1, c0 = _RATIO.take((knot - _RATIO_K0).astype(np.intp), axis=1)
     return ((c3 * s + c2) * s + c1) * s + c0
@@ -149,11 +156,10 @@ def sherwood(re, sc):
     float or ndarray
         Sherwood number; 2.0 in the stagnant limit (re = 0).
     """
-    re = np.asarray(re, dtype=float)
-    sc = np.asarray(sc, dtype=float)
-    if np.any(re < 0):
+    re, sc = np.asarray(re, dtype=float), np.asarray(sc, dtype=float)
+    if (re < 0).any():                        # ndarray methods: np.any costs ~3 us a call
         raise ValidationError("Reynolds number must be >= 0")
-    if np.any(sc <= 0):
+    if (sc <= 0).any():
         raise ValidationError("Schmidt number must be > 0")
     sh = 2.0 + 0.52 * re ** 0.52 * sc ** (1.0 / 3.0)
     return float(sh) if sh.ndim == 0 else sh
@@ -166,7 +172,7 @@ def reynolds_schmidt(conditions: DissolutionConditions, x, diffusivity: float):
     particle size as the length scale; Sc = mu / (rho_fluid * D).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise ValidationError("particle size must be > 0")
     if diffusivity <= 0:
         raise ValidationError("diffusivity must be > 0")
@@ -246,7 +252,7 @@ def _check_grid(output_grid_hr) -> np.ndarray:
         raise ValidationError("output grid must be finite")
     if grid[0] != 0.0:
         raise ValidationError("output grid must start at 0")
-    if np.any(np.diff(grid) <= 0):
+    if (grid[1:] <= grid[:-1]).any():
         raise ValidationError("output grid must be strictly increasing")
     return grid
 
@@ -263,18 +269,20 @@ def _size_law(y0: np.ndarray, b: float):
     is G1 at the knot below plus one Gauss-Legendre panel. G^-1 reads ln(z / G1), ln 2 at
     small z, as cubic pieces on knots uniform in ln G1, shifted per bin so that tau = 0
     returns y0 to rounding. A spent bin is exactly zero; b = 0 is exactly G = y / 2.
+    ``sizes(tau, bins)`` sizes only the bins indexed by ``bins``, in that order.
     """
     if not b:
         lifetime = 0.5 * y0
-        return lifetime, lambda tau: 2.0 * np.maximum(lifetime - np.asarray(tau)[..., None], 0.0)
+        return lifetime, lambda tau, bins=slice(None): 2.0 * np.maximum(
+            lifetime[bins] - np.asarray(tau)[..., None], 0.0)
     log_lam = -np.log(b) / _SH_POWER
     lifetime = np.exp(log_lam + _log_g1(np.log(y0) - log_lam))
     shift = np.log(y0 / lifetime) - _log_ratio(np.log(lifetime) - log_lam)
     tiny = np.finfo(float).tiny
 
-    def sizes(tau):
-        left = np.maximum(lifetime - np.asarray(tau, dtype=float)[..., None], 0.0)
-        return left * np.exp(_log_ratio(np.log(left + tiny) - log_lam) + shift)   # finite at 0
+    def sizes(tau, bins=slice(None)):
+        left = np.maximum(lifetime[bins] - np.asarray(tau, dtype=float)[..., None], 0.0)
+        return left * np.exp(_log_ratio(np.log(left + tiny) - log_lam) + shift[bins])  # finite at 0
 
     return lifetime, sizes
 
@@ -334,18 +342,18 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     mass_w = psd.fractions / y0 ** 1.5
     excess = c_sat - dose_over_v                              # < 0 past the capacity
 
-    def driving(y):                                           # C_sat - C_b at sizes y, unclamped
-        return excess + dose_over_v * (y * np.sqrt(y) @ mass_w)
+    def driving(y, w=mass_w):                                 # C_sat - C_b at sizes y, unclamped
+        return excess + dose_over_v * (y * np.sqrt(y) @ w)
 
     def fall(y):                                              # -d driving / dtau
         return 1.5 * dose_over_v * (np.sqrt(y) * (2.0 + b * y ** _SH_POWER) @ mass_w)
 
-    def held(y):
+    def held(y, bins=slice(None)):
         """d released / d (f_i, ln y0_i) at fixed tau, where dy/dy0 = G'(y0) / G'(y)."""
-        root = np.sqrt(y / y0)
+        root = np.sqrt(y / y0[bins])
         r = root ** 3
-        return np.concatenate((-100.0 * r, -150.0 * psd.fractions * (
-            root * (2.0 + b * y ** _SH_POWER) / (2.0 + b * y0 ** _SH_POWER) - r)), axis=-1)
+        return np.concatenate((-100.0 * r, -150.0 * psd.fractions[bins] * (
+            root * (2.0 + b * y ** _SH_POWER) / (2.0 + b * y0[bins] ** _SH_POWER) - r)), axis=-1)
 
     if sink or t_end == 0.0:                      # a zero-length run needs no clock either
         speed = rate_base * c_sat
@@ -360,84 +368,95 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         late_rate = rate_base * max(excess, 0.0)
         tau_end = float(lifetime.max())
         if late_rate == 0.0:
-            # Newton steps on the convex, falling driving force (> 0 at lo, <= 0 at hi).
-            hi = tau_end if excess != -dose_over_v else 0.0   # C_sat lost next to dose/V
+            # Newton steps on the convex, falling driving force, > 0 at lo and exactly excess <= 0
+            # at hi, the last lifetime of a bin with mass (0 where C_sat is lost next to dose/V).
+            hi = float(lifetime[psd.fractions > 0.0].max()) if excess != -dose_over_v else 0.0
             lo, tau, force, rtol = 0.0, 0.0, 1.0, 4.0 * np.finfo(float).eps
-            while force and hi - lo > rtol * hi:
-                y = sizes(tau)
-                force = excess + dose_over_v * (y ** 1.5 @ mass_w)
-                lo, hi = (tau, hi) if force > 0.0 else (lo, tau)
-                with np.errstate(over="ignore"):              # an infinite slope: bisect
+            with np.errstate(over="ignore"):                  # an infinite slope: bisect
+                while force and hi - lo > rtol * hi:
+                    y = sizes(tau)
+                    force = excess + dose_over_v * (y ** 1.5 @ mass_w)
+                    lo, hi = (tau, hi) if force > 0.0 else (lo, tau)
                     tau += force / fall(y)
-                tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo < tau < hi else 0.5 * (lo + hi)
+                    tau = max(tau, lo * (1.0 + 0.5 * rtol)) if lo < tau < hi else 0.5 * (lo + hi)
             if hi == 0.0:
                 raise ValidationError("dose too far past the capacity to resolve")
             tau_end = hi
-        u_cut, tau_cut = -np.log(_TAU_RTOL), tau_end * (1.0 - _TAU_RTOL)
+        u_cut, tau_cut = _U_EDGES[-1], tau_end * (1.0 - _TAU_RTOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_life = -np.log1p(-lifetime / tau_end)
         # Panel edges at the lifetimes, where the rate has kinks (thinned to
-        # _MAX_EDGES), and every _MAX_PANEL_U.
+        # _MAX_EDGES), and every _MAX_PANEL_U; a sort, as np.union1d imports numpy.ma.
         kinks = np.sort(u_life[u_life < u_cut])
-        kinks = kinks[np.linspace(0, kinks.size - 1, min(kinks.size, _MAX_EDGES)).astype(int)]
-        edges = np.union1d(kinks, np.linspace(0.0, u_cut, int(np.ceil(u_cut / _MAX_PANEL_U)) + 1))
+        if kinks.size > _MAX_EDGES:
+            kinks = kinks[np.linspace(0, kinks.size - 1, _MAX_EDGES).astype(int)]
+        edges = np.sort(np.concatenate((kinks, _U_EDGES)))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         half = np.diff(edges) / 2.0
         gap = tau_end * np.exp(-(edges[:-1, None] + half[:, None] * (_GL_NODES + 1.0)))
-        # At the nodes, tau_end - tau and the driving force, taken in slices
-        # of about _CHUNK sizes to keep temporaries small; its floor binds
-        # only where rounding swamps it.
-        taus = np.array_split((tau_end - gap).ravel(), -(-gap.size * y0.size // _CHUNK))
-        y_nodes = [sizes(part) for part in taus] if _jacobian else map(sizes, taus)
-        force = np.maximum(np.concatenate([driving(y) for y in y_nodes]).reshape(gap.shape),
-                           _TAU_RTOL * c_sat * gap / tau_end)
+        # The driving force at the nodes. They come in increasing tau, so each slice of
+        # them sizes only the bins alive at its first node, a suffix of the lifetime order,
+        # at most _CHUNK sizes. The force's floor binds only where rounding swamps it.
+        taus, order = (tau_end - gap).ravel(), np.argsort(lifetime, kind="stable")
+        first = np.searchsorted(lifetime[order], taus, side="right")
+        force, slices, a = np.empty(taus.size), [], 0
+        while a < taus.size:
+            live = order[first[a]:]                   # never empty: the last bin outlives all
+            nodes = slice(a, a := a + max(_CHUNK // live.size, 1))
+            force[nodes] = driving(y := sizes(taus[nodes], live), mass_w[live])
+            if _jacobian:
+                slices.append((nodes, live, y))
+        force = np.maximum(force.reshape(gap.shape), _TAU_RTOL * c_sat * gap / tau_end)
         if np.min(rate := rate_base * force) < np.finfo(float).tiny:
             raise ValidationError("the clock's rate underflows: dissolution too slow to resolve")
         # dt/ds on each panel, s in [-1, 1], as the polynomial through its nodes
         # (einsum, not a BLAS matrix product, whose work buffer costs memory).
-        k = np.arange(_GL_NODES.size)
         with np.errstate(over="ignore", invalid="ignore"):
             coef = np.einsum("pk,kj->pj", half[:, None] * gap / rate, _GL_LAGRANGE)
-            t_edges = np.concatenate(([0.0], np.cumsum(coef @ ((k % 2 == 0) * 2.0 / (k + 1)))))
+            t_edges = np.concatenate(([0.0], np.cumsum(coef @ _GL_MOMENTS)))
         t_cut = t_edges[-1]
         if not np.isfinite(t_cut):
             raise ValidationError("the run's clock overflows: dissolution too slow to resolve")
 
         def powers(s):
             """s^k and its integral from -1 to s, for each power k."""
-            power = s[:, None] ** k
-            return power, (power * s[:, None] - (-1.0) ** (k + 1)) / (k + 1)
+            power = s[:, None] ** _K
+            return power, (power * s[:, None] - _K_SIGN) / _K_NEXT
 
-        def clock(p, s):
-            """t and dt/ds at s on panels p."""
+        def clock(c, t0, s):
+            """t and dt/ds at s on panels with coefficients c that start at t0."""
             power, rise = powers(s)
-            return t_edges[p] + np.sum(coef[p] * rise, axis=1), np.sum(coef[p] * power, axis=1)
+            return t0 + np.einsum("gk,gk->g", c, rise), np.einsum("gk,gk->g", c, power)
 
         # tau on the grid: t inverted within each panel by four Newton steps.
         early, late = grid_s[grid_s <= t_cut], grid_s[grid_s > t_cut]
         p = np.minimum(np.searchsorted(t_edges, early, side="right") - 1, half.size - 1)
-        s = 2.0 * (early - t_edges[p]) / (t_edges[p + 1] - t_edges[p]) - 1.0
+        c, t0 = coef[p], t_edges[p]
+        s = 2.0 * (early - t0) / (t_edges[p + 1] - t0) - 1.0
         for _ in range(4):
-            t, slope = clock(p, s)
-            s = np.clip(s - (t - early) / slope, -1.0, 1.0)
+            t, slope = clock(c, t0, s)
+            s = np.minimum(np.maximum(s - (t - early) / slope, -1.0), 1.0)
         tau_late = (tau_cut + (late - t_cut) * late_rate if late_rate
                     else np.full(late.shape, tau_end))
         tau_grid = np.concatenate((-tau_end * np.expm1(-edges[p] - half[p] * (s + 1.0)), tau_late))
         if _jacobian:
-            # The clock moves too: at fixed t, d tau = F(tau) * integral of dF / F^2 dtau'
-            # with dF = -(dose/V) / 100 * the held column; the integral is taken on
-            # the clock's panels, whole ones before each grid point and the
-            # integrated node polynomials on its own.
-            spread = (held(np.concatenate(y_nodes).reshape(*gap.shape, -1))
-                      * (half[:, None] * gap / force ** 2)[..., None])
-            before = np.cumsum(np.einsum("k,pkc->pc", _GL_WEIGHTS, spread), axis=0)
-            drift = (np.concatenate((np.zeros((1, spread.shape[2])), before))[p]
-                     + np.einsum("gk,gkc->gc", powers(s)[1] @ _GL_LAGRANGE.T, spread[p]))
+            # The clock moves too: at fixed t, d tau = F(tau) * integral of dF / F^2 dtau' with
+            # dF = -(dose/V) / 100 * the held column, one product per slice with node weights:
+            # Gauss-Legendre on panels before each grid point's own, integrated polynomials on it.
+            weights = (np.arange(half.size)[:, None] < p[:, None, None]) * _GL_WEIGHTS
+            weights[np.arange(p.size), p] = powers(s)[1] @ _GL_LAGRANGE.T
+            weights = (weights * (half[:, None] * gap / force ** 2)).reshape(p.size, -1)
+            drift = np.zeros((p.size, 2, y0.size))        # bins in lifetime order: live is a suffix
+            for nodes, live, y in slices:
+                part = weights[:, nodes] @ held(y, live)
+                drift[..., -live.size:] += part.reshape(p.size, 2, -1)
+            drift = drift[..., np.argsort(order)]         # back in bin order
         # Bin i vanishes at t(G(y0_i)), read off the same panels.
         extinction = np.full_like(lifetime, np.nan)
         done = lifetime <= tau_grid[-1]
         u_done = np.minimum(u_life[done], u_cut)
         p = np.minimum(np.searchsorted(edges, u_done, side="right") - 1, half.size - 1)
-        t_done = clock(p, (u_done - edges[p]) / half[p] - 1.0)[0]
+        t_done = clock(coef[p], t_edges[p], (u_done - edges[p]) / half[p] - 1.0)[0]
         late_t = np.maximum(lifetime[done] - tau_cut, 0.0) / late_rate if late_rate else 0.0
         extinction[done] = np.minimum(t_done + late_t, t_end)
 
@@ -458,7 +477,7 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
     if drift is not None:
         # d released / dtau = 100 fall / (dose/V), times d tau = -(dose/V) / 100 * F * drift.
         m = len(drift)
-        jac[:m] -= (fall(y_grid[:m]) * driving(y_grid[:m]))[:, None] * drift
+        jac[:m] -= (fall(y_grid[:m]) * driving(y_grid[:m]))[:, None] * drift.reshape(m, -1)
         jac[m:] = 0.0                                         # past t_cut: saturated or done
     raw = 100.0 * (1.0 - y_grid ** 1.5 @ mass_w)
     jac[(raw <= 0.0) | (raw >= cap_pct) | (grid_s == 0.0)] = 0.0    # where the clip binds

@@ -266,9 +266,12 @@ class RecordStore:
             raise ValidationError("cannot adapt weights on an empty store")
         if self._weights is not None:
             return self._weights
+        def median(a):                        # by column, as np.median, which imports numpy.ma
+            a, n = np.sort(a, axis=0), len(a)
+            return a[n // 2] if n % 2 else (a[n // 2 - 1] + a[n // 2]) / 2.0
         matrix = self.feature_matrix()
-        med = np.median(matrix, axis=0)
-        mad = np.median(np.abs(matrix - med), axis=0)
+        med = median(matrix)
+        mad = median(np.abs(matrix - med))
         varying = mad > 0.0
         scales = np.maximum(mad, 1e-12)
         raw = np.zeros(len(FEATURE_NAMES))

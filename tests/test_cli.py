@@ -1098,6 +1098,30 @@ def test_commands_that_compute_no_array_load_no_numpy(tmp_path):
     assert not (tmp_path / "out").exists() and (tmp_path / "replayed").is_dir()
 
 
+def test_commands_that_compute_load_no_numpy_ma(tmp_path):
+    # numpy's median and plain unique import numpy.ma, which costs a fresh process
+    # 10-13 ms. Retrieving, predicting with RAG, benchmarking on the mock, designing
+    # and a saturating simulate use neither, each in a fresh interpreter.
+    store = tmp_path / "store.jsonl"             # 6 records: adapt_weights ranks them
+    store.write_text("".join(
+        json.dumps({**_RECORD, "id": f"r{i}", "d50_um": 20.0 * (i + 1), "ssa_m2_g": 3.0 - 0.4 * i,
+                    "profile": [[0, 0], [1, 90 - 12 * i], [2, 95 - 10 * i]]}) + "\n"
+        for i in range(6)))
+    (tmp_path / "input.json").write_text(json.dumps({"Input": REFERENCE_INPUT}))
+    (tmp_path / "target.csv").write_text("time_hr,released_pct\n0,0\n1,50\n2,80\n")
+    code = ("import json, sys; from formukit.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules]))")
+    for argv in (["store", "retrieve", "--store", str(store), "--d50", "50"],
+                 ["predict", "--strategy", "rag", "--backend", "mock", "--input", "input.json",
+                  "--store", str(store), "--output-dir", "out"],
+                 ["bench", "--dataset", SEED_FILE, "--backend", "mock", "--output-dir", "out"],
+                 ["design", "--target", "target.csv", "--n-bins", "12", "--output-dir", "out"],
+                 ["simulate", "--d50", "50", "--dose", "600", "--output-dir", "out"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                             env=_fresh_env(), capture_output=True, text=True, timeout=60)
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, True, False], (argv, out.stderr)
+
+
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     # Each case runs in a fresh interpreter and lists the formukit modules
     # loaded once main returns: the solver, the design loop, the LLM client

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -468,6 +470,22 @@ class TestSimulate:
         force = drug.c_sat_mg_ml - dose_over_v + dose_over_v * remaining
         assert abs(force) <= 4.0 * np.finfo(float).eps * dose_over_v
 
+    def test_saturation_root_past_bins_without_mass(self, drug, sphere):
+        # Zero fractions on the largest bins (a free-bin design holds them there) once
+        # put the root's bracket past the last bin with mass, where the driving force
+        # is flat: its Newton step divided by zero. The curve is the one without them.
+        sizes = [8.120387886366162, 9.786586594339422, 17.062367692385187, 30.138525109340808,
+                 35.81282802264055, 347.07225906335736]
+        fractions = [0.0, 0.0, 0.5175682653981232, 0.48243173460187666, 0.0, 0.0]
+        cond = DissolutionConditions(dose_mg=460.3482803804281, paddle_rpm=50.0)
+        grid = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 12.0, 24.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = simulate(drug, sphere, SizeDistribution(sizes, fractions), cond, grid)
+        kept = simulate(drug, sphere, SizeDistribution(sizes[2:4], fractions[2:4]), cond, grid)
+        assert np.max(np.abs(full.profile.released_pct - kept.profile.released_pct)) <= 1e-12
+        assert full.profile.released_pct[-1] == pytest.approx(kept.released_cap_pct, abs=1e-9)
+
     def test_sink_override_forces_zero_bulk(self, drug, sphere, grid):
         # With C_b held at 0 the dose past the capacity changes nothing.
         psd = psd_from_lognormal(45.0, 1.5, 30)
@@ -609,13 +627,27 @@ class TestSensitivities:
         pytest.param(DissolutionConditions(dose_mg=1000.0), 1e-3, id="saturating-1000"),
     ])
     def test_columns_match_central_differences(self, drug, sphere, n_bins, cond, tol):
+        assert self._worst_column_gap(drug, sphere, cond, n_bins, range(n_bins)) <= tol
+
+    @pytest.mark.parametrize("cond, tol", [
+        pytest.param(DissolutionConditions(dose_mg=10.0), 1e-5, id="coupled-10"),
+        pytest.param(DissolutionConditions(dose_mg=200.0), 5e-4, id="coupled-200"),
+        pytest.param(DissolutionConditions(dose_mg=600.0), 1e-3, id="saturating-600"),
+    ])
+    def test_200_bin_columns_match_central_differences(self, drug, sphere, cond, tol):
+        # The clock sizes only live bins, in slices that narrow the most at 200 bins.
+        bins = np.random.default_rng(200).choice(200, size=8, replace=False)
+        assert self._worst_column_gap(drug, sphere, cond, 200, bins) <= tol
+
+    def _worst_column_gap(self, drug, sphere, cond, n_bins, bins):
+        """Largest gap between the columns of ``bins`` of each kind and central differences."""
         # Directions e_j - f keep the fractions on the simplex; ln y0_j moves one bin.
         psd = psd_from_lognormal(120.0, 1.5, n_bins)
         f = np.random.default_rng(n_bins).dirichlet(np.ones(n_bins))
         psd = SizeDistribution(psd.sizes_um, f)
         _, d_f, d_ln_y0 = simulate(drug, sphere, psd, cond, self.GRID, _jacobian=True)
         h, worst = 1e-6, 0.0
-        for j in range(n_bins):
+        for j in bins:
             e = np.eye(n_bins)[j]
             pairs = [(d_ln_y0 @ e, (f, h * e), (f, -h * e))]
             if n_bins > 1:
@@ -624,7 +656,7 @@ class TestSensitivities:
                 fd = (self._released(drug, sphere, psd, cond, *up)
                       - self._released(drug, sphere, psd, cond, *down)) / (2.0 * h)
                 worst = max(worst, float(np.max(np.abs(column - fd))))
-        assert worst <= tol
+        return worst
 
     def test_columns_are_not_trivial(self, drug, sphere):
         # The grid resolves the release, so the comparison above has teeth.
@@ -649,12 +681,14 @@ class TestSensitivities:
         assert not np.any(d_f[~rows])
 
     def test_forward_run_is_unchanged(self, drug, sphere):
-        psd = psd_from_lognormal(120.0, 1.5, 12)
-        cond = DissolutionConditions(dose_mg=600.0)
-        plain = simulate(drug, sphere, psd, cond, self.GRID)
-        with_columns = simulate(drug, sphere, psd, cond, self.GRID, _jacobian=True)[0]
-        assert np.array_equal(plain.profile.released_pct, with_columns.profile.released_pct)
-        assert np.array_equal(plain.sizes_m, with_columns.sizes_m)
+        # Both paths share every slice of the clock, so the run is the same bit for bit.
+        for n_bins, dose in ((12, 600.0), (200, 10.0), (200, 600.0)):
+            psd = psd_from_lognormal(120.0, 1.5, n_bins)
+            cond = DissolutionConditions(dose_mg=dose)
+            plain = simulate(drug, sphere, psd, cond, self.GRID)
+            with_columns = simulate(drug, sphere, psd, cond, self.GRID, _jacobian=True)[0]
+            assert np.array_equal(plain.profile.released_pct, with_columns.profile.released_pct)
+            assert np.array_equal(plain.sizes_m, with_columns.sizes_m)
 
 
 def test_gap_to_the_sink_curve_is_first_order_in_dose_over_volume(drug, sphere):
