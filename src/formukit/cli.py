@@ -300,8 +300,7 @@ def cmd_store_ingest(config: AppConfig, args) -> int:
 
     store = _open_store(config, args)
     records = load_records(args.file)
-    for record in records:
-        store.ingest(record, overwrite=args.overwrite)
+    store.ingest(*records, overwrite=args.overwrite)
     print(f"ingested {len(records)} record(s) into {store.path} (store size {len(store)})")
     return EXIT_OK
 

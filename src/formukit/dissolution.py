@@ -141,46 +141,42 @@ def _log_ratio(v):
     return ((c3 * s + c2) * s + c1) * s + c0
 
 
-def sherwood(re, sc):
+def sherwood(re: float, sc: float) -> float:
     """Sherwood number from the 2 + 0.52 Re^0.52 Sc^(1/3) correlation.
 
     Parameters
     ----------
-    re : float or ndarray
+    re : float
         Particle Reynolds number, >= 0.
-    sc : float or ndarray
+    sc : float
         Schmidt number, > 0.
 
     Returns
     -------
-    float or ndarray
+    float
         Sherwood number; 2.0 in the stagnant limit (re = 0).
     """
-    re, sc = np.asarray(re, dtype=float), np.asarray(sc, dtype=float)
-    if (re < 0).any():                        # ndarray methods: np.any costs ~3 us a call
+    if not re >= 0.0:
         raise ValidationError("Reynolds number must be >= 0")
-    if (sc <= 0).any():
+    if not sc > 0.0:
         raise ValidationError("Schmidt number must be > 0")
-    sh = 2.0 + 0.52 * re ** 0.52 * sc ** (1.0 / 3.0)
-    return float(sh) if sh.ndim == 0 else sh
+    # numpy's power, not Python's **: the two differ in the last bit for some (Re, Sc).
+    return float(2.0 + 0.52 * np.power(re, 0.52) * np.power(sc, 1.0 / 3.0))
 
 
-def reynolds_schmidt(conditions: DissolutionConditions, x, diffusivity: float):
-    """Particle Reynolds and Schmidt numbers for the vessel conditions.
+def reynolds_schmidt(conditions: DissolutionConditions, x: float, diffusivity: float):
+    """Particle Reynolds and Schmidt numbers, as floats, for the vessel conditions
+    and a particle of size x [m].
 
     Re uses the slip velocity ``velocity_factor * paddle tip speed`` and the
     particle size as the length scale; Sc = mu / (rho_fluid * D).
     """
-    x = np.asarray(x, dtype=float)
-    if (x <= 0).any():
+    if not x > 0.0:
         raise ValidationError("particle size must be > 0")
-    if diffusivity <= 0:
+    if not diffusivity > 0.0:
         raise ValidationError("diffusivity must be > 0")
-    u = conditions.slip_velocity_m_s
-    re = conditions.fluid_density_kg_m3 * u * x / conditions.fluid_viscosity_pa_s
-    sc = conditions.fluid_viscosity_pa_s / (conditions.fluid_density_kg_m3 * diffusivity)
-    re = float(re) if re.ndim == 0 else re
-    return re, float(sc)
+    rho, mu = conditions.fluid_density_kg_m3, conditions.fluid_viscosity_pa_s
+    return rho * conditions.slip_velocity_m_s * x / mu, mu / (rho * diffusivity)
 
 
 def lognormal_offsets(n_bins: int) -> np.ndarray:
@@ -239,8 +235,6 @@ class SimulationResult:
     @property
     def complete_dissolution_time_s(self) -> float:
         """Time the last bin vanished, or nan if solids remain at the end."""
-        if np.any(np.isnan(self.extinction_times_s)):
-            return float("nan")
         return float(np.max(self.extinction_times_s))
 
 
@@ -269,7 +263,7 @@ def _size_law(y0: np.ndarray, b: float):
     is G1 at the knot below plus one Gauss-Legendre panel. G^-1 reads ln(z / G1), ln 2 at
     small z, as cubic pieces on knots uniform in ln G1, shifted per bin so that tau = 0
     returns y0 to rounding. A spent bin is exactly zero; b = 0 is exactly G = y / 2.
-    ``sizes(tau, bins)`` sizes only the bins indexed by ``bins``, in that order.
+    ``sizes(tau, bins)`` sizes only the bins in the slice ``bins``.
     """
     if not b:
         lifetime = 0.5 * y0
@@ -387,22 +381,24 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
             u_life = -np.log1p(-lifetime / tau_end)
         # Panel edges at the lifetimes, where the rate has kinks (thinned to
         # _MAX_EDGES), and every _MAX_PANEL_U; a sort, as np.union1d imports numpy.ma.
-        kinks = np.sort(u_life[u_life < u_cut])
+        kinks = u_life[u_life < u_cut]
         if kinks.size > _MAX_EDGES:
             kinks = kinks[np.linspace(0, kinks.size - 1, _MAX_EDGES).astype(int)]
         edges = np.sort(np.concatenate((kinks, _U_EDGES)))
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         half = np.diff(edges) / 2.0
         gap = tau_end * np.exp(-(edges[:-1, None] + half[:, None] * (_GL_NODES + 1.0)))
-        # The driving force at the nodes. They come in increasing tau, so each slice of
-        # them sizes only the bins alive at its first node, a suffix of the lifetime order,
-        # at most _CHUNK sizes. The force's floor binds only where rounding swamps it.
-        taus, order = (tau_end - gap).ravel(), np.argsort(lifetime, kind="stable")
-        first = np.searchsorted(lifetime[order], taus, side="right")
+        # The driving force at the nodes. They come in increasing tau, and bins in size
+        # order, so in lifetime order: each slice of nodes sizes only the bins from the first
+        # whose running maximum of lifetimes outlasts its first node, at most _CHUNK sizes.
+        # (Rounding can leave a bin's lifetime a few ulps under its smaller neighbour's; such
+        # a bin sizes to exactly 0.) The force's floor binds only where rounding swamps it.
+        taus = (tau_end - gap).ravel()
+        first = np.searchsorted(np.maximum.accumulate(lifetime), taus, side="right")
         force, slices, a = np.empty(taus.size), [], 0
         while a < taus.size:
-            live = order[first[a]:]                   # never empty: the last bin outlives all
-            nodes = slice(a, a := a + max(_CHUNK // live.size, 1))
+            live = slice(first[a], None)              # never empty: the last bin outlives all
+            nodes = slice(a, a := a + max(_CHUNK // (y0.size - first[a]), 1))
             force[nodes] = driving(y := sizes(taus[nodes], live), mass_w[live])
             if _jacobian:
                 slices.append((nodes, live, y))
@@ -446,11 +442,9 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
             weights = (np.arange(half.size)[:, None] < p[:, None, None]) * _GL_WEIGHTS
             weights[np.arange(p.size), p] = powers(s)[1] @ _GL_LAGRANGE.T
             weights = (weights * (half[:, None] * gap / force ** 2)).reshape(p.size, -1)
-            drift = np.zeros((p.size, 2, y0.size))        # bins in lifetime order: live is a suffix
+            drift = np.zeros((p.size, 2, y0.size))
             for nodes, live, y in slices:
-                part = weights[:, nodes] @ held(y, live)
-                drift[..., -live.size:] += part.reshape(p.size, 2, -1)
-            drift = drift[..., np.argsort(order)]         # back in bin order
+                drift[..., live] += (weights[:, nodes] @ held(y, live)).reshape(p.size, 2, -1)
         # Bin i vanishes at t(G(y0_i)), read off the same panels.
         extinction = np.full_like(lifetime, np.nan)
         done = lifetime <= tau_grid[-1]
@@ -461,8 +455,8 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         extinction[done] = np.minimum(t_done + late_t, t_end)
 
     y_grid = sizes(tau_grid)                                  # (n_times, n)
-    released = 100.0 * np.clip(1.0 - y_grid ** 1.5 @ mass_w, 0.0, 1.0)
-    released = np.minimum(np.maximum.accumulate(np.clip(released, 0.0, cap_pct)), cap_pct)
+    raw = 100.0 * (1.0 - y_grid ** 1.5 @ mass_w)
+    released = np.maximum.accumulate(np.clip(raw, 0.0, cap_pct))
     released[0] = 0.0
 
     result = SimulationResult(
@@ -479,7 +473,6 @@ def simulate(drug: DrugSubstance, morph: ParticleMorphology, psd: SizeDistributi
         m = len(drift)
         jac[:m] -= (fall(y_grid[:m]) * driving(y_grid[:m]))[:, None] * drift.reshape(m, -1)
         jac[m:] = 0.0                                         # past t_cut: saturated or done
-    raw = 100.0 * (1.0 - y_grid ** 1.5 @ mass_w)
     jac[(raw <= 0.0) | (raw >= cap_pct) | (grid_s == 0.0)] = 0.0    # where the clip binds
     return result, jac[:, :y0.size], jac[:, y0.size:]
 

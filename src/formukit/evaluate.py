@@ -190,8 +190,7 @@ def run_benchmark(dataset, strategies=STRATEGY_ORDER, *, client, store=None) -> 
 
     if store is None:
         store = RecordStore()
-        for rec in records:
-            store.ingest(rec)
+        store.ingest(*records)
 
     order = [s for s in STRATEGY_ORDER if s in set(strategies)]
     predictions: dict[str, dict[str, DissolutionProfile]] = {s: {} for s in order}

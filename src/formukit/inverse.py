@@ -267,11 +267,10 @@ def _design_lognormal(spec: DesignSpec, seed: int, n_starts: int) -> DesignResul
 
 
 def _project(fractions: np.ndarray) -> np.ndarray:
-    clipped = np.clip(fractions, 0.0, 1.0)
-    total = clipped.sum()
+    total = fractions.sum()
     if total <= 0:
         raise ValidationError("projection produced an empty distribution")
-    return clipped / total
+    return fractions / total
 
 
 def _design_free_bins(spec: DesignSpec, max_rounds: int) -> DesignResult:
@@ -345,7 +344,7 @@ def design_report(result: DesignResult, spec: DesignSpec) -> str:
     ssa, vol_eq = derived_metrics(result.psd, spec.morph, spec.drug)
     lines = ["designed particle size distribution", "-" * 36]
     lines.append(f"d50: {result.psd.d50_um:.4g} um")
-    if "geo_sigma" in result.parameters:
+    if spec.is_lognormal:
         lines.append(f"geometric standard deviation: {result.parameters['geo_sigma']:.4g}")
     else:
         lines.append("bin table (size um, mass fraction):")

@@ -233,14 +233,21 @@ class RecordStore:
     def records(self) -> list[FormulationRecord]:
         return list(self._records.values())
 
-    def ingest(self, record: FormulationRecord, overwrite: bool = False) -> None:
-        """Add a record; appends to the JSONL file when the store is backed."""
-        if record.id in self._records and not overwrite:
-            raise ValidationError(f"record id {record.id!r} already in store")
-        self._records[record.id] = record
+    def ingest(self, *records: FormulationRecord, overwrite: bool = False) -> None:
+        """Add records in order, appending each to the JSONL file when the store is backed.
+        Without ``overwrite``, an id already in the store or earlier among ``records``
+        raises before any record is added; with it, the later record wins."""
+        seen = set()
+        for record in records:
+            if not overwrite and (record.id in self._records or record.id in seen):
+                where = "in store" if record.id in self._records else "earlier in the input"
+                raise ValidationError(f"record id {record.id!r} already {where}")
+            seen.add(record.id)
         self._matrix = self._weights = None
-        if self.path is not None:
-            append_jsonl(self.path, record.to_dict())
+        for record in records:
+            self._records[record.id] = record
+            if self.path is not None:
+                append_jsonl(self.path, record.to_dict())
 
     def feature_matrix(self) -> np.ndarray:
         """Feature vectors of the records in store order (read-only, cached)."""

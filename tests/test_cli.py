@@ -391,6 +391,39 @@ class TestStore:
         assert capsys.readouterr().err.startswith("error: record 'bad': ")
         assert not store.exists()
 
+    def test_ingest_of_an_id_repeated_in_the_file_exit_2_store_absent(self, tmp_path, capsys):
+        seed = json.loads(Path(SEED_FILE).read_text())["records"]
+        records, store = tmp_path / "dup.json", tmp_path / "s.jsonl"
+        records.write_text(json.dumps([seed[0], seed[1], seed[0]]))
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: record id 'salish-d50-45' already earlier in the input\n"
+        assert not store.exists()
+
+    def test_ingest_of_an_id_in_the_store_exit_2_store_unchanged(self, tmp_path, capsys):
+        seed = json.loads(Path(SEED_FILE).read_text())["records"]
+        records, store = tmp_path / "more.json", tmp_path / "s.jsonl"
+        records.write_text(json.dumps([{**_RECORD, "id": "new"}, seed[2]]))
+        assert main(["store", "ingest", "--file", SEED_FILE, "--store", str(store)]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: record id 'salish-d50-97p5' already in store\n"
+        assert store.read_bytes() == before
+
+    def test_ingest_overwrite_lets_the_later_record_win(self, tmp_path, capsys):
+        records, store = tmp_path / "r.json", tmp_path / "s.jsonl"
+        records.write_text(json.dumps([_RECORD, {**_RECORD, "id": "r2"},
+                                       {**_RECORD, "d50_um": 60.0}]))
+        code = main(["store", "ingest", "--file", str(records), "--store", str(store),
+                     "--overwrite"])
+        assert code == 0
+        assert main(["store", "list", "--store", str(store)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert [row.split()[:2] for row in rows[-3:-1]] == [["r1", "60"], ["r2", "50"]]
+
     def test_ingest_of_an_id_xml_cannot_carry_exit_2_store_unchanged(self, tmp_path, capsys):
         # A lone surrogate (a JSON escape) cannot be written out as UTF-8.
         rec_id, records = "\ud800x", tmp_path / "records.json"

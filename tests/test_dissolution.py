@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad, solve_ivp
 
+from formukit import dissolution
 from formukit.dissolution import (
     MAX_N_BINS,
     _size_law,
@@ -44,13 +45,17 @@ class TestSherwood:
         rng = np.random.default_rng(7)
         re = rng.uniform(0, 1e4, 200)
         sc = rng.uniform(1e-2, 1e4, 200)
-        assert np.all(sherwood(re, sc) >= 2.0)
+        assert all(sherwood(r, s) >= 2.0 for r, s in zip(re.tolist(), sc.tolist()))
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             sherwood(-1.0, 100.0)
         with pytest.raises(ValidationError):
             sherwood(1.0, 0.0)
+        with pytest.raises(ValidationError):
+            sherwood(float("nan"), 100.0)
+        with pytest.raises(ValidationError):
+            sherwood(1.0, float("nan"))
 
 
 #: A monodisperse 97.5 um sphere: with Sh = 2 and D = 7.5e-10 m^2/s the film
@@ -127,6 +132,10 @@ class TestReynoldsSchmidt:
         re_hi, sc_hi = reynolds_schmidt(hi, 1e-4, 7.5e-10)
         assert re_hi == pytest.approx(2 * re_lo, rel=1e-14)
         assert sc_hi == sc_lo
+
+    def test_nan_size_rejected(self, conditions):
+        with pytest.raises(ValidationError):
+            reynolds_schmidt(conditions, float("nan"), 7.5e-10)
 
 
 class TestShrinkRate:
@@ -689,6 +698,25 @@ class TestSensitivities:
             with_columns = simulate(drug, sphere, psd, cond, self.GRID, _jacobian=True)[0]
             assert np.array_equal(plain.profile.released_pct, with_columns.profile.released_pct)
             assert np.array_equal(plain.sizes_m, with_columns.sizes_m)
+
+    def test_near_tied_lifetimes_act_as_one_bin(self, drug, sphere, monkeypatch):
+        # At b = Sh(1 m) - 2 = 100 these sizes, an ulp apart, round to lifetimes whose last
+        # is 16 ulps below the first two: bins in size order are then not quite in lifetime
+        # order, and the clock must still size every bin alive.
+        monkeypatch.setattr(dissolution, "sherwood", lambda re, sc: 102.0)
+        sizes = [5.9277031020463955, 5.927703102046396, 5.927703102046397]
+        lifetime = _size_law((np.array(sizes) * 1e-6) ** 2, 100.0)[0]
+        assert lifetime[0] == lifetime[1] > lifetime[2]
+        grid = np.array([0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0]) / 3600.0
+        for dose in (10.0, 600.0, 5000.0):
+            cond = DissolutionConditions(dose_mg=dose)
+            psd = SizeDistribution(sizes, np.full(3, 1.0 / 3.0))
+            three = simulate(drug, sphere, psd, cond, grid)
+            one = simulate(drug, sphere, SizeDistribution(sizes[:1], [1.0]), cond, grid)
+            assert np.max(np.abs(three.profile.released_pct - one.profile.released_pct)) <= 1e-12
+            with_columns = simulate(drug, sphere, psd, cond, grid, _jacobian=True)[0]
+            assert np.array_equal(three.profile.released_pct, with_columns.profile.released_pct)
+            assert np.array_equal(three.sizes_m, with_columns.sizes_m)
 
 
 def test_gap_to_the_sink_curve_is_first_order_in_dose_over_volume(drug, sphere):
